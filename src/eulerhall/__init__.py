@@ -54,9 +54,11 @@ from .matching import (
     sdr_count_naive,
 )
 from .obstruction import (
+    Analysis,
     EquivalenceReport,
     Verdict,
     VerdictTag,
+    analyze,
     doubled_verdict,
     equivalence_report,
     subordination_verdict,
@@ -68,6 +70,7 @@ from .sweep import SweepResult, expected_family_count, sweep_equivalence
 __all__ = [
     "__version__",
     "backend_name",
+    "Analysis",
     "BundleFamily",
     "DynamicsConfig",
     "EquivalenceReport",
@@ -80,6 +83,7 @@ __all__ = [
     "Verdict",
     "VerdictTag",
     "alpha",
+    "analyze",
     "dimension",
     "direct_sum",
     "doubled_verdict",

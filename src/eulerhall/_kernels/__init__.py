@@ -9,8 +9,7 @@ routed to the reference implementation instead.  Both backends implement
 the same algorithms with the same traversal order, so the choice never
 changes a result, only the runtime.
 
-``EULERHALL_BACKEND=python`` in the environment forces the pure backend;
-``set_backend()`` switches at runtime (used by the benchmark).
+``EULERHALL_BACKEND=python`` in the environment forces the pure backend.
 """
 
 from __future__ import annotations
@@ -43,19 +42,6 @@ _active = _fast if (HAVE_COMPILED and os.environ.get("EULERHALL_BACKEND") != "py
 def backend_name() -> str:
     """Name of the backend currently preferred: 'compiled' or 'python'."""
     return "compiled" if _active is not None else "python"
-
-
-def set_backend(name: str) -> None:
-    """Select 'compiled', 'python', or 'auto' (compiled when available)."""
-    global _active
-    if name == "python":
-        _active = None
-    elif name in ("compiled", "auto"):
-        if name == "compiled" and not HAVE_COMPILED:
-            raise ValueError("compiled kernels are not available")
-        _active = _fast
-    else:
-        raise ValueError(f"unknown backend {name!r}")
 
 
 def euler_terms(rows, ncols):

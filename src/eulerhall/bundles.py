@@ -6,7 +6,9 @@ nonempty finite atom set, plus an optional count of trivial line summands.
 Everything here works with equivalence classes only; the Euler class of a
 member with atom set I is the sum of the generators of I, and the Euler
 class of the family is the product of those sums (zero as soon as a
-trivial summand is present).
+trivial summand is present).  The product is expanded by the bitmask
+kernel over the family's compressed columns (``columns``), the same
+compression the matching routes use.
 
 The JSON form ``{"sets": [[1, 2], [2]], "trivial_lines": 0}`` is the
 canonical on-disk representation consumed by the CLI: atoms are positive
@@ -16,9 +18,9 @@ integers, inner arrays nonempty, deduplicated and ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from . import ring
+from . import _kernels, ring
 from .errors import InvalidInput
 from .ring import RingElement
 
@@ -99,21 +101,56 @@ def euler_line(atoms: Iterable[int]) -> RingElement:
     return ring.RingElement._raw({frozenset((a,)): 1 for a in s})
 
 
+def columns(f: BundleFamily) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Compress the family's atoms to 0-based columns, ascending.
+
+    Returns ``(rows, atoms)``: ``atoms`` is the sorted union of the sets
+    and ``rows[j]`` lists the columns of ``f.sets[j]`` in ascending order,
+    column ``c`` standing for atom ``atoms[c]``.
+    """
+    atoms = sorted(set().union(*f.sets))
+    index = {a: i for i, a in enumerate(atoms)}
+    rows = tuple(tuple(index[a] for a in sorted(s)) for s in f.sets)
+    return rows, atoms
+
+
 def euler_class(f: BundleFamily) -> RingElement:
     """Euler class of the whole family via the product formula.
 
     A trivial summand has Euler class zero and kills the product.  The
-    empty family gives the unit.  Partial products are reduced as they
-    grow, so colliding monomials are discarded immediately.
+    empty family gives the unit.  The product of the members' classes is
+    expanded over column bitmasks by ``_kernels.euler_terms``, and each
+    bitmask is mapped back to its atoms.
     """
     if f.trivial_lines > 0:
         return ring.zero()
-    result = ring.one()
-    for s in f.sets:
-        result = result * euler_line(s)
-        if result.is_zero:
-            break
-    return result
+    rows, atoms = columns(f)
+    terms = _kernels.euler_terms(rows, len(atoms))
+    support = _support_map(atoms)
+    return RingElement._raw({support(mask): coeff for mask, coeff in terms.items()})
+
+
+def _support_map(atoms: list[int]) -> Callable[[int], frozenset]:
+    """Function from a column bitmask to the frozenset of its atoms.
+
+    The columns are split into bytes, and each byte is looked up in a
+    table of the atom tuples of its 256 values.
+    """
+    tables = []
+    for k in range(0, len(atoms), 8):
+        table = [()]
+        for a in atoms[k:k + 8]:
+            table += [t + (a,) for t in table]
+        tables.append(table)
+
+    def support(mask: int) -> frozenset:
+        out = ()
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        return frozenset(out)
+
+    return support
 
 
 def dimension(f: BundleFamily) -> int:

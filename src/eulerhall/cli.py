@@ -116,10 +116,9 @@ def cmd_analyze(args) -> int:
     family = _load_family(args.family)
     report = _header("analyze")
     report["family"] = family.to_json_dict()
-    eq = obstruction.equivalence_report(family)
-    verdict = obstruction.subordination_verdict(family)
-    e = euler_class(family)
-    report["euler_class"] = e.render()
+    analysis = obstruction.analyze(family)
+    eq, verdict = analysis.equivalence, analysis.verdict
+    report["euler_class"] = analysis.euler_class.render()
     report["euler_nonzero"] = eq.euler_nonzero
     report["euler_class_degree"] = eq.euler_class_degree
     report["hall"] = eq.hall

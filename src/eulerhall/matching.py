@@ -8,9 +8,12 @@ the condition three ways -- direct subset enumeration, maximum matching,
 and permanent counting -- because downstream checks rely on the routes
 agreeing.
 
-Atom sets are compressed to column indices 0..u-1 (ascending atom order)
-before hitting the kernels, so families over arbitrarily large atom ids
-work; the compiled backend is used whenever the compressed width fits.
+Atom sets are compressed to column indices 0..u-1 (ascending atom order,
+``bundles.columns``) before hitting the kernels, so families over
+arbitrarily large atom ids work; the compiled backend is used whenever the
+compressed width fits.  One maximum matching yields both certificates of
+the marriage theorem (``certify``): a system of distinct representatives
+when it saturates, else a Hall violator.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import permutations
 from typing import Iterable
 
 from . import _kernels
-from .bundles import BundleFamily
+from .bundles import BundleFamily, columns
 from .errors import CapExceeded, DimensionMismatch, TheoremViolation
 
 EXHAUSTIVE_CAP = 16  # 2^m subsets scanned
@@ -46,21 +49,26 @@ class HallViolation:
     indices: tuple[int, ...]
 
 
-def _columns(f: BundleFamily):
-    """Compress the family's atoms to 0-based columns, ascending."""
-    atoms = sorted(set().union(*f.sets)) if f.sets else []
-    index = {a: i for i, a in enumerate(atoms)}
-    rows = tuple(tuple(index[a] for a in sorted(s)) for s in f.sets)
-    return rows, atoms
-
-
 def hall_exhaustive(f: BundleFamily, cap: int = EXHAUSTIVE_CAP) -> bool:
     """Check Hall's condition by scanning every nonempty subfamily."""
     m = len(f.sets)
     if m > cap:
         raise CapExceeded(f"exhaustive Hall check capped at {cap} sets, got {m}")
-    rows, atoms = _columns(f)
+    rows, atoms = columns(f)
     return _kernels.hall_violation(rows, len(atoms)) < 0
+
+
+def certify(f: BundleFamily) -> tuple[MatchingResult, HallViolation | None]:
+    """One maximum matching, read as the certificate it proves.
+
+    Returns the matching and, when it leaves a set unmatched, a Hall
+    violator derived from that same matching (``None`` when it saturates).
+    """
+    rows, atoms = columns(f)
+    col_of = _kernels.max_matching(rows, len(atoms))
+    if all(c >= 0 for c in col_of):
+        return MatchingResult(assignment=tuple(atoms[c] for c in col_of)), None
+    return MatchingResult(assignment=None), _violation(f, rows, len(atoms), col_of)
 
 
 def max_matching(f: BundleFamily) -> MatchingResult:
@@ -70,11 +78,7 @@ def max_matching(f: BundleFamily) -> MatchingResult:
     deterministic for a given input order (greedy seeding plus
     augmenting-path search, both scanning atoms in ascending order).
     """
-    rows, atoms = _columns(f)
-    col_of = _kernels.max_matching(rows, len(atoms))
-    if all(c >= 0 for c in col_of):
-        return MatchingResult(assignment=tuple(atoms[c] for c in col_of))
-    return MatchingResult(assignment=None)
+    return certify(f)[0]
 
 
 def hall_via_matching(f: BundleFamily) -> bool:
@@ -89,18 +93,17 @@ def find_violation(f: BundleFamily) -> HallViolation | None:
     atom fewer than it has members.  The returned subfamily need not be
     minimal.
     """
-    rows, atoms = _columns(f)
-    ncols = len(atoms)
-    col_of = _kernels.max_matching(rows, ncols)
-    unmatched = [j for j, c in enumerate(col_of) if c < 0]
-    if not unmatched:
-        return None
+    return certify(f)[1]
+
+
+def _violation(f: BundleFamily, rows, ncols: int, col_of) -> HallViolation:
+    # col_of is a maximum matching with at least one unmatched row.
     row_of = [-1] * ncols
     for j, c in enumerate(col_of):
         if c >= 0:
             row_of[c] = j
     # BFS over alternating paths: any edge out of a set, matched edge back.
-    start = unmatched[0]
+    start = col_of.index(-1)
     seen_rows = {start}
     seen_cols: set = set()
     frontier = [start]

@@ -3,15 +3,22 @@
 For a family of tensor-product lines (no trivial summands), three
 conditions coincide: the Euler class of the direct sum is nonzero, the
 family satisfies Hall's condition, and a system of distinct
-representatives exists.  ``equivalence_report`` evaluates all three from
-their own definitions and treats any disagreement as an internal failure,
-never an input error.
+representatives exists.  ``analyze`` is the one analysis pass: it expands
+the Euler class once and runs one maximum matching, which yields both the
+system of distinct representatives and, when there is none, a Hall
+violator.  Any disagreement between the routes is an internal failure,
+never an input error.  ``hall`` is still read from that same matching
+until Hall's condition gets a route of its own (ROADMAP open item 3), so
+today the pass checks the Euler route against the matching route.
+``equivalence_report`` and the CLI's ``analyze`` are views of the pass.
 
 The verdict engine answers whether one trivial line can split off the
 direct sum.  A nonzero Euler class (equivalently, Hall) obstructs the
 split; a duplicated singleton forces it, because the doubled coordinate
 line always splits a trivial line off itself.  Between the two mechanisms
 the answer is genuinely open, and the engine says so rather than guess.
+``subordination_verdict`` applies the same rule to the matching alone,
+without expanding the Euler class.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from . import matching
 from .bundles import BundleFamily, direct_sum, euler_class, has_duplicate_singleton
 from .errors import CapExceeded, InvalidInput, TheoremViolation
 from .matching import HallViolation, MatchingResult
+from .ring import RingElement
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,48 @@ class Verdict:
     violation: HallViolation | None = None
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Every artifact of one analysis pass, each computed once."""
+
+    euler_class: RingElement
+    equivalence: EquivalenceReport
+    verdict: Verdict
+
+
 def _require_pure(f: BundleFamily, what: str) -> None:
     if f.trivial_lines > 0:
         raise InvalidInput(f"{what} requires trivial_lines = 0, got {f.trivial_lines}")
+
+
+def analyze(f: BundleFamily) -> Analysis:
+    """Euler class, equivalence report and verdict from one pass.
+
+    The Euler class is expanded once and the matching runs once; the Hall
+    violator of the verdict comes from that same matching.  Raises
+    TheoremViolation if the routes disagree; that would mean a bug, not
+    bad input.
+    """
+    _require_pure(f, "analyze")
+    # looked up in this module's namespace, so a test can sabotage the route
+    e = euler_class(f)
+    mm, violation = matching.certify(f)
+    nonzero = not e.is_zero
+    hall = mm.saturates
+    agree = nonzero == hall
+    if not agree:
+        raise TheoremViolation(
+            f"equivalence broken on {f.to_json_dict()}: "
+            f"euler={nonzero} hall={hall} matching={mm.saturates}"
+        )
+    report = EquivalenceReport(
+        euler_nonzero=nonzero,
+        hall=hall,
+        matching=mm,
+        euler_class_degree=e.homogeneous_degree(),
+        agree=agree,
+    )
+    return Analysis(euler_class=e, equivalence=report, verdict=_verdict(f, mm, violation))
 
 
 def equivalence_report(f: BundleFamily) -> EquivalenceReport:
@@ -61,24 +108,7 @@ def equivalence_report(f: BundleFamily) -> EquivalenceReport:
     bad input.
     """
     _require_pure(f, "equivalence_report")
-    e = euler_class(f)
-    nonzero = not e.is_zero
-    hall = matching.hall_via_matching(f)
-    mm = matching.max_matching(f)
-    agree = nonzero == hall == mm.saturates
-    report = EquivalenceReport(
-        euler_nonzero=nonzero,
-        hall=hall,
-        matching=mm,
-        euler_class_degree=e.homogeneous_degree(),
-        agree=agree,
-    )
-    if not agree:
-        raise TheoremViolation(
-            f"equivalence broken on {f.to_json_dict()}: "
-            f"euler={nonzero} hall={hall} matching={mm.saturates}"
-        )
-    return report
+    return analyze(f).equivalence
 
 
 def verify_coefficient_identity(f: BundleFamily) -> bool:
@@ -113,10 +143,12 @@ def subordination_verdict(f: BundleFamily) -> Verdict:
     proof that it does.  Anything else is reported as undecided.
     """
     _require_pure(f, "subordination_verdict")
-    mm = matching.max_matching(f)
+    return _verdict(f, *matching.certify(f))
+
+
+def _verdict(f: BundleFamily, mm: MatchingResult, violation: HallViolation | None) -> Verdict:
     if mm.saturates:
         return Verdict(tag=VerdictTag.NOT_SUBORDINATE, matching=mm)
-    violation = matching.find_violation(f)
     witness = has_duplicate_singleton(f)
     if witness is not None:
         return Verdict(tag=VerdictTag.SUBORDINATE, witness=witness, violation=violation)

@@ -138,22 +138,19 @@ class RingElement:
         """
         if not self._terms:
             return "0"
-        pieces = []
-        for mono in sorted(self._terms, key=lambda s: (len(s), tuple(sorted(s)))):
-            coeff = self._terms[mono]
-            body = "*".join(f"x{a}" for a in sorted(mono))
-            if not body:
-                text = str(abs(coeff))
-            elif abs(coeff) == 1:
-                text = body
+        out = []
+        for _, atoms, coeff in sorted((len(m), sorted(m), c) for m, c in self._terms.items()):
+            magnitude = abs(coeff)
+            if not atoms:
+                text = str(magnitude)
+            elif magnitude == 1:
+                text = "x" + "*x".join(map(str, atoms))
             else:
-                text = f"{abs(coeff)}*{body}"
-            pieces.append(("-" if coeff < 0 else "+", text))
-        sign, first = pieces[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, text in pieces[1:]:
-            out += f" {sign} {text}"
-        return out
+                text = f"{magnitude}*x" + "*x".join(map(str, atoms))
+            out.append(" - " if coeff < 0 else " + ")
+            out.append(text)
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __str__(self) -> str:
         return self.render()

@@ -13,10 +13,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator
 
 from . import _kernels
-from .bundles import BundleFamily
 from .errors import CapExceeded
 
 SWEEP_M_CAP = 8
@@ -72,18 +70,6 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
                 checked += c
                 mismatches += mis
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=mismatches)
-
-
-def iter_families(max_m: int, max_atom: int) -> Iterator[BundleFamily]:
-    """Yield every swept family as a value object (test/oracle use)."""
-    _check_caps(max_m, max_atom)
-    subsets = [
-        frozenset(a for a in range(1, max_atom + 1) if mask >> (a - 1) & 1)
-        for mask in range(1, 1 << max_atom)
-    ]
-    for m in range(1, max_m + 1):
-        for combo in product(subsets, repeat=m):
-            yield BundleFamily(sets=combo)
 
 
 def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:

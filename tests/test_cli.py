@@ -78,6 +78,27 @@ class TestAnalyze:
         code, _, err = run_main(capsys, "analyze", "/nonexistent/family.json")
         assert code == 1 and "cannot read" in err
 
+    def test_one_pass_per_kernel(self, monkeypatch, capsys):
+        # analyze expands the Euler product once and runs one matching,
+        # from which both the SDR and the Hall violator are read
+        from eulerhall import _kernels
+
+        calls = {"euler_terms": 0, "max_matching": 0}
+        for name in calls:
+            def counting(*args, _kernel=getattr(_kernels, name), _name=name):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(_kernels, name, counting)
+        fixtures = sorted(FIXTURES.glob("*.json"))
+        assert fixtures
+        for path in fixtures:
+            for name in calls:
+                calls[name] = 0
+            code, _, _ = run_main(capsys, "analyze", str(path))
+            assert code == 0
+            assert calls == {"euler_terms": 1, "max_matching": 1}, path.name
+
 
 class TestEuler:
     def test_trivial_line_zeroes_class(self, tmp_path, capsys):
