@@ -5,9 +5,11 @@ scans, augmenting-path matching, Ryser permanents, and the exhaustive
 family sweep) exist twice: once in Cython (``_fast``) and once in plain
 Python (``_pyref``).  The compiled module is picked at import time when it
 was built; per call, inputs that do not fit its fixed-width fast paths are
-routed to the reference implementation instead.  Both backends implement
-the same algorithms with the same traversal order, so the choice never
-changes a result, only the runtime.
+routed to the reference implementation instead.  Both backends return
+the same results, so the choice changes only the runtime.  Four kernels
+also share algorithm and traversal order; the two sweeps differ in
+algorithm (a prefix-tree walk in Python, per-family checks compiled) and
+agree on (checked, mismatches) over every range of first subsets.
 
 ``EULERHALL_BACKEND=python`` in the environment forces the pure backend.
 """

@@ -1,10 +1,15 @@
 """Pure-Python reference kernels.
 
 These mirror the compiled extension ``eulerhall._kernels._fast`` function
-for function: identical algorithms, identical traversal orders, identical
-outputs.  Integers are Python ints throughout, so there are no width
-limits here; the dispatcher falls back to this module whenever an input
-does not fit the extension's fixed-width fast paths.
+for function with identical outputs.  Euler expansion, Hall scans,
+matchings and permanents also share its algorithms and traversal orders.
+The sweep does not: here it walks the tree of ordered prefixes and
+extends each route's state by one row, while the compiled sweep checks
+family after family from scratch.  Its contract is the same
+(checked, mismatches) on every range.  Integers are Python ints
+throughout, so there are no width limits here; the dispatcher falls back
+to this module whenever an input does not fit the extension's
+fixed-width fast paths.
 
 Conventions shared by both backends:
 
@@ -15,8 +20,6 @@ Conventions shared by both backends:
   or -1 when the row is unmatched.
 """
 
-from itertools import product
-
 
 def euler_terms(rows, ncols):
     """Expand prod_j (sum of column variables in row j) with v*v = 0.
@@ -26,18 +29,23 @@ def euler_terms(rows, ncols):
     """
     terms = {0: 1}
     for cols in rows:
-        nxt = {}
-        for mask, coeff in terms.items():
-            for c in cols:
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                key = mask | bit
-                nxt[key] = nxt.get(key, 0) + coeff
-        if not nxt:
-            return {}
-        terms = nxt
+        terms = _euler_step(terms, cols)
+        if not terms:
+            break
     return terms
+
+
+def _euler_step(terms, cols):
+    # Multiply the expansion `terms` by the sum of the variables in `cols`.
+    nxt = {}
+    for mask, coeff in terms.items():
+        for c in cols:
+            bit = 1 << c
+            if mask & bit:
+                continue
+            key = mask | bit
+            nxt[key] = nxt.get(key, 0) + coeff
+    return nxt
 
 
 def hall_violation(rows, ncols):
@@ -160,25 +168,121 @@ def permanent(rows, m):
 def sweep_equivalence_range(max_m, max_atom, lo, hi):
     """Three-way equivalence scan over ordered families of atom subsets.
 
-    Enumerates every family of m in 1..max_m nonempty subsets of
+    Checks every family of m in 1..max_m nonempty subsets of
     {1..max_atom} whose first subset, read as a bitmask, lies in
-    [lo, hi), and checks that nonzero-Euler-product, the Hall condition
-    and matching saturation agree.  Returns (families checked,
-    disagreements).
+    [lo, hi): its Euler product is nonzero, it satisfies Hall's condition
+    and a maximum matching saturates it, all three or none.  Returns
+    (families checked, disagreements).
+
+    The families form a tree of ordered prefixes, walked depth first.
+    Each family is visited once and extends its parent's state, one
+    independent piece per route, by its last row:
+
+    * Euler: the {mask: coeff} expansion, times one more row;
+    * Hall: the column union of every subset of rows, indexed by the
+      subset's bitmask as in ``hall_violation``, and whether some subset
+      already has too few columns;
+    * matching: a maximum matching, grown by one augmenting-path search
+      from the new row (by Berge's lemma it stays maximum).
+
+    Families of length max_m are decided from summaries of their parent
+    instead; see ``_last_rows``.
     """
+    if max_m < 1:
+        return 0, 0
     full = (1 << max_atom) - 1
     cols_of = [tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(full + 1)]
-    checked = 0
-    mismatches = 0
-    for m in range(1, max_m + 1):
-        for first in range(lo, hi):
-            for rest in product(range(1, full + 1), repeat=m - 1):
-                rows = [cols_of[first]]
-                rows.extend(cols_of[mask] for mask in rest)
-                nonzero = bool(euler_terms(rows, max_atom))
-                hall = hall_violation(rows, max_atom) < 0
-                saturated = all(c >= 0 for c in max_matching(rows, max_atom))
-                checked += 1
-                if not (nonzero == hall == saturated):
-                    mismatches += 1
+    # the root is the empty family: product 1, one empty union, empty matching
+    return _extend(max_m, cols_of, [], {0: 1}, [0], False, [-1] * max_atom, [], 0, range(lo, hi))
+
+
+def _extend(max_m, cols_of, rows, terms, unions, violated, row_of, col_of, matched, masks):
+    # (checked, mismatches) over the families rows + [mask], mask in masks,
+    # and all their descendants; the other arguments are the state of rows.
+    k = len(rows)
+    full = len(cols_of) - 1
+    if k == max_m - 1:
+        return _last_rows(rows, terms, unions, violated, row_of, matched, masks, full)
+    checked = mismatches = 0
+    for mask in masks:
+        cols = cols_of[mask]
+        rows.append(cols)
+        child_terms = _euler_step(terms, cols)
+        # the new subsets are sub | 1 << k, one row larger than sub
+        grown = [u | mask for u in unions]
+        child_violated = violated or any(
+            u.bit_count() <= sub.bit_count() for sub, u in enumerate(grown)
+        )
+        child_row_of = row_of[:]
+        child_col_of = col_of + [-1]
+        child_matched = matched + _augment(
+            k, rows, child_row_of, child_col_of, bytearray(len(row_of))
+        )
+        checked += 1
+        if not (bool(child_terms) == (not child_violated) == (child_matched == k + 1)):
+            mismatches += 1
+        below = _extend(max_m, cols_of, rows, child_terms, unions + grown, child_violated,
+                        child_row_of, child_col_of, child_matched, range(1, full + 1))
+        checked += below[0]
+        mismatches += below[1]
+        rows.pop()
     return checked, mismatches
+
+
+def _last_rows(rows, terms, unions, violated, row_of, matched, masks, full):
+    # (checked, mismatches) over the families rows + [mask], mask in masks.
+    # Each route summarizes the parent once, then decides each child:
+    # * Euler: the product stays nonzero iff some parent monomial misses a
+    #   column of the new row, i.e. iff the row is not inside their
+    #   intersection `common`;
+    # * Hall: the child's new subsets are each parent subset plus the new
+    #   row.  A parent that holds gives every distinct union u at least
+    #   `largest[u]` columns, the largest subset size that has it, so
+    #   u | row is too small iff u is tight (exactly largest[u] columns)
+    #   and contains the row;
+    # * matching: the maximum matching grows iff an augmenting path starts
+    #   at the new row, i.e. iff the row meets `reach`.
+    k = len(rows)
+    common = full
+    for mono in terms:
+        common &= mono
+    largest = {}
+    for sub, u in enumerate(unions):
+        size = sub.bit_count()
+        if largest.get(u, -1) < size:
+            largest[u] = size
+    tight = [u for u, size in largest.items() if u.bit_count() == size]
+    reach = _alternating_reach(rows, row_of)
+    checked = mismatches = 0
+    for mask in masks:
+        nonzero = bool(terms) and mask & ~common != 0
+        hall = not violated
+        if hall:
+            for u in tight:
+                if mask & ~u == 0:
+                    hall = False
+                    break
+        saturated = matched == k and mask & reach != 0
+        checked += 1
+        if not (nonzero == hall == saturated):
+            mismatches += 1
+    return checked, mismatches
+
+
+def _alternating_reach(rows, row_of):
+    # Bitmask of the columns from which an alternating path ends at a free
+    # column: the free columns, then every matched column whose row meets
+    # a column already reached.
+    row_masks = [sum(1 << c for c in cols) for cols in rows]
+    reach = 0
+    for c, r in enumerate(row_of):
+        if r < 0:
+            reach |= 1 << c
+    grew = True
+    while grew:
+        grew = False
+        for c, r in enumerate(row_of):
+            if r >= 0 and not reach >> c & 1 and row_masks[r] & reach:
+                reach |= 1 << c
+                grew = True
+    return reach

@@ -42,8 +42,6 @@ from .bundles import BundleFamily, index_set
 from .errors import AtomCapExceeded, InvalidInput, TheoremViolation
 from .matching import MatchingResult
 
-ATOM_CAP_DEFAULT = 2**63 - 1
-
 
 def _zigzag(j: int) -> int:
     # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
@@ -109,7 +107,7 @@ def alpha(j: int, atoms: Iterable[int], atom_cap: int | None = None) -> frozense
 class DynamicsConfig:
     window: int
     depth: int
-    atom_cap: int = ATOM_CAP_DEFAULT
+    atom_cap: int | None = None  # atoms are Python ints; None leaves them unbounded
 
     def __post_init__(self):
         if not isinstance(self.window, int) or self.window < 1:

@@ -1,8 +1,9 @@
 """Embedded self-test: a fast, deterministic subset of the full suite.
 
 Each check returns True/False instead of raising so the CLI can report
-all outcomes; the checks deliberately route through the public API so a
-sabotaged primitive (mutated ring product, broken matching) is caught.
+all outcomes, or ``SKIPPED`` when it has nothing to compare; the checks
+deliberately route through the public API so a sabotaged primitive
+(mutated ring product, broken matching) is caught.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from itertools import product
 from . import _kernels, dynamics, obstruction, ring, sweep
 from .bundles import BundleFamily, euler_class
 from .obstruction import VerdictTag
+
+SKIPPED = "skipped"
 
 
 def _random_element(rng: random.Random, max_atom: int = 6) -> ring.RingElement:
@@ -100,9 +103,9 @@ def check_dynamics(window: int = 2, depth: int = 2) -> bool:
     return first == expected
 
 
-def check_backend_agreement(trials: int = 200, seed: int = 13) -> bool:
+def check_backend_agreement(trials: int = 200, seed: int = 13) -> bool | str:
     if not _kernels.HAVE_COMPILED:
-        return True  # nothing to compare against
+        return SKIPPED  # nothing to compare against
     rng = random.Random(seed)
     fast = _kernels._fast
     pyref = _kernels._pyref
@@ -125,6 +128,15 @@ def check_backend_agreement(trials: int = 200, seed: int = 13) -> bool:
         )
         if fast.permanent(square, m) != pyref.permanent(square, m):
             return False
+    # the two sweeps run different algorithms and must agree on every range
+    for _ in range(trials // 10):
+        max_m = rng.randint(1, 3)
+        max_atom = rng.randint(1, 4)
+        lo = rng.randint(1, 1 << max_atom)
+        hi = rng.randint(lo, 1 << max_atom)
+        args = (max_m, max_atom, lo, hi)
+        if fast.sweep_equivalence_range(*args) != pyref.sweep_equivalence_range(*args):
+            return False
     return True
 
 
@@ -139,11 +151,13 @@ CHECKS = (
 )
 
 
-def run_selftest() -> list[tuple[str, bool]]:
+def run_selftest() -> list[tuple[str, bool | str]]:
+    """(name, outcome) per check: True, False, or SKIPPED."""
     results = []
     for name, check in CHECKS:
         try:
-            ok = bool(check())
+            outcome = check()
+            ok = outcome if outcome == SKIPPED else bool(outcome)
         except Exception:
             ok = False
         results.append((name, ok))

@@ -4,8 +4,12 @@ A sweep enumerates every ordered family of m in 1..max_m nonempty subsets
 of {1..max_atom} and checks, per family, that the three equivalent
 conditions (nonzero Euler class, Hall, matching saturation) agree, or
 that every Euler coefficient equals the matching count onto its support.
-The per-family work runs in the kernel backend; the sweep can be
-partitioned across processes by the first subset's bitmask.
+The equivalence sweep runs in the kernel backend.  The pure-Python kernel
+walks the tree of ordered prefixes, so families that share their first
+rows share each route's partial state; the compiled kernel checks each
+family from scratch.  Both return the same (families, mismatches) on
+every range, so the sweep can be partitioned across processes by the
+first subset's bitmask.
 """
 
 from __future__ import annotations

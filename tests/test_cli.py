@@ -154,6 +154,15 @@ class TestDynamics:
         assert report["labeling"] == {"membership": True, "injective": True, "level": True}
         assert report["prefix_sdr_size"] == 156
 
+    def test_window_three_depth_five(self, capsys):
+        # inside the documented caps; labels outgrow 64 bits at this depth
+        code, out, _ = run_main(capsys, "dynamics", "--window", "3", "--depth", "5")
+        report = json.loads(out)
+        assert code == 0
+        assert report["generation_sizes"] == [7**k for k in range(6)]
+        assert report["hall_confirmed"] is True
+        assert max(report["labels"]) > 2**63 - 1
+
     def test_caps(self, capsys):
         code, _, err = run_main(capsys, "dynamics", "--window", "5", "--depth", "1")
         assert code == 1 and "--window" in err
@@ -178,10 +187,45 @@ class TestDynamics:
 
 class TestSelftest:
     def test_passes(self, capsys):
+        from eulerhall import _kernels
+
         code, out, _ = run_main(capsys, "selftest")
         report = json.loads(out)
         assert code == 0 and report["ok"] is True
-        assert report["checks"] and all(report["checks"].values())
+        checks = report["checks"]
+        agreement = checks.pop("backend_agreement")
+        assert agreement is True if _kernels.HAVE_COMPILED else agreement == "skipped"
+        assert checks and all(ok is True for ok in checks.values())
+
+    def test_skip_is_not_a_pass_or_failure(self, monkeypatch, capsys):
+        from eulerhall import _kernels
+
+        monkeypatch.setattr(_kernels, "HAVE_COMPILED", False)
+        assert selftest.check_backend_agreement() == selftest.SKIPPED
+        code, out, _ = run_main(capsys, "selftest", "--text")
+        assert code == 0
+        assert "checks.backend_agreement: skipped" in out and "ok: true" in out
+
+    def test_sweep_disagreement_fails(self, monkeypatch):
+        # mutation control: a backend whose sweep miscounts must be caught,
+        # here with the pure kernels standing in for the compiled ones
+        import types
+
+        from eulerhall import _kernels
+
+        def miscounting(max_m, max_atom, lo, hi):
+            checked, mismatches = _kernels._pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)
+            return checked, mismatches + (hi - lo > 1)
+
+        stand_in = types.SimpleNamespace(**{
+            name: getattr(_kernels._pyref, name)
+            for name in ("euler_terms", "hall_violation", "max_matching", "permanent")
+        }, sweep_equivalence_range=miscounting)
+        monkeypatch.setattr(_kernels, "HAVE_COMPILED", True)
+        monkeypatch.setattr(_kernels, "_fast", stand_in)
+        assert selftest.check_backend_agreement(trials=100) is False
+        stand_in.sweep_equivalence_range = _kernels._pyref.sweep_equivalence_range
+        assert selftest.check_backend_agreement(trials=100) is True
 
     def test_sabotaged_ring_fails(self, monkeypatch):
         # mutation control: a broken product must be caught
@@ -210,6 +254,17 @@ class TestUsageAndDeterminism:
         s1 = run_main(capsys, "sweep", "--max-m", "2", "--max-atom", "2")
         s2 = run_main(capsys, "sweep", "--max-m", "2", "--max-atom", "2")
         assert s1 == s2
+
+    def test_shared_parser_keeps_no_state(self, capsys):
+        # main() reuses one parser; flags of one call must not reach the next
+        fixture = str(FIXTURES / "family_obstructed.json")
+        code, out, _ = run_main(capsys, "analyze", fixture, "--text")
+        assert code == 0 and out.startswith("tool: eulerhall")
+        code, out, _ = run_main(capsys, "analyze", fixture)
+        assert code == 0 and json.loads(out)["verdict"] == "not_subordinate"
+        assert run_main(capsys, "sweep", "--max-m", "9")[0] == 1
+        code, out, _ = run_main(capsys, "sweep", "--max-m", "1", "--max-atom", "1")
+        assert code == 0 and json.loads(out)["families"] == 1
 
     def test_round_trip_canonicalizes(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -1,0 +1,81 @@
+"""The prefix-tree sweep against a per-family oracle.
+
+``_pyref.sweep_equivalence_range`` walks the tree of ordered prefixes and
+extends each route's state by one row.  The oracle below is the plain
+loop it replaced: every family is built from scratch and handed to the
+three kernels.  Both must report the same (checked, mismatches) on every
+range of first subsets.
+"""
+
+from itertools import accumulate, combinations_with_replacement, product
+
+import pytest
+
+from eulerhall._kernels import _pyref
+from eulerhall._kernels._pyref import euler_terms, hall_violation, max_matching
+
+CASES = [(m, a) for m in range(1, 4) for a in range(1, 5)] + [(4, 3), (2, 5)]
+
+
+def oracle_range(max_m, max_atom, lo, hi):
+    """(checked, mismatches) from one call of each kernel per family."""
+    full = (1 << max_atom) - 1
+    cols_of = [tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(full + 1)]
+    checked = 0
+    mismatches = 0
+    for m in range(1, max_m + 1):
+        for first in range(lo, hi):
+            for rest in product(range(1, full + 1), repeat=m - 1):
+                rows = [cols_of[first]]
+                rows.extend(cols_of[mask] for mask in rest)
+                nonzero = bool(euler_terms(rows, max_atom))
+                hall = hall_violation(rows, max_atom) < 0
+                saturated = all(c >= 0 for c in max_matching(rows, max_atom))
+                checked += 1
+                if not (nonzero == hall == saturated):
+                    mismatches += 1
+    return checked, mismatches
+
+
+def oracle_table(max_m, max_atom):
+    """Oracle results over [1, b) for every bound b, built one first subset at a time."""
+    end = 1 << max_atom
+    per_first = [oracle_range(max_m, max_atom, f, f + 1) for f in range(1, end)]
+    sums = list(accumulate(per_first, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(0, 0)))
+    return {b: sums[b - 1] for b in range(1, end + 1)}
+
+
+def over(table, lo, hi):
+    (c_hi, m_hi), (c_lo, m_lo) = table[hi], table[lo]
+    return c_hi - c_lo, m_hi - m_lo
+
+
+@pytest.mark.parametrize("max_m,max_atom", CASES)
+def test_full_range_matches_oracle(max_m, max_atom):
+    end = 1 << max_atom
+    expected = oracle_range(max_m, max_atom, 1, end)
+    assert expected[0] == sum(((1 << max_atom) - 1) ** m for m in range(1, max_m + 1))
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
+
+
+@pytest.mark.parametrize("max_m,max_atom", CASES)
+def test_every_split_matches_oracle(max_m, max_atom):
+    end = 1 << max_atom
+    table = oracle_table(max_m, max_atom)
+    full = over(table, 1, end)
+    assert full == oracle_range(max_m, max_atom, 1, end)
+    cuts = range(1, end + 1)
+    splits = [(b,) for b in cuts] + list(combinations_with_replacement(cuts, 2))
+    for inner in splits:
+        bounds = (1, *inner, end)
+        parts = [
+            _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert parts == [over(table, lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds
+        assert (sum(p[0] for p in parts), sum(p[1] for p in parts)) == full, bounds
+
+
+def test_empty_range():
+    assert _pyref.sweep_equivalence_range(3, 3, 5, 5) == (0, 0)
+    assert _pyref.sweep_equivalence_range(0, 3, 1, 8) == oracle_range(0, 3, 1, 8) == (0, 0)
