@@ -1,17 +1,11 @@
-"""Pure-Python reference kernels.
+"""Kernels over bitmasks: the one implementation behind ``_kernels``.
 
-These mirror the compiled extension ``eulerhall._kernels._fast`` function
-for function with identical outputs.  Euler expansion, Hall scans,
-matchings and permanents also share its algorithms and traversal orders.
-The sweep does not: here it walks the tree of ordered prefixes and
-extends each route's state by one row, while the compiled sweep checks
-family after family from scratch.  Its contract is the same
-(checked, mismatches) on every range.  Integers are Python ints
-throughout, so there are no width limits here; the dispatcher falls back
-to this module whenever an input does not fit the extension's
-fixed-width fast paths.
+The sweep walks the tree of ordered prefixes and extends each route's
+state by one row; its contract is the same (checked, mismatches) as a
+per-family check on every range of first subsets.  Integers are Python
+ints throughout, so there are no width limits.
 
-Conventions shared by both backends:
+Conventions:
 
 * ``rows`` is a sequence of tuples of column indices, each tuple strictly
   ascending, columns numbered ``0 .. ncols-1``.  Row ``j`` lists the
@@ -94,7 +88,7 @@ def max_matching(rows, ncols):
 
 
 def _augment(start, rows, row_of, col_of, seen):
-    # Iterative alternating DFS; mirrors the compiled kernel exactly.
+    # Iterative alternating DFS, so long paths hit no recursion limit.
     # frames[i] = [row, next adjacency index]; path_cols[i] = column taken
     # out of frames[i] towards frames[i+1].
     frames = [[start, 0]]

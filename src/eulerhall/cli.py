@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit a JSON report (default)")
     fmt.add_argument("--text", dest="fmt", action="store_const", const="text",
                      help="emit a plain-text report")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for sweeps (default 1)")
     common.set_defaults(fmt="json")
 
     parser = _Parser(prog="eulerhall",
@@ -60,6 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest family size (default 4)")
     p.add_argument("--max-atom", type=int, default=4, metavar="A",
                    help="largest atom id (default 4)")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes (default 1; at most one per CPU)")
     p.add_argument("--force", action="store_true",
                    help=f"allow sizes beyond the default caps "
                         f"(m <= {SWEEP_DEFAULT_M_CAP}, atoms <= {SWEEP_DEFAULT_ATOM_CAP})")
@@ -216,7 +216,7 @@ def cmd_selftest(args) -> int:
     results = selftest.run_selftest()
     report = _header("selftest")
     report["checks"] = {name: ok for name, ok in results}
-    report["ok"] = all(ok is not False for _, ok in results)  # a skip is no failure
+    report["ok"] = all(ok for _, ok in results)
     _emit(report, args.fmt)
     return 0 if report["ok"] else 2
 

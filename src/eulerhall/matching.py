@@ -10,10 +10,9 @@ agreeing.
 
 Atom sets are compressed to column indices 0..u-1 (ascending atom order,
 ``bundles.columns``) before hitting the kernels, so families over
-arbitrarily large atom ids work; the compiled backend is used whenever the
-compressed width fits.  One maximum matching yields both certificates of
-the marriage theorem (``certify``): a system of distinct representatives
-when it saturates, else a Hall violator.
+arbitrarily large atom ids work.  One maximum matching yields both
+certificates of the marriage theorem (``certify``): a system of distinct
+representatives when it saturates, else a Hall violator.
 """
 
 from __future__ import annotations

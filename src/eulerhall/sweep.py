@@ -4,22 +4,22 @@ A sweep enumerates every ordered family of m in 1..max_m nonempty subsets
 of {1..max_atom} and checks, per family, that the three equivalent
 conditions (nonzero Euler class, Hall, matching saturation) agree, or
 that every Euler coefficient equals the matching count onto its support.
-The equivalence sweep runs in the kernel backend.  The pure-Python kernel
-walks the tree of ordered prefixes, so families that share their first
-rows share each route's partial state; the compiled kernel checks each
-family from scratch.  Both return the same (families, mismatches) on
-every range, so the sweep can be partitioned across processes by the
-first subset's bitmask.
+The equivalence sweep walks the tree of ordered prefixes, so families
+that share their first rows share each route's partial state.  It returns
+the same (families, mismatches) on every range of first subsets as a
+per-family check, so the sweep can be partitioned across processes by
+the first subset's bitmask.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import _kernels
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidInput
 
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
@@ -55,19 +55,21 @@ def _equivalence_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
 
 
 def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
-    """Run the three-way equivalence sweep; every family must agree."""
+    """Run the three-way equivalence sweep; every family must agree.
+
+    ``jobs`` worker processes split the range of first subsets; no more
+    are started than there are CPUs or first subsets.
+    """
     _check_caps(max_m, max_atom)
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be at least 1, got {jobs}")
     full = (1 << max_atom) - 1
-    if jobs <= 1:
+    jobs = min(jobs, full, os.cpu_count() or 1)
+    if jobs == 1:
         checked, mismatches = _kernels.sweep_equivalence_range(max_m, max_atom, 1, full + 1)
     else:
-        jobs = min(jobs, full)
         bounds = [1 + (full * k) // jobs for k in range(jobs + 1)]
-        chunks = [
-            (max_m, max_atom, bounds[k], bounds[k + 1])
-            for k in range(jobs)
-            if bounds[k] < bounds[k + 1]
-        ]
+        chunks = [(max_m, max_atom, bounds[k], bounds[k + 1]) for k in range(jobs)]
         checked = mismatches = 0
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for c, mis in pool.map(_equivalence_chunk, chunks):

@@ -1,19 +1,10 @@
-"""Backend parity: compiled and pure kernels must agree exactly."""
+"""Kernels against brute-force oracles and the ring product."""
 
 import random
 from functools import reduce
 
-import pytest
-
 from eulerhall import BundleFamily, euler_line, ring, sweep_equivalence
-from eulerhall._kernels import HAVE_COMPILED, _pyref
-
-if HAVE_COMPILED:
-    from eulerhall._kernels import _fast
-else:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
+from eulerhall._kernels import _pyref
 
 
 def random_rows(rng, max_m=7, max_ncols=10):
@@ -52,50 +43,27 @@ class TestPyrefBasics:
         assert _pyref.max_matching(rows, 300) == list(range(0, 300, 3))
 
 
-@needs_compiled
-class TestBackendParity:
-    def test_euler_terms(self):
-        rng = random.Random(50)
-        for _ in range(500):
-            rows, ncols = random_rows(rng)
-            assert _fast.euler_terms(rows, ncols) == _pyref.euler_terms(rows, ncols)
+class TestHarnessContract:
+    def test_names_the_benchmark_reads(self):
+        # perfbench records these names, and its tracer wraps only functions
+        # defined in eulerhall._kernels: re-exported kernels would count 0 calls
+        from eulerhall import _kernels
 
-    def test_hall_violation(self):
-        rng = random.Random(51)
-        for _ in range(500):
-            rows, ncols = random_rows(rng)
-            assert _fast.hall_violation(rows, ncols) == _pyref.hall_violation(rows, ncols)
-
-    def test_max_matching_identical_assignments(self):
-        rng = random.Random(52)
-        for _ in range(500):
-            rows, ncols = random_rows(rng, max_m=10, max_ncols=12)
-            assert _fast.max_matching(rows, ncols) == _pyref.max_matching(rows, ncols)
-
-    def test_permanent(self):
-        rng = random.Random(53)
-        for _ in range(500):
-            m = rng.randint(0, 7)
-            rows = tuple(
-                tuple(sorted(rng.sample(range(max(m, 1)), rng.randint(0, max(m, 1)))))
-                for _ in range(m)
-            )
-            assert _fast.permanent(rows, m) == _pyref.permanent(rows, m)
-
-    def test_sweep_counts(self):
-        assert _fast.sweep_equivalence_range(3, 3, 1, 8) == _pyref.sweep_equivalence_range(
-            3, 3, 1, 8
-        )
-
-    def test_fast_guards(self):
-        with pytest.raises(ValueError):
-            _fast.euler_terms(((0,),), 30)
-        with pytest.raises(ValueError):
-            _fast.permanent(tuple((0,) for _ in range(15)), 15)
-        with pytest.raises(ValueError):
-            _fast.hall_violation(tuple((0,) for _ in range(17)), 2)
-        with pytest.raises(ValueError):
-            _fast.sweep_equivalence_range(9, 4, 1, 16)
+        assert _kernels.backend_name() == "python"
+        assert _kernels.HAVE_COMPILED is False
+        assert _kernels._fast is None
+        assert _kernels._pyref is _pyref
+        cases = {
+            "euler_terms": (((0, 1), (1,)), 2),
+            "hall_violation": (((0,), (0,)), 1),
+            "max_matching": (((0, 1), (0,)), 2),
+            "permanent": (((0, 1), (0, 1)), 2),
+            "sweep_equivalence_range": (2, 2, 1, 4),
+        }
+        for name, args in cases.items():
+            kernel = getattr(_kernels, name)
+            assert kernel.__module__ == "eulerhall._kernels", name
+            assert kernel(*args) == getattr(_pyref, name)(*args), name
 
 
 class TestKernelAgainstRing:
@@ -157,8 +125,6 @@ class TestMatchingMaximality:
         col_of = _pyref.max_matching(rows, k + 1)
         assert all(c >= 0 for c in col_of)
         assert sorted(col_of) == list(range(k + 1))
-        if HAVE_COMPILED:
-            assert _fast.max_matching(rows, k + 1) == col_of
 
 
 class TestSweepPartitioning:
