@@ -14,19 +14,41 @@ Conventions:
   or -1 when the row is unmatched.
 """
 
+import functools
+
 
 def euler_terms(rows, ncols):
     """Expand prod_j (sum of column variables in row j) with v*v = 0.
 
     Returns {column bitmask -> coefficient}.  Coefficients are positive
     counts (no cancellation can occur), and the empty product is {0: 1}.
+
+    The product commutes, so the rows are multiplied in greedy order: next
+    comes the row that adds the fewest columns not yet touched by the rows
+    already taken, ties going to the lowest index.  The order reads only
+    the rows' column sets, never another route's result, and keeps the
+    expansion narrow: a row inside the touched columns only thins it out,
+    and an exhausted product stops the loop early.
     """
     terms = {0: 1}
-    for cols in rows:
+    for cols in _greedy_order(rows):
         terms = _euler_step(terms, cols)
         if not terms:
             break
     return terms
+
+
+def _greedy_order(rows):
+    # Yield the rows in the order euler_terms multiplies them.
+    masks = [sum(1 << c for c in cols) for cols in rows]
+    left = list(range(len(rows)))
+    touched = 0
+    while left:
+        # min keeps the first of equal keys, i.e. the lowest index
+        best = min(left, key=lambda j: (masks[j] & ~touched).bit_count())
+        left.remove(best)
+        touched |= masks[best]
+        yield rows[best]
 
 
 def _euler_step(terms, cols):
@@ -184,10 +206,22 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     """
     if max_m < 1:
         return 0, 0
-    full = (1 << max_atom) - 1
-    cols_of = [tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(full + 1)]
+    cols_of = column_table(max_atom)
     # the root is the empty family: product 1, one empty union, empty matching
     return _extend(max_m, cols_of, [], {0: 1}, [0], False, [-1] * max_atom, [], 0, range(lo, hi))
+
+
+@functools.lru_cache(maxsize=1)
+def column_table(ncols):
+    """The ascending column tuple of every bitmask below 2**ncols, by mask.
+
+    Shared by the sweeps and cached, so a sweep split into many ranges
+    builds it once per process; only the latest width is kept.
+    """
+    table = [()]
+    for c in range(ncols):
+        table += [cols + (c,) for cols in table]
+    return tuple(table)
 
 
 def _extend(max_m, cols_of, rows, terms, unions, violated, row_of, col_of, matched, masks):

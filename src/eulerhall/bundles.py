@@ -18,7 +18,7 @@ integers, inner arrays nonempty, deduplicated and ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import _kernels, ring
 from .errors import InvalidInput
@@ -119,38 +119,13 @@ def euler_class(f: BundleFamily) -> RingElement:
 
     A trivial summand has Euler class zero and kills the product.  The
     empty family gives the unit.  The product of the members' classes is
-    expanded over column bitmasks by ``_kernels.euler_terms``, and each
-    bitmask is mapped back to its atoms.
+    expanded over column bitmasks by ``_kernels.euler_terms`` and kept
+    over those columns; the atoms are read back only when needed.
     """
     if f.trivial_lines > 0:
         return ring.zero()
     rows, atoms = columns(f)
-    terms = _kernels.euler_terms(rows, len(atoms))
-    support = _support_map(atoms)
-    return RingElement._raw({support(mask): coeff for mask, coeff in terms.items()})
-
-
-def _support_map(atoms: list[int]) -> Callable[[int], frozenset]:
-    """Function from a column bitmask to the frozenset of its atoms.
-
-    The columns are split into bytes, and each byte is looked up in a
-    table of the atom tuples of its 256 values.
-    """
-    tables = []
-    for k in range(0, len(atoms), 8):
-        table = [()]
-        for a in atoms[k:k + 8]:
-            table += [t + (a,) for t in table]
-        tables.append(table)
-
-    def support(mask: int) -> frozenset:
-        out = ()
-        for table in tables:
-            out += table[mask & 255]
-            mask >>= 8
-        return frozenset(out)
-
-    return support
+    return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms)
 
 
 def dimension(f: BundleFamily) -> int:

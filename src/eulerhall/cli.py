@@ -84,6 +84,18 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    parser = _shared_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # a stray --jobs would otherwise be reported together with the
+        # argument after it, often the family file
+        if any(arg.split("=", 1)[0] == "--jobs" for arg in extras):
+            parser.error(f"--jobs belongs to 'sweep', not to '{args.command}'")
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def _load_family(path: str) -> BundleFamily:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -232,7 +244,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

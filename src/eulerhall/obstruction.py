@@ -8,7 +8,7 @@ the Euler class once and runs one maximum matching, which yields both the
 system of distinct representatives and, when there is none, a Hall
 violator.  Any disagreement between the routes is an internal failure,
 never an input error.  ``hall`` is still read from that same matching
-until Hall's condition gets a route of its own (ROADMAP open item 3), so
+until Hall's condition gets a route of its own (ROADMAP open item 2), so
 today the pass checks the Euler route against the matching route.
 ``equivalence_report`` and the CLI's ``analyze`` are views of the pass.
 

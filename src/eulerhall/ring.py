@@ -12,6 +12,12 @@ nonzero int coefficient}``.  The empty frozenset is the constant monomial
 Coefficients are Python ints; matching counts grow factorially, so
 fixed-width integers would overflow.  Elements are immutable after
 construction and safe to share between workers.
+
+An element can also be held over columns: a map ``{column bitmask ->
+coefficient}`` plus the ascending atom list, column ``c`` standing for
+``atoms[c]``, which is the form the Euler kernel produces.  Zero tests,
+degrees and rendering read the columns; the frozenset map is built only
+when it is asked for (``terms``, ``coeff``, arithmetic, equality).
 """
 
 from __future__ import annotations
@@ -33,7 +39,10 @@ def _check_atom(a) -> int:
 class RingElement:
     """A sparse, immutable element of the squarefree ring."""
 
-    __slots__ = ("_terms",)
+    # Either form may be missing until first needed, never both:
+    # _mono is {frozenset of atoms: coeff}, _cols is ({column bitmask:
+    # coeff}, ascending atoms).
+    __slots__ = ("_mono", "_cols")
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
         normalized: dict[frozenset, int] = {}
@@ -47,15 +56,49 @@ class RingElement:
                 normalized[key] = normalized.get(key, 0) + coeff
                 if normalized[key] == 0:
                     del normalized[key]
-        self._terms = normalized
+        self._mono = normalized
+        self._cols = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "RingElement":
         # Trusted constructor: terms already canonical (frozenset keys,
         # no zero coefficients).
         elem = cls.__new__(cls)
-        elem._terms = terms
+        elem._mono = terms
+        elem._cols = None
         return elem
+
+    @classmethod
+    def _from_columns(cls, masks: dict, atoms) -> "RingElement":
+        # Trusted constructor over columns: `atoms` ascending, `masks`
+        # {column bitmask: nonzero coeff}, column c standing for atoms[c].
+        elem = cls.__new__(cls)
+        elem._mono = None
+        elem._cols = (masks, atoms)
+        return elem
+
+    @property
+    def _terms(self) -> dict:
+        if self._mono is None:
+            masks, atoms = self._cols
+            tables = _byte_tables([(a,) for a in atoms], ())
+            mono = {}
+            for mask, coeff in masks.items():
+                support = ()
+                for table in tables:
+                    support += table[mask & 255]
+                    mask >>= 8
+                mono[frozenset(support)] = coeff
+            self._mono = mono
+        return self._mono
+
+    def _columns(self) -> tuple[dict, list]:
+        if self._cols is None:
+            atoms = sorted(set().union(*self._mono))
+            bit = {a: 1 << c for c, a in enumerate(atoms)}
+            masks = {sum(bit[a] for a in mono): coeff for mono, coeff in self._mono.items()}
+            self._cols = (masks, atoms)
+        return self._cols
 
     @property
     def terms(self) -> Mapping[frozenset, int]:
@@ -63,7 +106,7 @@ class RingElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._columns()[0]
 
     def coeff(self, atoms: Iterable[int]) -> int:
         """Coefficient of the monomial with the given support (0 if absent)."""
@@ -71,7 +114,7 @@ class RingElement:
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all monomials, or None if zero or mixed."""
-        degrees = {len(mono) for mono in self._terms}
+        degrees = {mask.bit_count() for mask in self._columns()[0]}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -128,7 +171,7 @@ class RingElement:
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return not self.is_zero
 
     def render(self) -> str:
         """Stable text form, e.g. ``2*x1*x2 + x3*x4``.
@@ -136,17 +179,35 @@ class RingElement:
         Monomials are ordered by (degree, ascending atom tuple) so equal
         elements always render identically.
         """
-        if not self._terms:
+        masks, atoms = self._columns()
+        if not masks:
             return "0"
+        # The atoms ascend, so the atom tuple order of the monomials is the
+        # column tuple order of the masks.  Of two column sets of one size,
+        # the lower tuple holds the lowest column in which they differ, so
+        # it is the larger mask once the bit order is reversed.
+        texts = _byte_tables([f"*x{a}" for a in atoms], "")
+        items = []
+        for mask, coeff in masks.items():
+            text = ""
+            reversed_mask = 0
+            rest = mask
+            for table in texts:
+                byte = rest & 255
+                text += table[byte]
+                reversed_mask = reversed_mask << 8 | _REVERSED_BYTE[byte]
+                rest >>= 8
+            items.append((mask.bit_count(), -reversed_mask, coeff, text))
+        items.sort()
         out = []
-        for _, atoms, coeff in sorted((len(m), sorted(m), c) for m, c in self._terms.items()):
+        for degree, _, coeff, text in items:
             magnitude = abs(coeff)
-            if not atoms:
+            if not degree:
                 text = str(magnitude)
             elif magnitude == 1:
-                text = "x" + "*x".join(map(str, atoms))
+                text = text[1:]
             else:
-                text = f"{magnitude}*x" + "*x".join(map(str, atoms))
+                text = f"{magnitude}{text}"
             out.append(" - " if coeff < 0 else " + ")
             out.append(text)
         out[0] = "-" if out[0] == " - " else ""
@@ -157,6 +218,24 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement({self.render()})"
+
+
+_REVERSED_BYTE = [int(f"{b:08b}"[::-1], 2) for b in range(256)]
+
+
+def _byte_tables(pieces: list, empty) -> list:
+    """Per-byte lookup tables over columns, ``pieces[c]`` for column ``c``.
+
+    ``tables[k][b]`` is the sum, in ascending column order, of the pieces
+    of the columns ``8k .. 8k+7`` whose bits are set in the byte ``b``.
+    """
+    tables = []
+    for k in range(0, len(pieces), 8):
+        table = [empty]
+        for piece in pieces[k:k + 8]:
+            table += [t + piece for t in table]
+        tables.append(table)
+    return tables
 
 
 def zero() -> RingElement:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import _kernels
+from ._kernels import _pyref
 from .errors import CapExceeded, InvalidInput
 
 SWEEP_M_CAP = 8
@@ -88,9 +89,7 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
     """
     _check_caps(max_m, max_atom)
     full = (1 << max_atom) - 1
-    cols_of = [
-        tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(full + 1)
-    ]
+    cols_of = _pyref.column_table(max_atom)
     checked = 0
     failures = 0
     for m in range(1, max_m + 1):

@@ -1,6 +1,7 @@
 """Bundle families: Euler classes, direct sums, JSON round trips."""
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -78,6 +79,54 @@ class TestEulerClass:
             f = random_family(rng, max_m=4, max_atom=3, min_m=1)
             if len(f.sets) > len(f.atoms()):
                 assert euler_class(f).is_zero
+
+
+class TestRenderOverColumns:
+    # euler_class keeps its result over column bitmasks and renders from
+    # them; the ring.mul fold is keyed by frozensets.  Both must give the
+    # text spelled out here from the fold's terms (Euler coefficients are
+    # positive).
+    @staticmethod
+    def assert_renders_as_fold(f):
+        fold = reduce(ring.mul, map(euler_line, f.sets), one())
+        monomials = sorted((len(mono), sorted(mono), c) for mono, c in fold.terms.items())
+        expected = " + ".join(
+            ("" if c == 1 else f"{c}*") + "*".join(f"x{a}" for a in atoms) if atoms else str(c)
+            for _, atoms, c in monomials
+        ) or "0"
+        e = euler_class(f)
+        assert e.render() == fold.render() == expected
+        assert e == fold
+        return expected
+
+    def test_empty_family(self):
+        assert self.assert_renders_as_fold(BundleFamily()) == "1"
+
+    def test_coefficient_above_one(self):
+        f = BundleFamily.of({1, 2, 3}, {1, 2, 3}, {1, 2, 3})
+        assert self.assert_renders_as_fold(f) == "6*x1*x2*x3"
+
+    def test_zero_class(self):
+        assert self.assert_renders_as_fold(BundleFamily.of({4}, {4})) == "0"
+
+    @pytest.mark.parametrize("ncols", [7, 8, 9, 15, 16, 17, 23, 24, 25, 33])
+    def test_byte_boundaries(self, ncols):
+        # sparse atom ids, so columns and atoms differ; the sets straddle
+        # the byte boundary below ncols
+        rng = random.Random(ncols)
+        atoms = sorted(rng.sample(range(1, 200), ncols))
+        edge = ncols - 1 - (ncols - 1) % 8
+        for _ in range(20):
+            m = rng.randint(1, 4)
+            sets = [{atoms[edge - 1], atoms[-1]}, set(atoms[max(0, edge - 2):edge + 2])]
+            sets += [set(rng.sample(atoms, rng.randint(1, 3))) for _ in range(m)]
+            self.assert_renders_as_fold(BundleFamily.of(*sets))
+
+    def test_wide_family_terms(self):
+        f = BundleFamily.of(range(1, 26), {8, 9}, {16, 17}, {24, 25})
+        text = self.assert_renders_as_fold(f)
+        assert text.startswith("x1*x8*x16*x24 + x1*x8*x16*x25 + ")
+        assert euler_class(f).homogeneous_degree() == 4
 
 
 class TestFamilyBasics:

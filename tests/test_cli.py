@@ -100,6 +100,18 @@ class TestAnalyze:
             assert calls == {"euler_terms": 1, "max_matching": 1}, path.name
 
 
+    def test_class_stays_over_columns(self, monkeypatch, capsys):
+        # analyze and euler read the class's bitmasks only; the frozenset
+        # form is built for callers of terms, coeff and arithmetic
+        def no_frozensets(self):
+            raise AssertionError("frozenset terms built")
+
+        monkeypatch.setattr(ring.RingElement, "_terms", property(no_frozensets))
+        for path in sorted(FIXTURES.glob("*.json")):
+            for command in ("analyze", "euler"):
+                assert run_main(capsys, command, str(path))[0] == 0, (command, path.name)
+
+
 class TestEuler:
     def test_trivial_line_zeroes_class(self, tmp_path, capsys):
         path = tmp_path / "f.json"
@@ -258,6 +270,8 @@ class TestUsageAndDeterminism:
                      ("dynamics", "--jobs", "2"), ("selftest", "--jobs", "2")):
             code, out, err = run_main(capsys, *argv)
             assert code == 1 and out == "" and "--jobs" in err, argv
+            assert err.splitlines()[-1] == f"error: --jobs belongs to 'sweep', not to '{argv[0]}'"
+            assert fixture not in err
 
     def test_repeated_runs_byte_identical(self, capsys):
         first = run_main(capsys, "analyze", str(FIXTURES / "family_obstructed.json"))

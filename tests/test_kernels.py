@@ -43,6 +43,54 @@ class TestPyrefBasics:
         assert _pyref.max_matching(rows, 300) == list(range(0, 300, 3))
 
 
+def record_steps(monkeypatch):
+    """List that receives the row of every _euler_step call, in order."""
+    steps = []
+
+    def recording(terms, cols, _step=_pyref._euler_step):
+        steps.append(cols)
+        return _step(terms, cols)
+
+    monkeypatch.setattr(_pyref, "_euler_step", recording)
+    return steps
+
+
+class TestEulerOrder:
+    def test_collision_found_before_the_dense_block(self, monkeypatch):
+        # in file order the 16 dense rows come first and the expansion
+        # peaks at C(16, 8) = 12,870 partial terms before {0}, {0} zero it
+        rows = tuple(tuple(range(16)) for _ in range(16)) + ((0,), (0,))
+        steps = record_steps(monkeypatch)
+        assert _pyref.euler_terms(rows, 16) == {}
+        assert len(steps) <= 2
+
+    def test_fewest_new_columns_first_ties_by_index(self, monkeypatch):
+        rows = ((0, 1, 2), (3,), (0, 3), (1, 2))
+        steps = record_steps(monkeypatch)
+        _pyref.euler_terms(rows, 4)
+        # (3,) adds 1 column, then (0, 3) adds 1, then (0, 1, 2) and
+        # (1, 2) both add {1, 2} and the lower index goes first
+        assert steps == [(3,), (0, 3), (0, 1, 2), (1, 2)]
+
+    def test_row_permutations_give_identical_terms(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            rows, ncols = random_rows(rng, max_m=8)
+            terms = _pyref.euler_terms(rows, ncols)
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            assert _pyref.euler_terms(tuple(shuffled), ncols) == terms
+
+
+class TestColumnTable:
+    def test_one_cached_table(self):
+        table = _pyref.column_table(5)
+        assert _pyref.column_table(5) is table
+        assert table == tuple(
+            tuple(c for c in range(5) if mask >> c & 1) for mask in range(1 << 5)
+        )
+
+
 class TestHarnessContract:
     def test_names_the_benchmark_reads(self):
         # perfbench records these names, and its tracer wraps only functions

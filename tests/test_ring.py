@@ -170,6 +170,19 @@ class TestRendering:
         assert e.render() == "x3 + x1*x2"
         assert str(e) == e.render()
 
+    def test_mixed_degrees_and_signs(self):
+        e = RingElement({(): -2, (9,): 1, (1, 10): -3, (2, 3): 1, (1, 2, 3): 4})
+        assert e.render() == "-2 + x9 - 3*x1*x10 + x2*x3 + 4*x1*x2*x3"
+
+    def test_order_past_one_byte(self):
+        # atom tuples compare numerically: (1, 9) < (1, 10) < (2, 3)
+        atoms = range(1, 21)
+        e = RingElement({(a, b): a * b % 5 - 2 for a in atoms for b in atoms if a < b})
+        expected = sorted((a, b) for a in atoms for b in atoms if a < b and a * b % 5 != 2)
+        rendered = [term.lstrip("-0123456789*").replace("x", "") for term in
+                    e.render().replace(" - ", " + ").split(" + ")]
+        assert rendered == [f"{a}*{b}" for a, b in expected]
+
 
 class TestElementBehaviour:
     def test_constructor_normalizes(self):
