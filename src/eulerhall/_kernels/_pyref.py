@@ -1,9 +1,11 @@
 """Kernels over bitmasks: the one implementation behind ``_kernels``.
 
-The sweep walks the tree of ordered prefixes and extends each route's
-state by one row; its contract is the same (checked, mismatches) as a
-per-family check on every range of first subsets.  Integers are Python
-ints throughout, so there are no width limits.
+The sweep walks each family once up to row order: only the non-decreasing
+sequences of subset bitmasks, each weighted by its number of orderings,
+extending each route's state by one row.  Its contract is the same
+(checked, mismatches) as a per-family check over every ordered family
+whose smallest subset lies in a given range.  Integers are Python ints
+throughout, so there are no width limits.
 
 Conventions:
 
@@ -182,17 +184,27 @@ def permanent(rows, m):
 
 
 def sweep_equivalence_range(max_m, max_atom, lo, hi):
-    """Three-way equivalence scan over ordered families of atom subsets.
+    """Three-way equivalence scan over families of atom subsets.
 
-    Checks every family of m in 1..max_m nonempty subsets of
-    {1..max_atom} whose first subset, read as a bitmask, lies in
+    Checks every ordered family of m in 1..max_m nonempty subsets of
+    {1..max_atom} whose smallest subset, read as a bitmask, lies in
     [lo, hi): its Euler product is nonzero, it satisfies Hall's condition
     and a maximum matching saturates it, all three or none.  Returns
-    (families checked, disagreements).
+    (families checked, disagreements), both counted over ordered
+    families; the sums over any partition of [1, 2**max_atom) equal the
+    full range's.
 
-    The families form a tree of ordered prefixes, walked depth first.
-    Each family is visited once and extends its parent's state, one
-    independent piece per route, by its last row:
+    All three routes are invariant under permuting rows, so only the
+    non-decreasing mask sequences are visited: the children of a node
+    whose last mask is s run over s..2**max_atom - 1.  A visited family
+    with mask multiplicities mult stands for its m!/prod(mult!) orderings
+    and adds that weight to both counts.  The weight is kept along the
+    walk: a child of length k+1 has its parent's weight times (k+1)/r,
+    where r is the multiplicity of its last mask (the length of the run
+    of equal masks at its end).
+
+    Each visited family extends its parent's state, one independent
+    piece per route, by its last row:
 
     * Euler: the {mask: coeff} expansion, times one more row;
     * Hall: the column union of every subset of rows, indexed by the
@@ -207,8 +219,10 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     if max_m < 1:
         return 0, 0
     cols_of = column_table(max_atom)
-    # the root is the empty family: product 1, one empty union, empty matching
-    return _extend(max_m, cols_of, [], {0: 1}, [0], False, [-1] * max_atom, [], 0, range(lo, hi))
+    # the root is the empty family: product 1, one empty union, empty
+    # matching, weight 1 and no last mask (0 is no subset's mask)
+    return _extend(max_m, cols_of, [], {0: 1}, [0], False, [-1] * max_atom, [], 0,
+                   1, 0, 0, range(lo, hi))
 
 
 @functools.lru_cache(maxsize=1)
@@ -224,13 +238,18 @@ def column_table(ncols):
     return tuple(table)
 
 
-def _extend(max_m, cols_of, rows, terms, unions, violated, row_of, col_of, matched, masks):
-    # (checked, mismatches) over the families rows + [mask], mask in masks,
-    # and all their descendants; the other arguments are the state of rows.
+def _extend(max_m, cols_of, rows, terms, unions, violated, row_of, col_of, matched,
+            weight, last, run, masks):
+    # Weighted (checked, mismatches) over the families rows + [mask], mask
+    # in masks, and all their non-decreasing descendants.  The other
+    # arguments are the state of rows: each route's state, the number of
+    # orderings `weight`, the last mask and the length `run` of the run of
+    # equal masks at the end.
     k = len(rows)
     full = len(cols_of) - 1
     if k == max_m - 1:
-        return _last_rows(rows, terms, unions, violated, row_of, matched, masks, full)
+        return _last_rows(rows, terms, unions, violated, row_of, matched, weight, last, run,
+                          masks, full)
     checked = mismatches = 0
     for mask in masks:
         cols = cols_of[mask]
@@ -246,19 +265,23 @@ def _extend(max_m, cols_of, rows, terms, unions, violated, row_of, col_of, match
         child_matched = matched + _augment(
             k, rows, child_row_of, child_col_of, bytearray(len(row_of))
         )
-        checked += 1
+        child_run = run + 1 if mask == last else 1
+        child_weight = weight * (k + 1) // child_run
+        checked += child_weight
         if not (bool(child_terms) == (not child_violated) == (child_matched == k + 1)):
-            mismatches += 1
+            mismatches += child_weight
         below = _extend(max_m, cols_of, rows, child_terms, unions + grown, child_violated,
-                        child_row_of, child_col_of, child_matched, range(1, full + 1))
+                        child_row_of, child_col_of, child_matched, child_weight, mask,
+                        child_run, range(mask, full + 1))
         checked += below[0]
         mismatches += below[1]
         rows.pop()
     return checked, mismatches
 
 
-def _last_rows(rows, terms, unions, violated, row_of, matched, masks, full):
-    # (checked, mismatches) over the families rows + [mask], mask in masks.
+def _last_rows(rows, terms, unions, violated, row_of, matched, weight, last, run, masks, full):
+    # Weighted (checked, mismatches) over the families rows + [mask], mask
+    # in masks; weight, last and run describe rows as in _extend.
     # Each route summarizes the parent once, then decides each child:
     # * Euler: the product stays nonzero iff some parent monomial misses a
     #   column of the new row, i.e. iff the row is not inside their
@@ -281,7 +304,13 @@ def _last_rows(rows, terms, unions, violated, row_of, matched, masks, full):
             largest[u] = size
     tight = [u for u, size in largest.items() if u.bit_count() == size]
     reach = _alternating_reach(rows, row_of)
-    checked = mismatches = 0
+    # every child has this weight, except one repeating the last mask
+    fresh = weight * (k + 1)
+    repeat = fresh // (run + 1)
+    checked = fresh * len(masks)
+    if last in masks:
+        checked += repeat - fresh
+    mismatches = 0
     for mask in masks:
         nonzero = bool(terms) and mask & ~common != 0
         hall = not violated
@@ -291,9 +320,8 @@ def _last_rows(rows, terms, unions, violated, row_of, matched, masks, full):
                     hall = False
                     break
         saturated = matched == k and mask & reach != 0
-        checked += 1
         if not (nonzero == hall == saturated):
-            mismatches += 1
+            mismatches += repeat if mask == last else fresh
     return checked, mismatches
 
 

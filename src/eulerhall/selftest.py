@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from . import dynamics, obstruction, ring, sweep
+from . import _kernels, dynamics, obstruction, ring, sweep
 from .bundles import BundleFamily, euler_class
 from .obstruction import VerdictTag
 
@@ -50,8 +50,23 @@ def check_product_rule(max_n: int = 4) -> bool:
 
 
 def check_equivalence_sweep(max_m: int = 3, max_atom: int = 3) -> bool:
+    # The sweep visits each family once up to row order, so it would hide
+    # a kernel whose answer depends on the order of the rows; the ordered
+    # loop over the public kernels, one call each per family, would not.
     result = sweep.sweep_equivalence(max_m, max_atom)
-    return result.ok and result.families == sweep.expected_family_count(max_m, max_atom)
+    if not (result.ok and result.families == sweep.expected_family_count(max_m, max_atom)):
+        return False
+    subsets = [
+        tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(1, 1 << max_atom)
+    ]
+    for m in range(1, max_m + 1):
+        for rows in product(subsets, repeat=m):
+            nonzero = bool(_kernels.euler_terms(rows, max_atom))
+            hall = _kernels.hall_violation(rows, max_atom) < 0
+            saturated = all(c >= 0 for c in _kernels.max_matching(rows, max_atom))
+            if not nonzero == hall == saturated:
+                return False
+    return True
 
 
 def check_coefficient_identity(trials: int = 200, seed: int = 11) -> bool:

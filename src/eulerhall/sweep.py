@@ -1,14 +1,19 @@
 """Exhaustive verification sweeps over small ordered families.
 
-A sweep enumerates every ordered family of m in 1..max_m nonempty subsets
-of {1..max_atom} and checks, per family, that the three equivalent
+A sweep covers every ordered family of m in 1..max_m nonempty subsets of
+{1..max_atom} and checks, per family, that the three equivalent
 conditions (nonzero Euler class, Hall, matching saturation) agree, or
 that every Euler coefficient equals the matching count onto its support.
-The equivalence sweep walks the tree of ordered prefixes, so families
-that share their first rows share each route's partial state.  It returns
-the same (families, mismatches) on every range of first subsets as a
-per-family check, so the sweep can be partitioned across processes by
-the first subset's bitmask.
+
+The equivalence sweep visits each family once up to row order: it walks
+the non-decreasing sequences of subset bitmasks (the multisets), weights
+each by its number of orderings m!/prod(mult!), and lets families that
+share their first rows share each route's partial state.  Its counts are
+those of a per-family check over the ordered families whose smallest
+subset lies in a range, so the sweep is partitioned across processes by
+the smallest subset's bitmask, into chunks of equal multiset counts.
+A request above ``SWEEP_MULTISET_BUDGET`` multisets is refused before any
+work starts.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from . import _kernels
 from ._kernels import _pyref
@@ -24,6 +30,10 @@ from .errors import CapExceeded, InvalidInput
 
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
+# The slowest size within it, 6 sets over 5 atoms (2,324,783 multisets),
+# takes 8-9 s serial on a 2-core x86-64 machine; 5x6 (10,424,127) and
+# 4x7 (11,716,639) are the smallest sizes above it.
+SWEEP_MULTISET_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,13 @@ def expected_family_count(max_m: int, max_atom: int) -> int:
     return sum(subsets**m for m in range(1, max_m + 1))
 
 
+def multisets_from(smallest: int, max_m: int, max_atom: int) -> int:
+    """Number of multisets the equivalence sweep visits whose masks all lie
+    in [smallest, 2**max_atom): sum over m of C(2**max_atom - 1 - smallest + m, m)."""
+    full = (1 << max_atom) - 1
+    return sum(comb(full - smallest + m, m) for m in range(1, max_m + 1))
+
+
 def _check_caps(max_m: int, max_atom: int) -> None:
     if not 1 <= max_m <= SWEEP_M_CAP:
         raise CapExceeded(f"sweep max_m must lie in 1..{SWEEP_M_CAP}, got {max_m}")
@@ -58,18 +75,25 @@ def _equivalence_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
 def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
     """Run the three-way equivalence sweep; every family must agree.
 
-    ``jobs`` worker processes split the range of first subsets; no more
-    are started than there are CPUs or first subsets.
+    Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
+    ``CapExceeded`` before any work starts.  ``jobs`` worker processes
+    split the range of smallest subsets into chunks of equal multiset
+    counts; no more are started than there are CPUs or subsets.
     """
     _check_caps(max_m, max_atom)
     if jobs < 1:
         raise InvalidInput(f"jobs must be at least 1, got {jobs}")
+    total = multisets_from(1, max_m, max_atom)
+    if total > SWEEP_MULTISET_BUDGET:
+        raise CapExceeded(
+            f"sweep of {max_m} sets over {max_atom} atoms visits {total} multisets, "
+            f"above the budget of {SWEEP_MULTISET_BUDGET}")
     full = (1 << max_atom) - 1
     jobs = min(jobs, full, os.cpu_count() or 1)
     if jobs == 1:
         checked, mismatches = _kernels.sweep_equivalence_range(max_m, max_atom, 1, full + 1)
     else:
-        bounds = [1 + (full * k) // jobs for k in range(jobs + 1)]
+        bounds = _balanced_bounds(max_m, max_atom, jobs)
         chunks = [(max_m, max_atom, bounds[k], bounds[k + 1]) for k in range(jobs)]
         checked = mismatches = 0
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -77,6 +101,34 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
                 checked += c
                 mismatches += mis
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=mismatches)
+
+
+def _balanced_bounds(max_m: int, max_atom: int, jobs: int) -> list[int]:
+    # 1 = b_0 < ... < b_jobs = 2**max_atom: b_k is the smallest subset at
+    # which the multisets before it come nearest to k/jobs of the total,
+    # kept strictly increasing so that every chunk is nonempty.
+    end = 1 << max_atom
+    total = multisets_from(1, max_m, max_atom)
+
+    def miss(s, k):
+        # jobs times (multisets before s, minus the k-th target)
+        return jobs * (total - multisets_from(s, max_m, max_atom)) - k * total
+
+    bounds = [1]
+    for k in range(1, jobs):
+        # binary search for the first s that reaches the target; miss grows with s
+        lo, hi = bounds[-1] + 1, end - (jobs - k)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if miss(mid, k) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo - 1 > bounds[-1] and -miss(lo - 1, k) < miss(lo, k):
+            lo -= 1
+        bounds.append(lo)
+    bounds.append(end)
+    return bounds
 
 
 def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 from eulerhall import ring, selftest
@@ -186,6 +188,68 @@ class TestSweep:
         assert code == 0 and requested == [3]  # one CPU: serial, no pool
         assert json.loads(out)["families"] == 56
 
+    def test_chunks_balanced_by_multisets(self, monkeypatch, capsys):
+        # a stand-in pool as above, recording the chunks it is handed
+        from eulerhall import sweep
+
+        handed = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                handed.extend(chunks)
+                return map(fn, chunks)
+
+        serial = sweep.sweep_equivalence(4, 5, jobs=1)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        code, out, _ = run_main(capsys, "sweep", "--max-m", "4", "--max-atom", "5",
+                                "--jobs", "2")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["families"], report["mismatches"]) == (serial.families, serial.mismatches)
+        assert [chunk[:2] for chunk in handed] == [(4, 5), (4, 5)]
+        bounds = [handed[0][2]] + [chunk[3] for chunk in handed]
+        assert bounds[0] == 1 and bounds[-1] == 32
+        assert [chunk[2] for chunk in handed[1:]] == bounds[1:-1]  # contiguous
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))  # nonempty
+        # multisets with smallest subset in [lo, hi), counted one by one
+        counts = [
+            sum(lo <= fam[0] < hi for m in range(1, 5)
+                for fam in combinations_with_replacement(range(1, 32), m))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert max(counts) <= 0.6 * sum(counts), counts
+
+    def test_budget_refuses_before_any_work(self, monkeypatch, capsys):
+        from eulerhall import sweep
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused sweep must start no work")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(sweep._kernels, "sweep_equivalence_range", no_work)
+        count = sum(comb(2**16 - 2 + m, m) for m in range(1, 9))
+        for jobs in ("1", "2"):
+            code, out, err = run_main(capsys, "sweep", "--force", "--max-m", "8",
+                                      "--max-atom", "16", "--jobs", jobs)
+            assert code == 1 and out == ""
+            assert str(count) in err and str(sweep.SWEEP_MULTISET_BUDGET) in err
+        # the budget admits 6 sets over 5 atoms and refuses 5x6 and 4x7
+        assert sweep.multisets_from(1, 6, 5) == 2_324_783 <= sweep.SWEEP_MULTISET_BUDGET
+        assert sweep.SWEEP_MULTISET_BUDGET < sweep.multisets_from(1, 5, 6) == 10_424_127
+        assert sweep.multisets_from(1, 4, 7) == 11_716_639
+        code, _, err = run_main(capsys, "sweep", "--force", "--max-m", "5", "--max-atom", "6")
+        assert code == 1 and "10424127" in err
+
 
 class TestDynamics:
     def test_depth_zero(self, capsys):
@@ -255,6 +319,26 @@ class TestSelftest:
     def test_sabotaged_product_rule_fails(self, monkeypatch):
         monkeypatch.setattr(ring, "product_of_generators", lambda seq, n: ring.one())
         assert selftest.check_product_rule(max_n=2) is False
+
+    def test_order_dependent_matching_fails(self, monkeypatch, capsys):
+        # a matching that fails on one ordering of a family it saturates in
+        # the other; the sweep, which visits each family once up to row
+        # order, cannot see it, the ordered loop must
+        from eulerhall import _kernels, sweep
+
+        real = _kernels.max_matching
+
+        def one_order_wrong(rows, ncols):
+            if tuple(rows) == ((0, 1), (0,)):
+                return [0, -1]
+            return real(rows, ncols)
+
+        assert real(((0, 1), (0,)), 3) == [1, 0]
+        monkeypatch.setattr(_kernels, "max_matching", one_order_wrong)
+        assert sweep.sweep_equivalence(3, 3).ok
+        assert selftest.check_equivalence_sweep() is False
+        code, out, _ = run_main(capsys, "selftest")
+        assert code == 2 and json.loads(out)["checks"]["equivalence_sweep"] is False
 
 
 class TestUsageAndDeterminism:

@@ -1,10 +1,11 @@
-"""The prefix-tree sweep against a per-family oracle.
+"""The multiset sweep against a per-family oracle.
 
-``_pyref.sweep_equivalence_range`` walks the tree of ordered prefixes and
-extends each route's state by one row.  The oracle below is the plain
-loop it replaced: every family is built from scratch and handed to the
-three kernels.  Both must report the same (checked, mismatches) on every
-range of first subsets.
+``_pyref.sweep_equivalence_range`` walks only the non-decreasing mask
+sequences, weights each by its number of orderings, and extends each
+route's state by one row.  The oracle below is the plain ordered loop:
+every ordered family is built from scratch and handed to the three
+kernels.  Both must report the same (checked, mismatches) on every range
+of smallest subsets.
 """
 
 from itertools import accumulate, combinations_with_replacement, product
@@ -14,7 +15,7 @@ import pytest
 from eulerhall._kernels import _pyref
 from eulerhall._kernels._pyref import euler_terms, hall_violation, max_matching
 
-CASES = [(m, a) for m in range(1, 4) for a in range(1, 5)] + [(4, 3), (2, 5)]
+CASES = [(m, a) for m in range(1, 4) for a in range(1, 5)] + [(4, 3), (2, 5), (5, 2), (6, 2)]
 
 
 def oracle_range(max_m, max_atom, lo, hi):
@@ -24,24 +25,24 @@ def oracle_range(max_m, max_atom, lo, hi):
     checked = 0
     mismatches = 0
     for m in range(1, max_m + 1):
-        for first in range(lo, hi):
-            for rest in product(range(1, full + 1), repeat=m - 1):
-                rows = [cols_of[first]]
-                rows.extend(cols_of[mask] for mask in rest)
-                nonzero = bool(euler_terms(rows, max_atom))
-                hall = hall_violation(rows, max_atom) < 0
-                saturated = all(c >= 0 for c in max_matching(rows, max_atom))
-                checked += 1
-                if not (nonzero == hall == saturated):
-                    mismatches += 1
+        for fam in product(range(1, full + 1), repeat=m):
+            if not lo <= min(fam) < hi:
+                continue
+            rows = [cols_of[mask] for mask in fam]
+            nonzero = bool(euler_terms(rows, max_atom))
+            hall = hall_violation(rows, max_atom) < 0
+            saturated = all(c >= 0 for c in max_matching(rows, max_atom))
+            checked += 1
+            if not (nonzero == hall == saturated):
+                mismatches += 1
     return checked, mismatches
 
 
 def oracle_table(max_m, max_atom):
-    """Oracle results over [1, b) for every bound b, built one first subset at a time."""
+    """Oracle results over [1, b) for every bound b, built one smallest subset at a time."""
     end = 1 << max_atom
-    per_first = [oracle_range(max_m, max_atom, f, f + 1) for f in range(1, end)]
-    sums = list(accumulate(per_first, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(0, 0)))
+    per_smallest = [oracle_range(max_m, max_atom, f, f + 1) for f in range(1, end)]
+    sums = list(accumulate(per_smallest, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(0, 0)))
     return {b: sums[b - 1] for b in range(1, end + 1)}
 
 
