@@ -110,7 +110,7 @@ def columns(f: BundleFamily) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """
     atoms = sorted(set().union(*f.sets))
     index = {a: i for i, a in enumerate(atoms)}
-    rows = tuple(tuple(index[a] for a in sorted(s)) for s in f.sets)
+    rows = tuple(tuple(sorted(map(index.__getitem__, s))) for s in f.sets)
     return rows, atoms
 
 

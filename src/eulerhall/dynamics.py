@@ -29,6 +29,13 @@ enlarging the family, so windowing only weakens certificates, never
 fabricates them.  Duplicate sets produced by different provenances are
 kept as distinct indexed members, and all checks are stated for the
 indexed family.
+
+A run computes each image nu(j, t) once: it keeps one table of images
+per index j, fills a missing entry on its first lookup, in the order
+``alpha`` would compute it (so a capped run stops on the same pair with
+the same message), and builds the block i_set(j) from the table when it
+is first needed.  Generated sets are validated where they enter the
+matching, not on every step.
 """
 
 from __future__ import annotations
@@ -69,6 +76,12 @@ def nu(j: int, t: int, atom_cap: int | None = None) -> int:
     return value
 
 
+def _predecessor(a: int) -> int:
+    # the decoded second component of an atom a >= 2, as an atom: t for
+    # a = nu(j, t), strictly smaller than a
+    return _unpair(a - 2)[1] + 1
+
+
 def level(a: int) -> int:
     """Derivation depth of an atom: 0 for the seed 1, else 1 + level of
     the decoded second component.  Total and well-founded."""
@@ -76,17 +89,26 @@ def level(a: int) -> int:
         raise InvalidInput(f"atom ids must be integers >= 1, got {a!r}")
     depth = 0
     while a != 1:
-        _, b = _unpair(a - 2)
-        a = b + 1  # strictly smaller than the value it came from
+        a = _predecessor(a)
         depth += 1
     return depth
+
+
+def _known_level(a: int, levels: dict) -> int:
+    # level(a), in one decoding step when ``levels`` holds the level of
+    # a's predecessor; anything else, invalid atoms included, goes to level()
+    if type(a) is int and a > 1:
+        below = levels.get(_predecessor(a))
+        if below is not None:
+            return below + 1
+    return level(a)
 
 
 def i_set(j: int, atom_cap: int | None = None) -> frozenset:
     """The j-element block {nu(j, 1), ..., nu(j, j)} for j >= 1."""
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
         raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
-    return frozenset(nu(j, u, atom_cap) for u in range(1, j + 1))
+    return _Images(j, atom_cap).block()
 
 
 def alpha(j: int, atoms: Iterable[int], atom_cap: int | None = None) -> frozenset:
@@ -97,10 +119,35 @@ def alpha(j: int, atoms: Iterable[int], atom_cap: int | None = None) -> frozense
     never empty.
     """
     source = index_set(atoms)
+    return _set_map(j, source, lambda t: nu(j, t, atom_cap), lambda: i_set(j, atom_cap))
+
+
+class _Images(dict):
+    """The images nu(j, t) of one index j, each computed on first lookup."""
+
+    def __init__(self, j: int, atom_cap: int | None):
+        super().__init__()
+        self.j = j
+        self.atom_cap = atom_cap
+        self._block: frozenset | None = None
+
+    def __missing__(self, t: int) -> int:
+        value = self[t] = nu(self.j, t, self.atom_cap)
+        return value
+
+    def block(self) -> frozenset:
+        """i_set(j), for j >= 1, built from the table on first use."""
+        if self._block is None:
+            self._block = frozenset(map(self.__getitem__, range(1, self.j + 1)))
+        return self._block
+
+
+def _set_map(j: int, source: frozenset, image, block) -> frozenset:
+    # alpha(j, source), given image(t) = nu(j, t) and block() = i_set(j);
+    # the images are taken in source's order, then the block's
     if j <= 0:
-        return frozenset(nu(j, u, atom_cap) for u in source)
-    mapped = frozenset(nu(j, u, atom_cap) for u in source if u > j)
-    return mapped | i_set(j, atom_cap)
+        return frozenset(map(image, source))
+    return frozenset(map(image, [u for u in source if u > j])) | block()
 
 
 @dataclass(frozen=True)
@@ -155,15 +202,20 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     root = LabeledSet(atoms=frozenset((1,)), provenance=(), label=1)
     generations: list[tuple[LabeledSet, ...]] = [(root,)]
     w = cfg.window
+    maps = []
+    for j in range(-w, w + 1):
+        images = _Images(j, cfg.atom_cap)
+        maps.append((j, images.__getitem__, images.block))
     for _ in range(cfg.depth):
         nxt: list[LabeledSet] = []
         for parent in generations[-1]:
-            for j in range(-w, w + 1):
+            atoms, provenance, label = parent.atoms, parent.provenance, parent.label
+            for j, image, block in maps:
                 nxt.append(
                     LabeledSet(
-                        atoms=alpha(j, parent.atoms, cfg.atom_cap),
-                        provenance=parent.provenance + (j,),
-                        label=nu(j, parent.label, cfg.atom_cap),
+                        atoms=_set_map(j, atoms, image, block),
+                        provenance=provenance + (j,),
+                        label=image(label),
                     )
                 )
         generations.append(tuple(nxt))
@@ -193,24 +245,30 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
     """
     membership_failure = injective_failure = level_failure = None
     seen: dict[int, tuple[int, int]] = {}
+    levels = {1: 0}  # label -> level; a label's parent label precedes it
     for gen_index, generation in enumerate(g.generations):
         for pos, ls in enumerate(generation):
-            where = f"generation {gen_index}, member {pos}"
-            if membership_failure is None and ls.label not in ls.atoms:
-                membership_failure = f"label {ls.label} not in set at {where}"
+            label = ls.label
+            if membership_failure is None and label not in ls.atoms:
+                membership_failure = (
+                    f"label {label} not in set at generation {gen_index}, member {pos}"
+                )
             if injective_failure is None:
-                if ls.label in seen:
-                    prev = seen[ls.label]
+                if label in seen:
+                    prev = seen[label]
                     injective_failure = (
-                        f"label {ls.label} at {where} repeats generation "
-                        f"{prev[0]}, member {prev[1]}"
+                        f"label {label} at generation {gen_index}, member {pos} "
+                        f"repeats generation {prev[0]}, member {prev[1]}"
                     )
                 else:
-                    seen[ls.label] = (gen_index, pos)
-            if level_failure is None and level(ls.label) != gen_index:
-                level_failure = (
-                    f"label {ls.label} at {where} has level {level(ls.label)}"
-                )
+                    seen[label] = (gen_index, pos)
+            if level_failure is None:
+                depth = levels[label] = _known_level(label, levels)
+                if depth != gen_index:
+                    level_failure = (
+                        f"label {label} at generation {gen_index}, member {pos} "
+                        f"has level {depth}"
+                    )
     return LabelingReport(
         membership_ok=membership_failure is None,
         injective_ok=injective_failure is None,
@@ -253,7 +311,9 @@ def hall_persistence_check(f: BundleFamily, cfg: DynamicsConfig) -> bool:
     if not matching.hall_via_matching(f):
         raise InvalidInput("input family must satisfy Hall's condition")
     w = cfg.window
+    tables = [(j, _Images(j, cfg.atom_cap)) for j in range(-w, w + 1)]
     image = tuple(
-        alpha(j, s, cfg.atom_cap) for s in f.sets for j in range(-w, w + 1)
+        _set_map(j, s, images.__getitem__, images.block)
+        for s in f.sets for j, images in tables
     )
     return matching.hall_via_matching(BundleFamily(sets=image))

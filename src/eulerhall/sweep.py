@@ -12,8 +12,9 @@ share their first rows share each route's partial state.  Its counts are
 those of a per-family check over the ordered families whose smallest
 subset lies in a range, so the sweep is partitioned across processes by
 the smallest subset's bitmask, into chunks of equal multiset counts.
-A request above ``SWEEP_MULTISET_BUDGET`` multisets is refused before any
-work starts.
+The coefficient sweep walks the same multisets with the same weights,
+one family at a time.  A request above ``SWEEP_MULTISET_BUDGET``
+multisets is refused by either sweep before any work starts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 
 from . import _kernels
 from ._kernels import _pyref
@@ -67,6 +69,14 @@ def _check_caps(max_m: int, max_atom: int) -> None:
         raise CapExceeded(f"sweep max_atom must lie in 1..{SWEEP_ATOM_CAP}, got {max_atom}")
 
 
+def _check_budget(max_m: int, max_atom: int) -> None:
+    total = multisets_from(1, max_m, max_atom)
+    if total > SWEEP_MULTISET_BUDGET:
+        raise CapExceeded(
+            f"sweep of {max_m} sets over {max_atom} atoms visits {total} multisets, "
+            f"above the budget of {SWEEP_MULTISET_BUDGET}")
+
+
 def _equivalence_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
     max_m, max_atom, lo, hi = args
     return _kernels.sweep_equivalence_range(max_m, max_atom, lo, hi)
@@ -83,11 +93,7 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
     _check_caps(max_m, max_atom)
     if jobs < 1:
         raise InvalidInput(f"jobs must be at least 1, got {jobs}")
-    total = multisets_from(1, max_m, max_atom)
-    if total > SWEEP_MULTISET_BUDGET:
-        raise CapExceeded(
-            f"sweep of {max_m} sets over {max_atom} atoms visits {total} multisets, "
-            f"above the budget of {SWEEP_MULTISET_BUDGET}")
+    _check_budget(max_m, max_atom)
     full = (1 << max_atom) - 1
     jobs = min(jobs, full, os.cpu_count() or 1)
     if jobs == 1:
@@ -137,15 +143,22 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
     Expands each family's Euler product over compressed columns and
     compares, for every candidate support, the stored coefficient with
     the Ryser permanent of the incidence matrix; absent supports must
-    have permanent zero.
+    have permanent zero.  Both sides ignore the order of the sets, so
+    each family is checked once up to order and counted m!/prod(mult!)
+    times.  Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
+    ``CapExceeded`` before any work starts.
     """
     _check_caps(max_m, max_atom)
+    _check_budget(max_m, max_atom)
     full = (1 << max_atom) - 1
     cols_of = _pyref.column_table(max_atom)
     checked = 0
     failures = 0
     for m in range(1, max_m + 1):
-        for fam in product(range(1, full + 1), repeat=m):
+        for fam in combinations_with_replacement(range(1, full + 1), m):
+            orderings = factorial(m)
+            for mult in Counter(fam).values():
+                orderings //= factorial(mult)
             rows = [cols_of[mask] for mask in fam]
             terms = _kernels.euler_terms(rows, max_atom)
             union = 0
@@ -164,7 +177,7 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
                     if terms.get(mono, 0) != _kernels.permanent(sub_rows, m):
                         ok = False
                         break
-            checked += 1
+            checked += orderings
             if not ok:
-                failures += 1
+                failures += orderings
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=failures)

@@ -17,6 +17,7 @@ from eulerhall import (
     index_set,
     ring,
 )
+from eulerhall.bundles import columns
 from eulerhall.ring import generator, monomial, one
 
 
@@ -130,6 +131,12 @@ class TestRenderOverColumns:
 
 
 class TestFamilyBasics:
+    def test_columns_ascending(self):
+        # frozenset({8, 1}) iterates as 8, 1: each row is sorted after mapping
+        rows, atoms = columns(BundleFamily.of({8, 1}, {17, 9, 1}))
+        assert atoms == [1, 8, 9, 17]
+        assert rows == ((0, 1), (0, 2, 3))
+
     def test_dimension(self):
         assert dimension(BundleFamily.of({1, 2}, {3})) == 2
         assert dimension(BundleFamily(trivial_lines=3)) == 3

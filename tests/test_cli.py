@@ -278,6 +278,15 @@ class TestDynamics:
         assert report["hall_confirmed"] is True
         assert max(report["labels"]) > 2**63 - 1
 
+    def test_window_four_depth_five(self, capsys):
+        # the largest documented size
+        code, out, _ = run_main(capsys, "dynamics", "--window", "4", "--depth", "5")
+        report = json.loads(out)
+        assert code == 0
+        assert report["generation_sizes"] == [9**k for k in range(6)]
+        assert report["prefix_sdr_size"] == 66430
+        assert report["hall_confirmed"] is True
+
     def test_caps(self, capsys):
         code, _, err = run_main(capsys, "dynamics", "--window", "5", "--depth", "1")
         assert code == 1 and "--window" in err

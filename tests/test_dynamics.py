@@ -90,6 +90,13 @@ class TestISetAlpha:
         assert alpha(2, {1}) == i_set(2)
         assert alpha(1, {1, 5}) == frozenset({21, 3})
 
+    def test_alpha_cap_maps_kept_atoms_before_block(self):
+        # nu(2, 5) = 34 is computed before the block {nu(2, 1), nu(2, 2)} = {8, 13}
+        with pytest.raises(AtomCapExceeded, match=r"^nu\(2, 5\) = 34 exceeds atom cap 10$"):
+            alpha(2, {5}, atom_cap=10)
+        with pytest.raises(AtomCapExceeded, match=r"^nu\(2, 2\) = 13 exceeds atom cap 10$"):
+            alpha(2, {1}, atom_cap=10)
+
     def test_alpha_rejects_empty(self):
         with pytest.raises(InvalidInput):
             alpha(0, set())
@@ -158,6 +165,94 @@ class TestGenerations:
             gamma_generations(DynamicsConfig(window=3, depth=3, atom_cap=100))
 
 
+def oracle_generations(window, depth, atom_cap=None):
+    """Generations as (atoms, provenance, label), by recursion over the
+    public alpha and nu alone."""
+    if depth == 0:
+        return [[(frozenset({1}), (), 1)]]
+    earlier = oracle_generations(window, depth - 1, atom_cap)
+    last = [
+        (alpha(j, atoms, atom_cap), provenance + (j,), nu(j, label, atom_cap))
+        for atoms, provenance, label in earlier[-1]
+        for j in range(-window, window + 1)
+    ]
+    return earlier + [last]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except AtomCapExceeded as exc:
+        return f"AtomCapExceeded: {exc}"
+
+
+CAP_GRID = [
+    (w, d, cap)
+    for w in (1, 2, 3)
+    for d in range(4)
+    for cap in (5, 20, 50, 100, 500, 2000, 5000, 20000)
+]
+
+
+class TestGenerationsOracle:
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_members_match_oracle(self, window, depth):
+        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        got = [[(ls.atoms, ls.provenance, ls.label) for ls in gen] for gen in fam.generations]
+        assert got == oracle_generations(window, depth)
+
+    def test_atom_cap_grid_matches_oracle(self):
+        raised = 0
+        for w, d, cap in CAP_GRID:
+            got = _outcome(lambda: [
+                [(ls.atoms, ls.provenance, ls.label) for ls in gen]
+                for gen in gamma_generations(DynamicsConfig(w, d, cap)).generations
+            ])
+            assert got == _outcome(lambda: oracle_generations(w, d, cap)), (w, d, cap)
+            raised += isinstance(got, str)
+        # both outcomes occur on the grid, and depth 0 never maps an atom
+        assert 0 < raised < len(CAP_GRID)
+        assert not isinstance(_outcome(lambda: gamma_generations(DynamicsConfig(3, 0, 1))), str)
+
+    def test_each_image_computed_once(self, monkeypatch):
+        from eulerhall import dynamics
+
+        calls = []
+
+        def counting_nu(j, t, atom_cap=None):
+            calls.append((j, t))
+            return nu(j, t, atom_cap)
+
+        monkeypatch.setattr(dynamics, "nu", counting_nu)
+        oracle_generations(2, 3)
+        oracle_calls = calls[:]
+        calls.clear()
+        gamma_generations(DynamicsConfig(window=2, depth=3))
+        assert len(calls) == len(set(calls)) < len(oracle_calls)
+        assert set(calls) == set(oracle_calls)
+
+    def test_persistence_cap_matches_alpha(self):
+        # the images are computed in alpha's order, so a cap stops both alike
+        rng = random.Random(43)
+        raised = 0
+        for _ in range(200):
+            f = random_hall_family(rng, max_m=4, max_atom=10)
+            cfg = DynamicsConfig(window=rng.randint(1, 3), depth=0,
+                                 atom_cap=rng.choice((20, 100, 500, 2000)))
+            expected = _outcome(lambda: [
+                alpha(j, s, cfg.atom_cap)
+                for s in f.sets for j in range(-cfg.window, cfg.window + 1)
+            ])
+            got = _outcome(lambda: hall_persistence_check(f, cfg))
+            if isinstance(expected, str):
+                assert got == expected
+                raised += 1
+            else:
+                assert got is True
+        assert 0 < raised < 200
+
+
 class TestLabeling:
     @pytest.mark.parametrize("window,depth", [(1, 3), (2, 3), (3, 2)])
     def test_verified_labeling(self, window, depth):
@@ -197,6 +292,28 @@ class TestLabeling:
         bad = self._corrupt(fam, 2, 0, atoms=ls.atoms | {1}, label=1)
         report = verify_labeling(bad)
         assert not report.level_ok and report.level_failure
+
+    def test_failure_messages(self):
+        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        first, second = fam.generations[2][0], fam.generations[2][1]
+        # a label from deeper down: no earlier label is its predecessor
+        deep = nu(1, nu(2, second.label))
+        bad = self._corrupt(fam, 2, 1, atoms=second.atoms | {deep}, label=deep)
+        bad = self._corrupt(bad, 2, 3, label=first.label)
+        bad = self._corrupt(bad, 2, 4, label=1)
+        report = verify_labeling(bad)
+        assert report.membership_failure == (
+            f"label {first.label} not in set at generation 2, member 3")
+        assert report.injective_failure == (
+            f"label {first.label} at generation 2, member 3 repeats generation 2, member 0")
+        assert report.level_failure == f"label {deep} at generation 2, member 1 has level 4"
+
+    @pytest.mark.parametrize("label", [0, -3, True, 2.0])
+    def test_invalid_label_reaches_level(self, label):
+        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        bad = self._corrupt(fam, 2, 3, label=label)
+        with pytest.raises(InvalidInput):
+            verify_labeling(bad)
 
 
 class TestPrefixCertificate:

@@ -12,6 +12,7 @@ from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
+from eulerhall import CapExceeded, sweep
 from eulerhall._kernels import _pyref
 from eulerhall._kernels._pyref import euler_terms, hall_violation, max_matching
 
@@ -80,3 +81,43 @@ def test_every_split_matches_oracle(max_m, max_atom):
 def test_empty_range():
     assert _pyref.sweep_equivalence_range(3, 3, 5, 5) == (0, 0)
     assert _pyref.sweep_equivalence_range(0, 3, 1, 8) == oracle_range(0, 3, 1, 8) == (0, 0)
+
+
+def has_sdr(rows):
+    return any(len(set(pick)) == len(pick) for pick in product(*rows))
+
+
+def test_coefficient_sweep_counts_every_ordering():
+    # every ordered family agrees at 3x3, counted one by one
+    assert sweep.sweep_coefficient_identity(3, 3) == sweep.SweepResult(3, 3, 399, 0)
+    assert sweep.sweep_coefficient_identity(2, 4).families == 15 + 15**2
+
+
+def test_coefficient_sweep_weights_failures(monkeypatch):
+    # a stand-in Euler product that loses every term of a family holding the
+    # row {0, 1} twice; such a family fails exactly when it has an SDR
+    def lossy(rows, n_cols):
+        return {} if rows.count((0, 1)) >= 2 else euler_terms(rows, n_cols)
+
+    monkeypatch.setattr(sweep._kernels, "euler_terms", lossy)
+    cols_of = [tuple(c for c in range(3) if mask >> c & 1) for mask in range(8)]
+    expected = 0
+    for m in range(1, 5):
+        for fam in product(range(1, 8), repeat=m):
+            rows = [cols_of[mask] for mask in fam]
+            expected += rows.count((0, 1)) >= 2 and has_sdr(rows)
+    result = sweep.sweep_coefficient_identity(4, 3)
+    assert result.families == 7 + 7**2 + 7**3 + 7**4
+    assert result.mismatches == expected > 0
+
+
+def test_coefficient_sweep_budget_refuses_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused sweep must start no work")
+
+    monkeypatch.setattr(sweep._kernels, "euler_terms", no_work)
+    monkeypatch.setattr(sweep._kernels, "permanent", no_work)
+    for max_m, max_atom in ((8, 16), (5, 6), (4, 7)):
+        count = sweep.multisets_from(1, max_m, max_atom)
+        with pytest.raises(CapExceeded, match=f"{count} multisets"):
+            sweep.sweep_coefficient_identity(max_m, max_atom)
