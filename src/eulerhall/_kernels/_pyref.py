@@ -54,15 +54,18 @@ def _greedy_order(rows):
 
 
 def _euler_step(terms, cols):
-    # Multiply the expansion `terms` by the sum of the variables in `cols`.
+    # Multiply the expansion `terms` by the sum of the variables in `cols`,
+    # one column at a time: each column's bit is made once and multiplies
+    # every term in one pass.
     nxt = {}
-    for mask, coeff in terms.items():
-        for c in cols:
-            bit = 1 << c
-            if mask & bit:
-                continue
-            key = mask | bit
-            nxt[key] = nxt.get(key, 0) + coeff
+    get = nxt.get
+    items = terms.items()
+    for c in cols:
+        bit = 1 << c
+        for mask, coeff in items:
+            if not mask & bit:
+                key = mask | bit
+                nxt[key] = get(key, 0) + coeff
     return nxt
 
 

@@ -8,7 +8,7 @@ member with atom set I is the sum of the generators of I, and the Euler
 class of the family is the product of those sums (zero as soon as a
 trivial summand is present).  The product is expanded by the bitmask
 kernel over the family's compressed columns (``columns``), the same
-compression the matching routes use.
+compression the matching routes use, with the atoms in descending order.
 
 The JSON form ``{"sets": [[1, 2], [2]], "trivial_lines": 0}`` is the
 canonical on-disk representation consumed by the CLI: atoms are positive
@@ -101,14 +101,19 @@ def euler_line(atoms: Iterable[int]) -> RingElement:
     return ring.RingElement._raw({frozenset((a,)): 1 for a in s})
 
 
-def columns(f: BundleFamily) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Compress the family's atoms to 0-based columns, ascending.
+def columns(
+    f: BundleFamily, descending: bool = False
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Compress the family's atoms to 0-based columns.
 
-    Returns ``(rows, atoms)``: ``atoms`` is the sorted union of the sets
-    and ``rows[j]`` lists the columns of ``f.sets[j]`` in ascending order,
-    column ``c`` standing for atom ``atoms[c]``.
+    Returns ``(rows, atoms)``: ``atoms`` is the union of the sets, sorted
+    ascending (or descending if ``descending``), and ``rows[j]`` lists the
+    columns of ``f.sets[j]`` in ascending order, column ``c`` standing for
+    atom ``atoms[c]``.  The matching routes take the ascending order,
+    which decides the order they scan atoms in and so the SDR they print;
+    the Euler class takes the descending one (see ``euler_class``).
     """
-    atoms = sorted(set().union(*f.sets))
+    atoms = sorted(set().union(*f.sets), reverse=descending)
     index = {a: i for i, a in enumerate(atoms)}
     rows = tuple(tuple(sorted(map(index.__getitem__, s))) for s in f.sets)
     return rows, atoms
@@ -120,11 +125,14 @@ def euler_class(f: BundleFamily) -> RingElement:
     A trivial summand has Euler class zero and kills the product.  The
     empty family gives the unit.  The product of the members' classes is
     expanded over column bitmasks by ``_kernels.euler_terms`` and kept
-    over those columns; the atoms are read back only when needed.
+    over those columns; the atoms are read back only when needed.  The
+    columns run over the atoms in descending order, the order of
+    ``RingElement``'s column form, in which the larger of two masks of
+    one degree is the monomial with the lower atom tuple.
     """
     if f.trivial_lines > 0:
         return ring.zero()
-    rows, atoms = columns(f)
+    rows, atoms = columns(f, descending=True)
     return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms)
 
 

@@ -14,10 +14,15 @@ fixed-width integers would overflow.  Elements are immutable after
 construction and safe to share between workers.
 
 An element can also be held over columns: a map ``{column bitmask ->
-coefficient}`` plus the ascending atom list, column ``c`` standing for
+coefficient}`` plus the descending atom list, column ``c`` standing for
 ``atoms[c]``, which is the form the Euler kernel produces.  Zero tests,
 degrees and rendering read the columns; the frozenset map is built only
-when it is asked for (``terms``, ``coeff``, arithmetic, equality).
+when it is asked for (``terms``, ``coeff``, arithmetic, equality).  The
+atoms descend so that the highest column is the smallest atom: of two
+monomials of one degree, the lower ascending atom tuple holds the
+smallest atom in which they differ, which is the highest column in which
+their masks differ, so it is the larger mask.  Rendering therefore sorts
+the masks themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ class RingElement:
 
     # Either form may be missing until first needed, never both:
     # _mono is {frozenset of atoms: coeff}, _cols is ({column bitmask:
-    # coeff}, ascending atoms).
+    # coeff}, descending atoms).
     __slots__ = ("_mono", "_cols")
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
@@ -70,8 +75,10 @@ class RingElement:
 
     @classmethod
     def _from_columns(cls, masks: dict, atoms) -> "RingElement":
-        # Trusted constructor over columns: `atoms` ascending, `masks`
+        # Trusted constructor over columns: `atoms` descending, `masks`
         # {column bitmask: nonzero coeff}, column c standing for atoms[c].
+        # Descending atoms make mask order the reverse of atom tuple order
+        # within a degree, which render relies on.
         elem = cls.__new__(cls)
         elem._mono = None
         elem._cols = (masks, atoms)
@@ -85,16 +92,15 @@ class RingElement:
             mono = {}
             for mask, coeff in masks.items():
                 support = ()
-                for table in tables:
-                    support += table[mask & 255]
-                    mask >>= 8
+                for shift, table in tables:
+                    support += table[mask >> shift & 255]
                 mono[frozenset(support)] = coeff
             self._mono = mono
         return self._mono
 
     def _columns(self) -> tuple[dict, list]:
         if self._cols is None:
-            atoms = sorted(set().union(*self._mono))
+            atoms = sorted(set().union(*self._mono), reverse=True)
             bit = {a: 1 << c for c, a in enumerate(atoms)}
             masks = {sum(bit[a] for a in mono): coeff for mono, coeff in self._mono.items()}
             self._cols = (masks, atoms)
@@ -182,27 +188,19 @@ class RingElement:
         masks, atoms = self._columns()
         if not masks:
             return "0"
-        # The atoms ascend, so the atom tuple order of the monomials is the
-        # column tuple order of the masks.  Of two column sets of one size,
-        # the lower tuple holds the lowest column in which they differ, so
-        # it is the larger mask once the bit order is reversed.
+        # Over descending atoms, descending masks of one degree are
+        # ascending atom tuples (see the module docstring).
+        order = sorted(masks, reverse=True)
+        order.sort(key=int.bit_count)
         texts = _byte_tables([f"*x{a}" for a in atoms], "")
-        items = []
-        for mask, coeff in masks.items():
-            text = ""
-            reversed_mask = 0
-            rest = mask
-            for table in texts:
-                byte = rest & 255
-                text += table[byte]
-                reversed_mask = reversed_mask << 8 | _REVERSED_BYTE[byte]
-                rest >>= 8
-            items.append((mask.bit_count(), -reversed_mask, coeff, text))
-        items.sort()
         out = []
-        for degree, _, coeff, text in items:
+        for mask in order:
+            coeff = masks[mask]
             magnitude = abs(coeff)
-            if not degree:
+            text = ""
+            for shift, table in texts:
+                text += table[mask >> shift & 255]
+            if not mask:
                 text = str(magnitude)
             elif magnitude == 1:
                 text = text[1:]
@@ -220,21 +218,22 @@ class RingElement:
         return f"RingElement({self.render()})"
 
 
-_REVERSED_BYTE = [int(f"{b:08b}"[::-1], 2) for b in range(256)]
-
-
 def _byte_tables(pieces: list, empty) -> list:
     """Per-byte lookup tables over columns, ``pieces[c]`` for column ``c``.
 
-    ``tables[k][b]`` is the sum, in ascending column order, of the pieces
-    of the columns ``8k .. 8k+7`` whose bits are set in the byte ``b``.
+    Returns ``(shift, table)`` pairs from the highest byte to the lowest:
+    ``table[b]`` is the sum, from the highest column to the lowest, of the
+    pieces of the columns ``shift .. shift+7`` whose bits are set in the
+    byte ``b``, so ``table[mask >> shift & 255]`` reads that byte of
+    ``mask``.  Over descending atoms, high to low is ascending atom order.
     """
     tables = []
-    for k in range(0, len(pieces), 8):
+    for shift in range(0, len(pieces), 8):
         table = [empty]
-        for piece in pieces[k:k + 8]:
-            table += [t + piece for t in table]
-        tables.append(table)
+        for piece in pieces[shift:shift + 8]:
+            table += [piece + t for t in table]
+        tables.append((shift, table))
+    tables.reverse()
     return tables
 
 

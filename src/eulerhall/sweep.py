@@ -13,8 +13,9 @@ those of a per-family check over the ordered families whose smallest
 subset lies in a range, so the sweep is partitioned across processes by
 the smallest subset's bitmask, into chunks of equal multiset counts.
 The coefficient sweep walks the same multisets with the same weights,
-one family at a time.  A request above ``SWEEP_MULTISET_BUDGET``
-multisets is refused by either sweep before any work starts.
+one family at a time.  Each sweep refuses a request above its own budget
+of multisets (``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``)
+before any work starts.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ SWEEP_ATOM_CAP = 16
 # takes 8-9 s serial on a 2-core x86-64 machine; 5x6 (10,424,127) and
 # 4x7 (11,716,639) are the smallest sizes above it.
 SWEEP_MULTISET_BUDGET = 10_000_000
+# The coefficient sweep expands each multiset's Euler product and computes
+# up to C(max_atom, m) permanents for it, 20-150 us per multiset.  The
+# slowest size within this budget, 3 sets over 6 atoms (45,759 multisets),
+# takes 7 s on the same machine; the smallest size above it, 2x9 (131,327),
+# takes 20 s.
+SWEEP_COEFFICIENT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,12 @@ def _check_caps(max_m: int, max_atom: int) -> None:
         raise CapExceeded(f"sweep max_atom must lie in 1..{SWEEP_ATOM_CAP}, got {max_atom}")
 
 
-def _check_budget(max_m: int, max_atom: int) -> None:
+def _check_budget(max_m: int, max_atom: int, budget: int) -> None:
     total = multisets_from(1, max_m, max_atom)
-    if total > SWEEP_MULTISET_BUDGET:
+    if total > budget:
         raise CapExceeded(
             f"sweep of {max_m} sets over {max_atom} atoms visits {total} multisets, "
-            f"above the budget of {SWEEP_MULTISET_BUDGET}")
+            f"above the budget of {budget}")
 
 
 def _equivalence_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
@@ -93,7 +100,7 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
     _check_caps(max_m, max_atom)
     if jobs < 1:
         raise InvalidInput(f"jobs must be at least 1, got {jobs}")
-    _check_budget(max_m, max_atom)
+    _check_budget(max_m, max_atom, SWEEP_MULTISET_BUDGET)
     full = (1 << max_atom) - 1
     jobs = min(jobs, full, os.cpu_count() or 1)
     if jobs == 1:
@@ -145,11 +152,11 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
     the Ryser permanent of the incidence matrix; absent supports must
     have permanent zero.  Both sides ignore the order of the sets, so
     each family is checked once up to order and counted m!/prod(mult!)
-    times.  Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
+    times.  Requests above ``SWEEP_COEFFICIENT_BUDGET`` multisets raise
     ``CapExceeded`` before any work starts.
     """
     _check_caps(max_m, max_atom)
-    _check_budget(max_m, max_atom)
+    _check_budget(max_m, max_atom, SWEEP_COEFFICIENT_BUDGET)
     full = (1 << max_atom) - 1
     cols_of = _pyref.column_table(max_atom)
     checked = 0

@@ -82,6 +82,17 @@ class TestEulerClass:
                 assert euler_class(f).is_zero
 
 
+def wide_families(seed, count):
+    # 9 to 40 columns over sparse atom ids below 10**6, so the masks span
+    # two to five bytes
+    rng = random.Random(seed)
+    for _ in range(count):
+        atoms = rng.sample(range(1, 10**6), rng.randint(9, 40))
+        m = rng.randint(2, 3)
+        sets = [set(atoms[j::m]) | set(rng.sample(atoms, rng.randint(0, 2))) for j in range(m)]
+        yield BundleFamily.of(*sets)
+
+
 class TestRenderOverColumns:
     # euler_class keeps its result over column bitmasks and renders from
     # them; the ring.mul fold is keyed by frozensets.  Both must give the
@@ -123,6 +134,10 @@ class TestRenderOverColumns:
             sets += [set(rng.sample(atoms, rng.randint(1, 3))) for _ in range(m)]
             self.assert_renders_as_fold(BundleFamily.of(*sets))
 
+    def test_sparse_families_past_one_byte(self):
+        for f in wide_families(40, 30):
+            self.assert_renders_as_fold(f)
+
     def test_wide_family_terms(self):
         f = BundleFamily.of(range(1, 26), {8, 9}, {16, 17}, {24, 25})
         text = self.assert_renders_as_fold(f)
@@ -136,6 +151,17 @@ class TestFamilyBasics:
         rows, atoms = columns(BundleFamily.of({8, 1}, {17, 9, 1}))
         assert atoms == [1, 8, 9, 17]
         assert rows == ((0, 1), (0, 2, 3))
+
+    def test_columns_descending(self):
+        # atoms descend, each row ascends over those columns, and each row
+        # stands for the same set as in the ascending compression
+        for f in wide_families(41, 30):
+            rows, atoms = columns(f, descending=True)
+            up_rows, up_atoms = columns(f)
+            assert atoms == sorted(up_atoms, reverse=True)
+            for s, row, up_row in zip(f.sets, rows, up_rows):
+                assert list(row) == sorted(set(row))
+                assert {atoms[c] for c in row} == {up_atoms[c] for c in up_row} == s
 
     def test_dimension(self):
         assert dimension(BundleFamily.of({1, 2}, {3})) == 2

@@ -121,3 +121,23 @@ def test_coefficient_sweep_budget_refuses_before_any_work(monkeypatch):
         count = sweep.multisets_from(1, max_m, max_atom)
         with pytest.raises(CapExceeded, match=f"{count} multisets"):
             sweep.sweep_coefficient_identity(max_m, max_atom)
+
+
+def test_coefficient_sweep_has_its_own_budget(monkeypatch):
+    # 6x5 and 2x9 lie within the equivalence sweep's budget but would take
+    # minutes and 20 s of permanents; the coefficient sweep refuses them
+    # before touching a kernel, and still admits 3x6 and criterion 2's 4x4
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused sweep must start no work")
+
+    monkeypatch.setattr(sweep._kernels, "euler_terms", no_work)
+    monkeypatch.setattr(sweep._kernels, "permanent", no_work)
+    budget = sweep.SWEEP_COEFFICIENT_BUDGET
+    assert budget < sweep.SWEEP_MULTISET_BUDGET
+    for max_m, max_atom in ((6, 5), (2, 9)):
+        count = sweep.multisets_from(1, max_m, max_atom)
+        assert budget < count <= sweep.SWEEP_MULTISET_BUDGET
+        with pytest.raises(CapExceeded, match=f"{count} multisets, above the budget of {budget}"):
+            sweep.sweep_coefficient_identity(max_m, max_atom)
+    assert sweep.multisets_from(1, 2, 9) == 131_327
+    assert sweep.multisets_from(1, 4, 4) <= sweep.multisets_from(1, 3, 6) == 45_759 <= budget
