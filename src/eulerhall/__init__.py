@@ -10,114 +10,82 @@ index-relabeling map and certifies that the generated set families keep
 Hall's condition forever, via an explicit recursive labeling.
 """
 
+from importlib import import_module as _import_module
+
 __version__ = "0.1.0"
 
-from ._kernels import backend_name
-from .bundles import (
-    BundleFamily,
-    dimension,
-    direct_sum,
-    euler_class,
-    euler_line,
-    has_duplicate_singleton,
-    index_set,
-)
-from .dynamics import (
-    DynamicsConfig,
-    GammaFamily,
-    LabeledSet,
-    alpha,
-    gamma_generations,
-    hall_certificate_for_prefix,
-    hall_persistence_check,
-    i_set,
-    level,
-    nu,
-    verify_labeling,
-)
-from .errors import (
-    AtomCapExceeded,
-    CapExceeded,
-    DimensionMismatch,
-    EulerHallError,
-    InvalidInput,
-    TheoremViolation,
-)
-from .matching import (
-    HallViolation,
-    MatchingResult,
-    find_violation,
-    hall_exhaustive,
-    hall_via_matching,
-    max_matching,
-    sdr_count,
-    sdr_count_naive,
-)
-from .obstruction import (
-    Analysis,
-    EquivalenceReport,
-    Verdict,
-    VerdictTag,
-    analyze,
-    doubled_verdict,
-    equivalence_report,
-    subordination_verdict,
-    verify_coefficient_identity,
-)
-from .ring import RingElement, generator, monomial, one, product_of_generators, zero
-from .sweep import SweepResult, expected_family_count, sweep_equivalence
+# Each module with the public names it defines; _MODULE_OF maps a name to
+# its module.  A name's module is imported on its first access (PEP 562),
+# so a command loads only the modules it runs.
+_EXPORTS = {
+    "_kernels": ("backend_name",),
+    "bundles": (
+        "BundleFamily",
+        "dimension",
+        "direct_sum",
+        "euler_class",
+        "euler_line",
+        "has_duplicate_singleton",
+        "index_set",
+    ),
+    "dynamics": (
+        "DynamicsConfig",
+        "GammaFamily",
+        "LabeledSet",
+        "alpha",
+        "gamma_generations",
+        "hall_certificate_for_prefix",
+        "hall_persistence_check",
+        "i_set",
+        "level",
+        "nu",
+        "verify_labeling",
+    ),
+    "errors": (
+        "AtomCapExceeded",
+        "CapExceeded",
+        "DimensionMismatch",
+        "EulerHallError",
+        "InvalidInput",
+        "TheoremViolation",
+    ),
+    "matching": (
+        "HallViolation",
+        "MatchingResult",
+        "find_violation",
+        "hall_exhaustive",
+        "hall_via_matching",
+        "max_matching",
+        "sdr_count",
+        "sdr_count_naive",
+    ),
+    "obstruction": (
+        "Analysis",
+        "EquivalenceReport",
+        "Verdict",
+        "VerdictTag",
+        "analyze",
+        "doubled_verdict",
+        "equivalence_report",
+        "subordination_verdict",
+        "verify_coefficient_identity",
+    ),
+    "ring": ("RingElement", "generator", "monomial", "one", "product_of_generators", "zero"),
+    "sweep": ("SweepResult", "expected_family_count", "sweep_equivalence"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "backend_name",
-    "Analysis",
-    "BundleFamily",
-    "DynamicsConfig",
-    "EquivalenceReport",
-    "GammaFamily",
-    "HallViolation",
-    "LabeledSet",
-    "MatchingResult",
-    "RingElement",
-    "SweepResult",
-    "Verdict",
-    "VerdictTag",
-    "alpha",
-    "analyze",
-    "dimension",
-    "direct_sum",
-    "doubled_verdict",
-    "equivalence_report",
-    "euler_class",
-    "euler_line",
-    "expected_family_count",
-    "find_violation",
-    "gamma_generations",
-    "generator",
-    "hall_certificate_for_prefix",
-    "hall_exhaustive",
-    "hall_persistence_check",
-    "hall_via_matching",
-    "has_duplicate_singleton",
-    "i_set",
-    "index_set",
-    "level",
-    "max_matching",
-    "monomial",
-    "nu",
-    "one",
-    "product_of_generators",
-    "sdr_count",
-    "sdr_count_naive",
-    "subordination_verdict",
-    "sweep_equivalence",
-    "verify_coefficient_identity",
-    "verify_labeling",
-    "zero",
-    "AtomCapExceeded",
-    "CapExceeded",
-    "DimensionMismatch",
-    "EulerHallError",
-    "InvalidInput",
-    "TheoremViolation",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -45,7 +45,8 @@ class BundleFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(index_set(s) for s in self.sets))
-        if not isinstance(self.trivial_lines, int) or self.trivial_lines < 0:
+        trivial = self.trivial_lines
+        if not isinstance(trivial, int) or isinstance(trivial, bool) or trivial < 0:
             raise InvalidInput("trivial_lines must be a nonnegative integer")
 
     @classmethod

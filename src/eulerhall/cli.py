@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 input or usage error, 2 internal
 theorem-invariant violation (a disagreement that mathematics forbids).
 All reports go to stdout, diagnostics to stderr; repeated runs on the
-same input are byte-identical.
+same input are byte-identical.  Each command imports the modules it runs
+when it starts, so a sweep never loads the matching or dynamics layers,
+and an analysis never loads the sweep.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import functools
 import json
 import sys
 
-from . import __version__, dynamics, obstruction, selftest, sweep
-from .bundles import BundleFamily, euler_class
+from . import __version__
 from .errors import EulerHallError, InvalidInput, TheoremViolation
 
 SWEEP_DEFAULT_M_CAP = 4
@@ -96,7 +97,9 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _load_family(path: str) -> BundleFamily:
+def _load_family(path: str):
+    from . import bundles
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -104,7 +107,7 @@ def _load_family(path: str) -> BundleFamily:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
-    return BundleFamily.from_json_dict(data)
+    return bundles.BundleFamily.from_json_dict(data)
 
 
 def _header(command: str) -> dict:
@@ -134,6 +137,8 @@ def _text_value(value) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from . import obstruction
+
     family = _load_family(args.family)
     report = _header("analyze")
     report["family"] = family.to_json_dict()
@@ -152,8 +157,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from . import bundles
+
     family = _load_family(args.family)
-    e = euler_class(family)
+    e = bundles.euler_class(family)
     report = _header("euler")
     report["family"] = family.to_json_dict()
     report["euler_class"] = e.render()
@@ -164,6 +171,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweep
+
     if not args.force:
         if args.max_m > SWEEP_DEFAULT_M_CAP:
             raise InvalidInput(
@@ -188,6 +197,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    from . import dynamics
+
     if args.window > DYNAMICS_WINDOW_CAP:
         raise InvalidInput(f"--window capped at {DYNAMICS_WINDOW_CAP}")
     if args.depth > DYNAMICS_DEPTH_CAP:
@@ -225,6 +236,8 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
+
     results = selftest.run_selftest()
     report = _header("selftest")
     report["checks"] = {name: ok for name, ok in results}

@@ -157,10 +157,13 @@ class DynamicsConfig:
     atom_cap: int | None = None  # atoms are Python ints; None leaves them unbounded
 
     def __post_init__(self):
-        if not isinstance(self.window, int) or self.window < 1:
+        if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
             raise InvalidInput("window must be an integer >= 1")
-        if not isinstance(self.depth, int) or self.depth < 0:
+        if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 0:
             raise InvalidInput("depth must be a nonnegative integer")
+        cap = self.atom_cap
+        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
+            raise InvalidInput(f"atom_cap must be None or an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,15 @@ the smallest subset's bitmask, into chunks of equal multiset counts.
 The coefficient sweep walks the same multisets with the same weights,
 one family at a time.  Each sweep refuses a request above its own budget
 of multisets (``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``)
-before any work starts.
+before any work starts.  The process pool (``ProcessPoolExecutor``, a
+module attribute that callers may replace) is imported on first use, so
+only a sweep with more than one job loads ``concurrent.futures`` and
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -95,7 +97,8 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
     Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
     ``CapExceeded`` before any work starts.  ``jobs`` worker processes
     split the range of smallest subsets into chunks of equal multiset
-    counts; no more are started than there are CPUs or subsets.
+    counts; no more are started than there are CPUs or subsets.  A process
+    pool is imported only for ``jobs`` above 1.
     """
     _check_caps(max_m, max_atom)
     if jobs < 1:
@@ -109,11 +112,23 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
         bounds = _balanced_bounds(max_m, max_atom, jobs)
         chunks = [(max_m, max_atom, bounds[k], bounds[k + 1]) for k in range(jobs)]
         checked = mismatches = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # read as a module attribute, so that a caller's replacement is used
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=jobs) as pool:
             for c, mis in pool.map(_equivalence_chunk, chunks):
                 checked += c
                 mismatches += mis
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=mismatches)
+
+
+def __getattr__(name):
+    # PEP 562: the pool class is bound here on its first access
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _balanced_bounds(max_m: int, max_atom: int, jobs: int) -> list[int]:

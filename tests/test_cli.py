@@ -294,7 +294,7 @@ class TestDynamics:
         assert code == 1 and "--depth" in err
 
     def test_labeling_failure_exits_two(self, capsys, monkeypatch):
-        from eulerhall import cli, dynamics
+        from eulerhall import dynamics
 
         broken = dynamics.LabelingReport(
             membership_ok=True,
@@ -302,7 +302,7 @@ class TestDynamics:
             level_ok=True,
             injective_failure="label 9 repeats",
         )
-        monkeypatch.setattr(cli.dynamics, "verify_labeling", lambda fam: broken)
+        monkeypatch.setattr(dynamics, "verify_labeling", lambda fam: broken)
         code, out, err = run_main(capsys, "dynamics", "--window", "1", "--depth", "1")
         assert code == 2
         assert "labeling" in err

@@ -375,6 +375,25 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             DynamicsConfig(window=1, depth=-1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"window": True, "depth": 1},
+        {"window": 1, "depth": False},
+        {"window": 1.0, "depth": 1},
+        {"window": 1, "depth": "2"},
+        {"window": 1, "depth": 1, "atom_cap": "5"},
+        {"window": 1, "depth": 1, "atom_cap": -5},
+        {"window": 1, "depth": 1, "atom_cap": 0},
+        {"window": 1, "depth": 1, "atom_cap": True},
+        {"window": 1, "depth": 1, "atom_cap": 5.0},
+    ])
+    def test_rejects_bools_and_bad_caps(self, kwargs):
+        with pytest.raises(InvalidInput):
+            DynamicsConfig(**kwargs)
+
+    def test_accepts_unbounded_and_positive_caps(self):
+        assert DynamicsConfig(window=1, depth=0).atom_cap is None
+        assert DynamicsConfig(window=1, depth=0, atom_cap=1).atom_cap == 1
+
     def test_labeled_set_is_frozen(self):
         ls = LabeledSet(atoms=frozenset({1}), provenance=(), label=1)
         with pytest.raises(Exception):
