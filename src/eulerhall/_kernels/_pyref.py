@@ -1,11 +1,14 @@
 """Kernels over bitmasks: the one implementation behind ``_kernels``.
 
 The sweep walks each family once up to row order: only the non-decreasing
-sequences of subset bitmasks, each weighted by its number of orderings,
-extending each route's state by one row.  Its contract is the same
-(checked, mismatches) as a per-family check over every ordered family
-whose smallest subset lies in a given range.  Integers are Python ints
-throughout, so there are no width limits.
+sequences of subset bitmasks, each weighted by its number of orderings.
+It extends each route's state by one row, and stops extending a route
+once that route's answer is no for every descendant.  The last row is
+decided for every mask at once: each route turns one summary of the
+parent into a bitset over the masks on which it answers yes.  The
+contract is the same (checked, mismatches) as a per-family check over
+every ordered family whose smallest subset lies in a given range.
+Integers are Python ints throughout, so there are no width limits.
 
 Conventions:
 
@@ -195,7 +198,9 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     and a maximum matching saturates it, all three or none.  Returns
     (families checked, disagreements), both counted over ordered
     families; the sums over any partition of [1, 2**max_atom) equal the
-    full range's.
+    full range's.  A bound outside 1 <= lo, hi <= 2**max_atom raises
+    ValueError (mask 0 is the empty set, no subset); an empty range or
+    max_m < 1 checks nothing.
 
     All three routes are invariant under permuting rows, so only the
     non-decreasing mask sequences are visited: the children of a node
@@ -210,22 +215,37 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     piece per route, by its last row:
 
     * Euler: the {mask: coeff} expansion, times one more row;
-    * Hall: the column union of every subset of rows, indexed by the
-      subset's bitmask as in ``hall_violation``, and whether some subset
-      already has too few columns;
+    * Hall: {column union: most rows with that union} over the subsets of
+      rows, the empty subset included, or None once some subset has fewer
+      columns than rows;
     * matching: a maximum matching, grown by one augmenting-path search
-      from the new row (by Berge's lemma it stays maximum).
+      from the new row (by Berge's lemma it stays maximum) while it
+      saturates the rows.
 
-    Families of length max_m are decided from summaries of their parent
-    instead; see ``_last_rows``.
+    A route whose answer is no stays no for every descendant (an empty
+    product times a row is empty, a violating subset stays in the family,
+    and a row raises the maximum matching by at most one), so its state
+    stops changing there.  Families one row short of max_m keep only a
+    summary per route (``_next_to_last``), and the families of length
+    max_m are decided from it, every mask at once, as bitsets over the
+    masks (``_last_row_routes``).
     """
-    if max_m < 1:
+    end = 1 << max_atom
+    if lo < 1 or hi > end:
+        raise ValueError(f"sweep range [{lo}, {hi}) is not within [1, {end})")
+    if max_m < 1 or lo >= hi:
         return 0, 0
     cols_of = column_table(max_atom)
-    # the root is the empty family: product 1, one empty union, empty
-    # matching, weight 1 and no last mask (0 is no subset's mask)
-    return _extend(max_m, cols_of, [], {0: 1}, [0], False, [-1] * max_atom, [], 0,
-                   1, 0, 0, range(lo, hi))
+    if max_m == 1:
+        # the summaries of the empty family: its one monomial and its one
+        # subset are both empty, and every column is free
+        return _last_rows(k=0, weight=1, last=0, run=0, common=0, tight=[0], reach=end - 1,
+                          full=end - 1, lo=lo, hi=hi)
+    # the root is the empty family: product 1, only the empty subset (no
+    # rows, no columns), empty matching, weight 1 and no last mask (0 is
+    # no subset's mask)
+    return _extend(max_m, cols_of, [], [], {0: 1}, {0: 0}, ([-1] * max_atom, [], 0),
+                   1, 0, 0, lo, hi)
 
 
 @functools.lru_cache(maxsize=1)
@@ -241,107 +261,213 @@ def column_table(ncols):
     return tuple(table)
 
 
-def _extend(max_m, cols_of, rows, terms, unions, violated, row_of, col_of, matched,
-            weight, last, run, masks):
+def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, lo, hi):
     # Weighted (checked, mismatches) over the families rows + [mask], mask
-    # in masks, and all their non-decreasing descendants.  The other
-    # arguments are the state of rows: each route's state, the number of
-    # orderings `weight`, the last mask and the length `run` of the run of
-    # equal masks at the end.
+    # in [lo, hi), and all their non-decreasing descendants.  The other
+    # arguments are the state of rows: their masks, each route's state
+    # (an empty product, None for Hall or None for the matching once that
+    # route answers no), the number of orderings `weight`, the last mask
+    # and the length `run` of the run of equal masks at the end.  A child
+    # repeating the last mask has weight `repeat`, every other child
+    # `fresh`.
     k = len(rows)
-    full = len(cols_of) - 1
-    if k == max_m - 1:
-        return _last_rows(rows, terms, unions, violated, row_of, matched, weight, last, run,
-                          masks, full)
+    if k == max_m - 2:
+        return _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, lo, hi)
+    fresh = weight * (k + 1)
+    repeat = fresh // (run + 1)
+    end = len(cols_of)
     checked = mismatches = 0
-    for mask in masks:
+    for mask in range(lo, hi):
         cols = cols_of[mask]
         rows.append(cols)
-        child_terms = _euler_step(terms, cols)
-        # the new subsets are sub | 1 << k, one row larger than sub
-        grown = [u | mask for u in unions]
-        child_violated = violated or any(
-            u.bit_count() <= sub.bit_count() for sub, u in enumerate(grown)
-        )
-        child_row_of = row_of[:]
-        child_col_of = col_of + [-1]
-        child_matched = matched + _augment(
-            k, rows, child_row_of, child_col_of, bytearray(len(row_of))
-        )
-        child_run = run + 1 if mask == last else 1
-        child_weight = weight * (k + 1) // child_run
+        masks.append(mask)
+        child_terms = _euler_step(terms, cols) if terms else terms
+        child_hall = hall
+        if hall is not None:
+            # the new subsets are the old ones plus the new row
+            child_hall = hall.copy()
+            for u, size in hall.items():
+                grown = u | mask
+                if grown.bit_count() <= size:
+                    child_hall = None
+                    break
+                if child_hall.get(grown, -1) <= size:
+                    child_hall[grown] = size + 1
+        child_match = None if match is None else _match_row(rows, mask, *match)
+        if mask == last:
+            child_weight, child_run = repeat, run + 1
+        else:
+            child_weight, child_run = fresh, 1
         checked += child_weight
-        if not (bool(child_terms) == (not child_violated) == (child_matched == k + 1)):
+        if not (bool(child_terms) == (child_hall is not None) == (child_match is not None)):
             mismatches += child_weight
-        below = _extend(max_m, cols_of, rows, child_terms, unions + grown, child_violated,
-                        child_row_of, child_col_of, child_matched, child_weight, mask,
-                        child_run, range(mask, full + 1))
+        below = _extend(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
+                        child_weight, mask, child_run, mask, end)
         checked += below[0]
         mismatches += below[1]
         rows.pop()
+        masks.pop()
     return checked, mismatches
 
 
-def _last_rows(rows, terms, unions, violated, row_of, matched, weight, last, run, masks, full):
-    # Weighted (checked, mismatches) over the families rows + [mask], mask
-    # in masks; weight, last and run describe rows as in _extend.
-    # Each route summarizes the parent once, then decides each child:
-    # * Euler: the product stays nonzero iff some parent monomial misses a
-    #   column of the new row, i.e. iff the row is not inside their
-    #   intersection `common`;
-    # * Hall: the child's new subsets are each parent subset plus the new
-    #   row.  A parent that holds gives every distinct union u at least
-    #   `largest[u]` columns, the largest subset size that has it, so
-    #   u | row is too small iff u is tight (exactly largest[u] columns)
-    #   and contains the row;
-    # * matching: the maximum matching grows iff an augmenting path starts
-    #   at the new row, i.e. iff the row meets `reach`.
+def _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, lo, hi):
+    # _extend for the families rows + [mask] one row short of max_m: each
+    # child's state is only the summary that _last_rows reads, or None
+    # where its route answers no:
+    # * Euler: the intersection `common` of the child's monomials.  Those
+    #   of a parent monomial are it plus one column of the new row that it
+    #   misses, so their intersection is the monomial itself, or plus that
+    #   column if it misses only one;
+    # * Hall: the tight unions, with exactly as many columns as the most
+    #   rows that have them.  A child that holds keeps the parent's and
+    #   adds each parent union plus the new row that becomes tight;
+    # * matching: the alternating reach of the child's maximum matching.
     k = len(rows)
-    common = full
-    for mono in terms:
-        common &= mono
-    largest = {}
-    for sub, u in enumerate(unions):
-        size = sub.bit_count()
-        if largest.get(u, -1) < size:
-            largest[u] = size
-    tight = [u for u, size in largest.items() if u.bit_count() == size]
-    reach = _alternating_reach(rows, row_of)
-    # every child has this weight, except one repeating the last mask
     fresh = weight * (k + 1)
     repeat = fresh // (run + 1)
-    checked = fresh * len(masks)
-    if last in masks:
-        checked += repeat - fresh
-    mismatches = 0
-    for mask in masks:
-        nonzero = bool(terms) and mask & ~common != 0
-        hall = not violated
-        if hall:
-            for u in tight:
-                if mask & ~u == 0:
-                    hall = False
+    full = len(cols_of) - 1
+    tight = near = None
+    if hall is not None:
+        # only a union with at most one spare column can fail or become
+        # tight with one more row
+        near = [(u, size) for u, size in hall.items() if u.bit_count() <= size + 1]
+        tight = [u for u, size in near if u.bit_count() == size]
+    checked = mismatches = 0
+    for mask in range(lo, hi):
+        common = None
+        if terms:
+            acc = full
+            for mono in terms:
+                miss = mask & ~mono
+                if miss:
+                    acc &= mono if miss & (miss - 1) else mono | miss
+                    common = acc
+        child_tight = None
+        if hall is not None:
+            child_tight = tight[:]
+            for u, size in near:
+                spare = (u | mask).bit_count() - size - 1
+                if spare < 0:
+                    child_tight = None
                     break
-        saturated = matched == k and mask & reach != 0
-        if not (nonzero == hall == saturated):
-            mismatches += repeat if mask == last else fresh
+                if not spare:
+                    child_tight.append(u | mask)
+        reach = None
+        if match is not None:
+            rows.append(cols_of[mask])
+            masks.append(mask)
+            child_match = _match_row(rows, mask, *match)
+            if child_match is not None:
+                reach = _alternating_reach(masks, child_match[1], full & ~child_match[2])
+            rows.pop()
+            masks.pop()
+        if mask == last:
+            child_weight, child_run = repeat, run + 1
+        else:
+            child_weight, child_run = fresh, 1
+        checked += child_weight
+        if not ((common is not None) == (child_tight is not None) == (reach is not None)):
+            mismatches += child_weight
+        below = _last_rows(k + 1, child_weight, mask, child_run, common, child_tight, reach,
+                           full, mask, full + 1)
+        checked += below[0]
+        mismatches += below[1]
     return checked, mismatches
 
 
-def _alternating_reach(rows, row_of):
+def _match_row(rows, mask, row_of, col_of, used):
+    # The matching state (row_of, col_of, used columns) of rows, whose last
+    # row has mask `mask`, grown from the maximum matching of the rows
+    # before it, which saturates them; None if no matching saturates rows.
+    # A free column of the new row is taken directly, the lowest one;
+    # otherwise an augmenting path is searched from the new row.
+    k = len(rows) - 1
+    row_of = row_of[:]
+    free = mask & ~used
+    if free:
+        low = free & -free
+        c = low.bit_length() - 1
+        row_of[c] = k
+        return row_of, col_of + [c], used | low
+    col_of = col_of + [-1]
+    if not _augment(k, rows, row_of, col_of, bytearray(len(row_of))):
+        return None
+    # the path ends at the one column that was free before
+    for c in col_of:
+        if not used >> c & 1:
+            return row_of, col_of, used | 1 << c
+
+
+def _last_rows(k, weight, last, run, common, tight, reach, full, lo, hi):
+    # Weighted (checked, mismatches) over the families rows + [mask], mask
+    # in [lo, hi), where rows has k rows and is described by weight, last
+    # and run as in _extend and by its summaries as in _next_to_last.
+    # Every child has weight `fresh`, except one repeating the last mask.
+    euler, hall_ok, saturated = _last_row_routes(common, tight, reach, full, lo, hi)
+    wrong = (euler ^ hall_ok) | (hall_ok ^ saturated)
+    fresh = weight * (k + 1)
+    checked = fresh * (hi - lo)
+    mismatches = fresh * wrong.bit_count()
+    if lo <= last < hi:
+        repeat = fresh // (run + 1)
+        checked += repeat - fresh
+        mismatches += (repeat - fresh) * (wrong >> last & 1)
+    return checked, mismatches
+
+
+def _last_row_routes(common, tight, reach, full, lo, hi):
+    # The children rows + [mask], mask in [lo, hi), as three bitsets over
+    # the child masks (bit `mask` set where the route answers yes), each
+    # read off one summary of the parent rows, or empty where the parent's
+    # summary is None:
+    # * Euler: the product stays nonzero iff the new row is not inside the
+    #   intersection `common` of the parent's monomials;
+    # * Hall: a parent that holds gives each union at least as many columns
+    #   as the most rows that have it, so the child fails iff the new row
+    #   lies inside a tight union;
+    # * matching: the maximum matching grows iff an augmenting path starts
+    #   at the new row, i.e. iff the row meets the alternating reach.
+    span = (1 << hi) - (1 << lo)
+    euler = hall_ok = saturated = 0
+    if common is not None:
+        euler = span & ~_submasks(common)
+    if tight is not None:
+        blocked = 0
+        for u in tight:
+            blocked |= _submasks(u)
+        hall_ok = span & ~blocked
+    if reach is not None:
+        saturated = span & ~_submasks(full & ~reach)
+    return euler, hall_ok, saturated
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _submasks(u):
+    # Bitset of the sub-masks of u, the empty mask included: bit s is set
+    # iff s & ~u == 0.  Each is built from the one without u's lowest bit.
+    if not u:
+        return 1
+    low = u & -u
+    rest = _submasks(u ^ low)
+    return rest | rest << low
+
+
+def _alternating_reach(masks, col_of, free):
     # Bitmask of the columns from which an alternating path ends at a free
-    # column: the free columns, then every matched column whose row meets
-    # a column already reached.
-    row_masks = [sum(1 << c for c in cols) for cols in rows]
-    reach = 0
-    for c, r in enumerate(row_of):
-        if r < 0:
-            reach |= 1 << c
+    # column, for a matching col_of that saturates the rows with the given
+    # masks: the free columns, then every matched column whose row meets a
+    # column already reached.
+    reach = free
+    pending = list(zip(col_of, masks))
     grew = True
     while grew:
         grew = False
-        for c, r in enumerate(row_of):
-            if r >= 0 and not reach >> c & 1 and row_masks[r] & reach:
+        rest = []
+        for c, mask in pending:
+            if mask & reach:
                 reach |= 1 << c
                 grew = True
+            else:
+                rest.append((c, mask))
+        pending = rest
     return reach

@@ -36,7 +36,8 @@ from .errors import CapExceeded, InvalidInput
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
 # The slowest size within it, 6 sets over 5 atoms (2,324,783 multisets),
-# takes 8-9 s serial on a 2-core x86-64 machine; 5x6 (10,424,127) and
+# takes 2.2-2.7 s serial on a 2-core x86-64 machine (8-9 s before the
+# last row was decided for every mask at once); 5x6 (10,424,127) and
 # 4x7 (11,716,639) are the smallest sizes above it.
 SWEEP_MULTISET_BUDGET = 10_000_000
 # The coefficient sweep expands each multiset's Euler product and computes

@@ -8,7 +8,10 @@ kernels.  Both must report the same (checked, mismatches) on every range
 of smallest subsets.
 """
 
+import random
+from functools import reduce
 from itertools import accumulate, combinations_with_replacement, product
+from operator import and_
 
 import pytest
 
@@ -141,3 +144,115 @@ def test_coefficient_sweep_has_its_own_budget(monkeypatch):
             sweep.sweep_coefficient_identity(max_m, max_atom)
     assert sweep.multisets_from(1, 2, 9) == 131_327
     assert sweep.multisets_from(1, 4, 4) <= sweep.multisets_from(1, 3, 6) == 45_759 <= budget
+
+
+def test_range_must_lie_within_the_subsets():
+    # mask 0 is the empty set, no subset; a range reaching it or past the
+    # last subset is refused rather than swept
+    assert _pyref.sweep_equivalence_range(2, 3, 1, 8) == oracle_range(2, 3, 1, 8) == (56, 0)
+    for lo, hi in ((0, 8), (0, 1), (-1, 4), (1, 9), (5, 9)):
+        with pytest.raises(ValueError, match="not within"):
+            _pyref.sweep_equivalence_range(2, 3, lo, hi)
+    assert _pyref.sweep_equivalence_range(2, 3, 6, 2) == (0, 0)
+    assert _pyref.sweep_equivalence_range(-1, 3, 1, 8) == (0, 0)
+
+
+def oracle_by_smallest(max_m, max_atom):
+    """Oracle (checked, mismatches) per smallest subset, from one pass over the families."""
+    full = (1 << max_atom) - 1
+    cols_of = [tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(full + 1)]
+    checked = [0] * (full + 1)
+    mismatches = [0] * (full + 1)
+    for m in range(1, max_m + 1):
+        for fam in product(range(1, full + 1), repeat=m):
+            rows = [cols_of[mask] for mask in fam]
+            nonzero = bool(euler_terms(rows, max_atom))
+            hall = hall_violation(rows, max_atom) < 0
+            saturated = all(c >= 0 for c in max_matching(rows, max_atom))
+            checked[min(fam)] += 1
+            mismatches[min(fam)] += not (nonzero == hall == saturated)
+    return checked, mismatches
+
+
+@pytest.mark.parametrize("max_m,max_atom", [(2, 6), (2, 7), (1, 8), (3, 5)])
+def test_wide_full_range_matches_oracle(max_m, max_atom):
+    # the last rows are decided as bitsets over 2**max_atom masks
+    end = 1 << max_atom
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
+        max_m, max_atom, 1, end)
+
+
+def test_wide_subranges_match_oracle():
+    checked, mismatches = oracle_by_smallest(2, 7)
+    rng = random.Random(7)
+    for _ in range(20):
+        lo, hi = sorted(rng.sample(range(1, 129), 2))
+        expected = (sum(checked[lo:hi]), sum(mismatches[lo:hi]))
+        assert _pyref.sweep_equivalence_range(2, 7, lo, hi) == expected, (lo, hi)
+
+
+@pytest.mark.parametrize("max_m,max_atom", [(2, 10), (7, 4), (3, 8)])
+def test_sizes_beyond_the_oracle_agree(max_m, max_atom):
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
+        sweep.expected_family_count(max_m, max_atom), 0)
+
+
+def test_submask_bitsets():
+    for u in range(64):
+        assert _pyref._submasks(u) == sum(1 << s for s in range(64) if s & ~u == 0), u
+
+
+def saturates(rows, ncols):
+    return all(c >= 0 for c in max_matching(rows, ncols))
+
+
+def summaries(rows, ncols):
+    """What _last_row_routes reads of a parent, each computed directly: the
+    intersection of its monomials, its tight unions and the columns that
+    some saturating matching leaves free; None where the route fails."""
+    terms = euler_terms(rows, ncols)
+    common = reduce(and_, terms, (1 << ncols) - 1) if terms else None
+    tight = None
+    if hall_violation(rows, ncols) < 0:
+        largest = {}
+        for sub in range(1 << len(rows)):
+            union = 0
+            for j, row in enumerate(rows):
+                if sub >> j & 1:
+                    union |= sum(1 << c for c in row)
+            largest[union] = max(largest.get(union, 0), bin(sub).count("1"))
+        tight = [u for u, size in largest.items() if bin(u).count("1") == size]
+    reach = None
+    if saturates(rows, ncols):
+        reach = sum(
+            1 << c for c in range(ncols)
+            if saturates([tuple(x for x in row if x != c) for row in rows], ncols)
+        )
+    return common, tight, reach
+
+
+def test_last_row_routes_match_each_kernel():
+    # each route's bitset on its own, so that an error shared by all three,
+    # which no count of disagreements can see, still shows
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        full = (1 << ncols) - 1
+        cols_of = _pyref.column_table(ncols)
+        rows = [cols_of[rng.randint(1, full)] for _ in range(rng.randint(0, 4))]
+        lo = rng.randint(1, full)
+        hi = rng.randint(lo, full + 1)
+        routes = _pyref._last_row_routes(*summaries(rows, ncols), full, lo, hi)
+        for route in routes:
+            assert route >> lo << lo == route and route >> hi == 0
+        for mask in range(lo, hi):
+            child = rows + [cols_of[mask]]
+            expected = (
+                bool(euler_terms(child, ncols)),
+                hall_violation(child, ncols) < 0,
+                saturates(child, ncols),
+            )
+            assert tuple(bool(route >> mask & 1) for route in routes) == expected, (rows, mask)
+            seen.add(expected)
+    assert seen == {(True, True, True), (False, False, False)}
