@@ -1,14 +1,20 @@
 """Kernels over bitmasks: the one implementation behind ``_kernels``.
 
-The sweep walks each family once up to row order: only the non-decreasing
-sequences of subset bitmasks, each weighted by its number of orderings.
-It extends each route's state by one row, and stops extending a route
-once that route's answer is no for every descendant.  The last row is
-decided for every mask at once: each route turns one summary of the
-parent into a bitset over the masks on which it answers yes.  The
-contract is the same (checked, mismatches) as a per-family check over
-every ordered family whose smallest subset lies in a given range.
-Integers are Python ints throughout, so there are no width limits.
+The sweep of the full range walks ordered row prefixes up to atom
+relabeling: one prefix per orbit under the permutations of the atoms
+that fix the rows chosen so far, weighted by the orbit's size.  At each
+node a closed-form count of the nodes below it picks the cheaper walk
+for the remaining rows: more orbits, or the multiset walk, which visits
+only the non-decreasing sequences of subset bitmasks, each weighted by
+its number of orderings.  A proper sub-range is not closed under
+relabeling and takes the multiset walk from the root.  Both walks extend
+each route's state by one row, and stop extending a route once that
+route's answer is no for every descendant.  The last row is decided for
+every mask at once: each route turns one summary of the parent into a
+bitset over the masks on which it answers yes.  The contract is the same
+(checked, mismatches) as a per-family check over every ordered family
+whose smallest subset lies in a given range.  Integers are Python ints
+throughout, so there are no width limits.
 
 Conventions:
 
@@ -20,6 +26,8 @@ Conventions:
 """
 
 import functools
+from itertools import product
+from math import comb
 
 
 def euler_terms(rows, ncols):
@@ -202,14 +210,29 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     ValueError (mask 0 is the empty set, no subset); an empty range or
     max_m < 1 checks nothing.
 
-    All three routes are invariant under permuting rows, so only the
-    non-decreasing mask sequences are visited: the children of a node
-    whose last mask is s run over s..2**max_atom - 1.  A visited family
-    with mask multiplicities mult stands for its m!/prod(mult!) orderings
-    and adds that weight to both counts.  The weight is kept along the
-    walk: a child of length k+1 has its parent's weight times (k+1)/r,
-    where r is the multiplicity of its last mask (the length of the run
-    of equal masks at its end).
+    All three routes are invariant under permuting atoms, so the full
+    range is walked up to relabeling (``_orbit_walk``): a node is an
+    ordered prefix standing for its orbit under the permutations of the
+    atoms, weighted by the orbit's size.  The atoms that no row chosen so
+    far tells apart form the cells of the prefix's stabilizer; the masks
+    taking t atoms from a cell of c atoms, for every cell, form one orbit
+    of C(c, t) choices per cell, represented by the first t atoms of each
+    cell.  Every ordered family is thus counted exactly once, through its
+    orbit, with no canonical-form test.  At each node ``_walk_cost``
+    compares the nodes that more orbits and the multiset walk would visit
+    below it, and the node hands its remaining rows to the cheaper one.
+
+    All three routes are invariant under permuting rows too, so the
+    multiset walk (``_extend``) visits only the non-decreasing mask
+    sequences of the rows after its start: the children of a node whose
+    last mask is s run over s..2**max_atom - 1.  A visited family whose
+    rows after the start have mask multiplicities mult stands for their
+    j!/prod(mult!) orderings, j rows in all, times the weight of the start,
+    and adds that to both counts.  The weight is kept along the walk: a
+    child with j+1 rows after the start has its parent's weight times
+    (j+1)/r, where r is the multiplicity of its last mask (the length of
+    the run of equal masks at its end).  A proper sub-range is not closed
+    under relabeling, so its walk is the multiset walk from the root.
 
     Each visited family extends its parent's state, one independent
     piece per route, by its last row:
@@ -226,9 +249,10 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     product times a row is empty, a violating subset stays in the family,
     and a row raises the maximum matching by at most one), so its state
     stops changing there.  Families one row short of max_m keep only a
-    summary per route (``_next_to_last``), and the families of length
-    max_m are decided from it, every mask at once, as bitsets over the
-    masks (``_last_row_routes``).
+    summary per route (``_next_to_last``, or ``_summaries`` of an orbit
+    node's own state), and the families of length max_m are decided from
+    it, every mask at once, as bitsets over the masks
+    (``_last_row_routes``).
     """
     end = 1 << max_atom
     if lo < 1 or hi > end:
@@ -236,16 +260,127 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     if max_m < 1 or lo >= hi:
         return 0, 0
     cols_of = column_table(max_atom)
-    if max_m == 1:
-        # the summaries of the empty family: its one monomial and its one
-        # subset are both empty, and every column is free
-        return _last_rows(k=0, weight=1, last=0, run=0, common=0, tight=[0], reach=end - 1,
-                          full=end - 1, lo=lo, hi=hi)
     # the root is the empty family: product 1, only the empty subset (no
-    # rows, no columns), empty matching, weight 1 and no last mask (0 is
-    # no subset's mask)
-    return _extend(max_m, cols_of, [], [], {0: 1}, {0: 0}, ([-1] * max_atom, [], 0),
-                   1, 0, 0, lo, hi)
+    # rows, no columns), empty matching, weight 1; no row tells two atoms
+    # apart, so its stabilizer has one cell
+    terms, hall, match = {0: 1}, {0: 0}, ([-1] * max_atom, [], 0)
+    if lo == 1 and hi == end:
+        return _orbit_walk(max_m, cols_of, [], [], terms, hall, match, 1, (tuple(range(max_atom)),))
+    if max_m == 1:
+        return _last_rows(0, 1, 0, 0, *_summaries([], terms, hall, match, end - 1), end - 1, lo, hi)
+    # no last mask (0 is no subset's mask)
+    return _extend(max_m, cols_of, [], [], terms, hall, match, 1, 0, 0, 0, lo, hi)
+
+
+def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells):
+    # Weighted (checked, mismatches) over the families that extend rows by
+    # 1..max_m - len(rows) rows, for all `weight` prefixes in the orbit of
+    # rows; the arguments after rows are as in _extend, and `cells` are
+    # the cells of the stabilizer of rows, as tuples of columns.
+    left = max_m - len(rows)
+    full = len(cols_of) - 1
+    if left == 1:
+        # every mask at once, each child once per prefix in the orbit (no
+        # row walked as multisets, k = 0)
+        return _last_rows(0, weight, 0, 0, *_summaries(masks, terms, hall, match, full), full,
+                          1, full + 1)
+    if not _walk_cost(tuple(sorted(map(len, cells))), left)[1]:
+        return _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, 0, 0, 0,
+                       1, full + 1)
+    checked = mismatches = 0
+    for mask, size, child_cells in _orbits(cells):
+        cols = cols_of[mask]
+        rows.append(cols)
+        masks.append(mask)
+        child_terms = _euler_step(terms, cols) if terms else terms
+        child_hall = None if hall is None else _hall_row(hall, mask)
+        child_match = None if match is None else _match_row(rows, mask, *match)
+        child_weight = weight * size
+        checked += child_weight
+        if not (bool(child_terms) == (child_hall is not None) == (child_match is not None)):
+            mismatches += child_weight
+        below = _orbit_walk(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
+                            child_weight, child_cells)
+        checked += below[0]
+        mismatches += below[1]
+        rows.pop()
+        masks.pop()
+    return checked, mismatches
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _orbits(cells):
+    # The orbits of the nonempty masks under the permutations of columns
+    # within each cell, as (representative, orbit size, cells of the
+    # representative's stabilizer): one orbit per choice of a count t of
+    # each cell's columns, represented by the first t columns of each cell,
+    # of size the product of C(len(cell), t), and splitting each cell into
+    # its first t columns and the rest.
+    choices = []
+    for cell in cells:
+        prefix = 0
+        options = []
+        for t in range(len(cell) + 1):
+            parts = [part for part in (cell[:t], cell[t:]) if part]
+            options.append((prefix, comb(len(cell), t), parts))
+            if t < len(cell):
+                prefix |= 1 << cell[t]
+        choices.append(options)
+    orbits = []
+    for pick in product(*choices):
+        mask = 0
+        size = 1
+        split = []
+        for prefix, count, parts in pick:
+            mask |= prefix
+            size *= count
+            split += parts
+        if mask:
+            orbits.append((mask, size, tuple(split)))
+    return tuple(orbits)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _walk_cost(sizes, left):
+    # (cost, orbits) for a node whose stabilizer has cells of the given
+    # sorted sizes and which has `left` rows still to add: the cost of the
+    # cheaper walk below it, each orbit node choosing its own walk in
+    # turn, and whether that is the orbit walk (else the multiset walk; a
+    # tie goes to it).  The cost counts the nodes above the last row.  The
+    # multiset walk visits C(n + j - 1, j) with j more rows, over n masks,
+    # and sum_j C(n + j - 1, j) = C(n + left - 1, left - 1) - 1 over j in
+    # 1..left-1.  An orbit node one row short of the last counts twice: it
+    # builds its own route states before it reads their summaries, where
+    # the multiset walk reads them off the parent's.
+    if left == 1:
+        return 0, False
+    n = (1 << sum(sizes)) - 1
+    multiset = comb(n + left - 1, left - 1) - 1
+    cells, start = [], 0
+    for size in sizes:
+        cells.append(tuple(range(start, start + size)))
+        start += size
+    node = 2 if left == 2 else 1
+    walked = sum(node + _walk_cost(tuple(sorted(map(len, split))), left - 1)[0]
+                 for _, _, split in _orbits(tuple(cells)))
+    return (walked, True) if walked < multiset else (multiset, False)
+
+
+def _summaries(masks, terms, hall, match, full):
+    # What _last_row_routes reads of a family, from its own route states:
+    # the intersection of its monomials, its tight unions (as many columns
+    # as the most rows that have them) and the alternating reach of its
+    # maximum matching, each None where its route answers no.
+    common = tight = reach = None
+    if terms:
+        common = full
+        for mono in terms:
+            common &= mono
+    if hall is not None:
+        tight = [u for u, size in hall.items() if u.bit_count() == size]
+    if match is not None:
+        reach = _alternating_reach(masks, match[1], full & ~match[2])
+    return common, tight, reach
 
 
 @functools.lru_cache(maxsize=1)
@@ -261,18 +396,18 @@ def column_table(ncols):
     return tuple(table)
 
 
-def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, lo, hi):
+def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, k, lo, hi):
     # Weighted (checked, mismatches) over the families rows + [mask], mask
     # in [lo, hi), and all their non-decreasing descendants.  The other
     # arguments are the state of rows: their masks, each route's state
     # (an empty product, None for Hall or None for the matching once that
-    # route answers no), the number of orderings `weight`, the last mask
-    # and the length `run` of the run of equal masks at the end.  A child
-    # repeating the last mask has weight `repeat`, every other child
-    # `fresh`.
-    k = len(rows)
-    if k == max_m - 2:
-        return _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, lo, hi)
+    # route answers no), the weight, the last mask and the length `run` of
+    # the run of equal masks at the end, all of the k rows after the
+    # walk's start (the rows before it are ordered, counted in the weight
+    # of the start).  A child repeating the last mask has weight
+    # `repeat`, every other child `fresh`.
+    if len(rows) == max_m - 2:
+        return _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, k, lo, hi)
     fresh = weight * (k + 1)
     repeat = fresh // (run + 1)
     end = len(cols_of)
@@ -282,17 +417,7 @@ def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, 
         rows.append(cols)
         masks.append(mask)
         child_terms = _euler_step(terms, cols) if terms else terms
-        child_hall = hall
-        if hall is not None:
-            # the new subsets are the old ones plus the new row
-            child_hall = hall.copy()
-            for u, size in hall.items():
-                grown = u | mask
-                if grown.bit_count() <= size:
-                    child_hall = None
-                    break
-                if child_hall.get(grown, -1) <= size:
-                    child_hall[grown] = size + 1
+        child_hall = None if hall is None else _hall_row(hall, mask)
         child_match = None if match is None else _match_row(rows, mask, *match)
         if mask == last:
             child_weight, child_run = repeat, run + 1
@@ -302,7 +427,7 @@ def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, 
         if not (bool(child_terms) == (child_hall is not None) == (child_match is not None)):
             mismatches += child_weight
         below = _extend(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                        child_weight, mask, child_run, mask, end)
+                        child_weight, mask, child_run, k + 1, mask, end)
         checked += below[0]
         mismatches += below[1]
         rows.pop()
@@ -310,7 +435,21 @@ def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, 
     return checked, mismatches
 
 
-def _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, lo, hi):
+def _hall_row(hall, mask):
+    # Hall's state of rows + [mask] from the state `hall` of rows: the
+    # new subsets are the old ones plus the new row.  None if one of them
+    # has fewer columns than rows.
+    child = hall.copy()
+    for u, size in hall.items():
+        grown = u | mask
+        if grown.bit_count() <= size:
+            return None
+        if child.get(grown, -1) <= size:
+            child[grown] = size + 1
+    return child
+
+
+def _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, k, lo, hi):
     # _extend for the families rows + [mask] one row short of max_m: each
     # child's state is only the summary that _last_rows reads, or None
     # where its route answers no:
@@ -322,7 +461,6 @@ def _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, l
     #   rows that have them.  A child that holds keeps the parent's and
     #   adds each parent union plus the new row that becomes tight;
     # * matching: the alternating reach of the child's maximum matching.
-    k = len(rows)
     fresh = weight * (k + 1)
     repeat = fresh // (run + 1)
     full = len(cols_of) - 1
@@ -400,8 +538,8 @@ def _match_row(rows, mask, row_of, col_of, used):
 
 def _last_rows(k, weight, last, run, common, tight, reach, full, lo, hi):
     # Weighted (checked, mismatches) over the families rows + [mask], mask
-    # in [lo, hi), where rows has k rows and is described by weight, last
-    # and run as in _extend and by its summaries as in _next_to_last.
+    # in [lo, hi), where rows is described by weight, last, run and k as
+    # in _extend and by its summaries as in _next_to_last.
     # Every child has weight `fresh`, except one repeating the last mask.
     euler, hall_ok, saturated = _last_row_routes(common, tight, reach, full, lo, hi)
     wrong = (euler ^ hall_ok) | (hall_ok ^ saturated)

@@ -50,9 +50,10 @@ def check_product_rule(max_n: int = 4) -> bool:
 
 
 def check_equivalence_sweep(max_m: int = 3, max_atom: int = 3) -> bool:
-    # The sweep visits each family once up to row order, so it would hide
-    # a kernel whose answer depends on the order of the rows; the ordered
-    # loop over the public kernels, one call each per family, would not.
+    # The sweep visits each family once up to atom relabeling and row
+    # order, so it would hide a kernel whose answer depends on the labels
+    # of the atoms or on the order of the rows; the ordered loop over the
+    # public kernels, one call each per family, would not.
     result = sweep.sweep_equivalence(max_m, max_atom)
     if not (result.ok and result.families == sweep.expected_family_count(max_m, max_atom)):
         return False

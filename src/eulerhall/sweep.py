@@ -5,13 +5,17 @@ A sweep covers every ordered family of m in 1..max_m nonempty subsets of
 conditions (nonzero Euler class, Hall, matching saturation) agree, or
 that every Euler coefficient equals the matching count onto its support.
 
-The equivalence sweep visits each family once up to row order: it walks
-the non-decreasing sequences of subset bitmasks (the multisets), weights
-each by its number of orderings m!/prod(mult!), and lets families that
-share their first rows share each route's partial state.  Its counts are
+The equivalence sweep lets families that share their first rows share
+each route's partial state.  A serial sweep walks the full range of
+smallest subsets up to atom relabeling: ordered first rows, one per orbit
+under the permutations of the atoms that fix the rows before them,
+weighted by the orbit's size, and the remaining rows wherever that is
+cheaper as multisets, the non-decreasing sequences of subset bitmasks,
+each weighted by its number of orderings m!/prod(mult!).  Its counts are
 those of a per-family check over the ordered families whose smallest
 subset lies in a range, so the sweep is partitioned across processes by
-the smallest subset's bitmask, into chunks of equal multiset counts.
+the smallest subset's bitmask, into chunks of equal multiset counts; a
+chunk is not closed under relabeling, so it walks multisets only.
 The coefficient sweep walks the same multisets with the same weights,
 one family at a time.  Each sweep refuses a request above its own budget
 of multisets (``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``)
@@ -35,8 +39,10 @@ from .errors import CapExceeded, InvalidInput
 
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
-# The slowest size within it, 6 sets over 5 atoms (2,324,783 multisets),
-# takes 2.2-2.7 s serial on a 2-core x86-64 machine (8-9 s before the
+# The budget counts the multisets of the multiset walk.  The slowest
+# size within it, 6 sets over 5 atoms (2,324,783 multisets), takes
+# 1.0-1.3 s serial on a 2-core x86-64 machine with its first rows walked
+# up to atom relabeling (2.1-2.4 s as multisets only, 8-9 s before the
 # last row was decided for every mask at once); 5x6 (10,424,127) and
 # 4x7 (11,716,639) are the smallest sizes above it.
 SWEEP_MULTISET_BUDGET = 10_000_000
@@ -96,10 +102,12 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
     """Run the three-way equivalence sweep; every family must agree.
 
     Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
-    ``CapExceeded`` before any work starts.  ``jobs`` worker processes
-    split the range of smallest subsets into chunks of equal multiset
-    counts; no more are started than there are CPUs or subsets.  A process
-    pool is imported only for ``jobs`` above 1.
+    ``CapExceeded`` before any work starts.  One job walks the full range
+    of smallest subsets, up to atom relabeling where that is cheaper.
+    More ``jobs`` worker processes split the range into chunks of equal
+    multiset counts and walk each as multisets; no more are started than
+    there are CPUs or subsets.  A process pool is imported only for
+    ``jobs`` above 1.
     """
     _check_caps(max_m, max_atom)
     if jobs < 1:

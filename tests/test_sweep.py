@@ -1,16 +1,17 @@
-"""The multiset sweep against a per-family oracle.
+"""The sweep walks against a per-family oracle.
 
-``_pyref.sweep_equivalence_range`` walks only the non-decreasing mask
-sequences, weights each by its number of orderings, and extends each
-route's state by one row.  The oracle below is the plain ordered loop:
-every ordered family is built from scratch and handed to the three
-kernels.  Both must report the same (checked, mismatches) on every range
-of smallest subsets.
+``_pyref.sweep_equivalence_range`` walks the full range up to atom
+relabeling, handing nodes to the multiset walk where that is cheaper, and
+every proper sub-range as multisets: the non-decreasing mask sequences,
+each weighted by its number of orderings.  Both extend each route's state
+by one row.  The oracle below is the plain ordered loop: every ordered
+family is built from scratch and handed to the three kernels.  All must
+report the same (checked, mismatches) on every range of smallest subsets.
 """
 
 import random
 from functools import reduce
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 from operator import and_
 
 import pytest
@@ -19,7 +20,8 @@ from eulerhall import CapExceeded, sweep
 from eulerhall._kernels import _pyref
 from eulerhall._kernels._pyref import euler_terms, hall_violation, max_matching
 
-CASES = [(m, a) for m in range(1, 4) for a in range(1, 5)] + [(4, 3), (2, 5), (5, 2), (6, 2)]
+CASES = [(m, a) for m in range(1, 4) for a in range(1, 5)] + [
+    (4, 3), (2, 5), (5, 2), (6, 2), (4, 2), (5, 3)]
 
 
 def oracle_range(max_m, max_atom, lo, hi):
@@ -256,3 +258,103 @@ def test_last_row_routes_match_each_kernel():
             assert tuple(bool(route >> mask & 1) for route in routes) == expected, (rows, mask)
             seen.add(expected)
     assert seen == {(True, True, True), (False, False, False)}
+
+
+def relabel(mask, perm):
+    return sum(1 << perm[c] for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def test_orbits_are_exact():
+    # each representative expanded by brute force over the permutations
+    # within the cells: the orbits are disjoint, have the stated sizes and
+    # cover every nonempty mask, and each one splits every cell by its
+    # representative's membership
+    rng = random.Random(6)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        cols = rng.sample(range(ncols), ncols)
+        cuts = sorted(rng.sample(range(1, ncols), rng.randint(0, ncols - 1)))
+        cells = tuple(tuple(sorted(cols[i:j])) for i, j in zip([0, *cuts], [*cuts, ncols]))
+        perms = []
+        for images in product(*(permutations(cell) for cell in cells)):
+            perm = {}
+            for cell, image in zip(cells, images):
+                perm.update(zip(cell, image))
+            perms.append(perm)
+        covered = set()
+        for mask, size, split in _pyref._orbits(cells):
+            orbit = {relabel(mask, perm) for perm in perms}
+            assert len(orbit) == size, (cells, mask)
+            assert not orbit & covered, (cells, mask)
+            covered |= orbit
+            parts = [tuple(c for c in cell if (mask >> c & 1) == bit)
+                     for cell in cells for bit in (1, 0)]
+            assert sorted(split) == sorted(part for part in parts if part), (cells, mask)
+        assert covered == set(range(1, 1 << ncols)), cells
+
+
+# what the cost model picks: the root hands off to the multiset walk, a
+# node below the root does, or the walk takes orbits only
+BRANCHES = {
+    (5, 2): {0}, (6, 2): {0}, (4, 2): {0}, (5, 3): {0},
+    (4, 3): {1, 2}, (3, 4): {1}, (3, 3): {1},
+    (2, 5): set(), (3, 5): set(),
+}
+
+
+@pytest.mark.parametrize("max_m,max_atom", BRANCHES)
+def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
+    # the lengths of the prefixes that the orbit walk hands to the
+    # multiset walk: the _extend calls with no row walked as multisets yet
+    depths = set()
+    extend = _pyref._extend
+
+    def spy(*args):
+        if args[10] == 0:
+            depths.add(len(args[2]))
+        return extend(*args)
+
+    monkeypatch.setattr(_pyref, "_extend", spy)
+    end = 1 << max_atom
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
+        max_m, max_atom, 1, end)
+    assert depths == BRANCHES[max_m, max_atom]
+
+
+def test_orbit_node_summaries_match_each_kernel(monkeypatch):
+    # the summaries that orbit nodes one row short of max_m read of their
+    # own state, against each route computed directly on their rows; an
+    # error shared by all three routes leaves the mismatch count at 0
+    seen = []
+    own = _pyref._summaries
+
+    def recording(masks, terms, hall, match, full):
+        result = own(masks, terms, hall, match, full)
+        seen.append((tuple(masks), full.bit_length(), result))
+        return result
+
+    monkeypatch.setattr(_pyref, "_summaries", recording)
+    for max_m, max_atom in ((3, 4), (4, 5), (3, 5), (2, 5)):
+        assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom)[1] == 0
+    routes = set()
+    for masks, ncols, (common, tight, reach) in random.Random(13).sample(seen, 300):
+        rows = [_pyref.column_table(ncols)[mask] for mask in masks]
+        want_common, want_tight, want_reach = summaries(rows, ncols)
+        assert common == want_common, masks
+        assert (tight is None and want_tight is None) or sorted(tight) == sorted(want_tight), masks
+        assert reach == want_reach, masks
+        routes.add((common is None, tight is None, reach is None))
+    assert routes == {(False, False, False), (True, True, True)}
+
+
+@pytest.mark.parametrize("max_m,max_atom", [(4, 6), (5, 5)])
+def test_orbit_walk_beyond_the_oracle(max_m, max_atom):
+    # the full range against the multiset walk over the two halves of the
+    # sweep's own two-job split
+    end = 1 << max_atom
+    expected = (sweep.expected_family_count(max_m, max_atom), 0)
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
+    b = sweep._balanced_bounds(max_m, max_atom, 2)[1]
+    parts = [_pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)
+             for lo, hi in ((1, b), (b, end))]
+    assert (parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]) == expected
