@@ -9,9 +9,11 @@ only the non-decreasing sequences of subset bitmasks, each weighted by
 its number of orderings.  A proper sub-range is not closed under
 relabeling and takes the multiset walk from the root.  Both walks extend
 each route's state by one row, and stop extending a route once that
-route's answer is no for every descendant.  The last row is decided for
-every mask at once: each route turns one summary of the parent into a
-bitset over the masks on which it answers yes.  The contract is the same
+route's answer is no for every descendant.  A family one row short of the
+last keeps only one summary per route, which both walks derive the same
+way from its parent's state, and its last row is decided for every mask
+at once: each route turns its summary into a bitset over the masks on
+which it answers yes.  The contract is the same
 (checked, mismatches) as a per-family check over every ordered family
 whose smallest subset lies in a given range.  Integers are Python ints
 throughout, so there are no width limits.
@@ -249,16 +251,22 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     product times a row is empty, a violating subset stays in the family,
     and a row raises the maximum matching by at most one), so its state
     stops changing there.  Families one row short of max_m keep only a
-    summary per route (``_next_to_last``, or ``_summaries`` of an orbit
-    node's own state), and the families of length max_m are decided from
-    it, every mask at once, as bitsets over the masks
-    (``_last_row_routes``).
+    summary per route, read off their parent's state in either walk
+    (``_child_summaries``), and the families of length max_m are decided
+    from it, every mask at once, as bitsets over the masks
+    (``_last_row_routes``).  With max_m = 1 that family is the empty one,
+    whose summaries are fixed.
     """
     end = 1 << max_atom
     if lo < 1 or hi > end:
         raise ValueError(f"sweep range [{lo}, {hi}) is not within [1, {end})")
     if max_m < 1 or lo >= hi:
         return 0, 0
+    if max_m == 1:
+        # the one row extends the empty family, whose summaries are fixed:
+        # its one monomial is 1 (common = 0), its one union is the empty one
+        # of no rows (tight), and no column is matched (all reached)
+        return _last_rows(0, 1, 0, 0, 0, [0], end - 1, end - 1, lo, hi)
     cols_of = column_table(max_atom)
     # the root is the empty family: product 1, only the empty subset (no
     # rows, no columns), empty matching, weight 1; no row tells two atoms
@@ -266,8 +274,6 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     terms, hall, match = {0: 1}, {0: 0}, ([-1] * max_atom, [], 0)
     if lo == 1 and hi == end:
         return _orbit_walk(max_m, cols_of, [], [], terms, hall, match, 1, (tuple(range(max_atom)),))
-    if max_m == 1:
-        return _last_rows(0, 1, 0, 0, *_summaries([], terms, hall, match, end - 1), end - 1, lo, hi)
     # no last mask (0 is no subset's mask)
     return _extend(max_m, cols_of, [], [], terms, hall, match, 1, 0, 0, 0, lo, hi)
 
@@ -275,36 +281,41 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
 def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells):
     # Weighted (checked, mismatches) over the families that extend rows by
     # 1..max_m - len(rows) rows, for all `weight` prefixes in the orbit of
-    # rows; the arguments after rows are as in _extend, and `cells` are
-    # the cells of the stabilizer of rows, as tuples of columns.
+    # rows, at least two rows short of max_m; the arguments after rows are
+    # as in _extend, and `cells` are the cells of the stabilizer of rows,
+    # as tuples of columns.  A child one row short of max_m takes every
+    # last row at once, once per prefix in its orbit (no row walked as
+    # multisets, k = 0).
     left = max_m - len(rows)
     full = len(cols_of) - 1
-    if left == 1:
-        # every mask at once, each child once per prefix in the orbit (no
-        # row walked as multisets, k = 0)
-        return _last_rows(0, weight, 0, 0, *_summaries(masks, terms, hall, match, full), full,
-                          1, full + 1)
     if not _walk_cost(tuple(sorted(map(len, cells))), left)[1]:
         return _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, 0, 0, 0,
                        1, full + 1)
+    if left == 2:
+        tight, near, reach = _parent_summaries(masks, hall, match, full)
     checked = mismatches = 0
     for mask, size, child_cells in _orbits(cells):
-        cols = cols_of[mask]
-        rows.append(cols)
-        masks.append(mask)
-        child_terms = _euler_step(terms, cols) if terms else terms
-        child_hall = None if hall is None else _hall_row(hall, mask)
-        child_match = None if match is None else _match_row(rows, mask, *match)
         child_weight = weight * size
-        checked += child_weight
-        if not (bool(child_terms) == (child_hall is not None) == (child_match is not None)):
-            mismatches += child_weight
-        below = _orbit_walk(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                            child_weight, child_cells)
-        checked += below[0]
-        mismatches += below[1]
-        rows.pop()
-        masks.pop()
+        if left == 2:
+            common, child_tight, child_reach = _child_summaries(cols_of, rows, masks, terms, tight,
+                                                                near, match, reach, mask)
+            agree = (common is None) == (child_tight is None) == (child_reach is None)
+            below = _last_rows(0, child_weight, 0, 0, common, child_tight, child_reach, full,
+                               1, full + 1)
+        else:
+            cols = cols_of[mask]
+            rows.append(cols)
+            masks.append(mask)
+            child_terms = _euler_step(terms, cols) if terms else terms
+            child_hall = None if hall is None else _hall_row(hall, mask)
+            child_match = None if match is None else _match_row(rows, mask, *match)
+            agree = bool(child_terms) == (child_hall is not None) == (child_match is not None)
+            below = _orbit_walk(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
+                                child_weight, child_cells)
+            rows.pop()
+            masks.pop()
+        checked += child_weight + below[0]
+        mismatches += below[1] if agree else child_weight + below[1]
     return checked, mismatches
 
 
@@ -346,12 +357,11 @@ def _walk_cost(sizes, left):
     # sorted sizes and which has `left` rows still to add: the cost of the
     # cheaper walk below it, each orbit node choosing its own walk in
     # turn, and whether that is the orbit walk (else the multiset walk; a
-    # tie goes to it).  The cost counts the nodes above the last row.  The
-    # multiset walk visits C(n + j - 1, j) with j more rows, over n masks,
-    # and sum_j C(n + j - 1, j) = C(n + left - 1, left - 1) - 1 over j in
-    # 1..left-1.  An orbit node one row short of the last counts twice: it
-    # builds its own route states before it reads their summaries, where
-    # the multiset walk reads them off the parent's.
+    # tie goes to it).  The cost counts the nodes above the last row, one
+    # each: both walks read a node's summaries off its parent's state.
+    # The multiset walk visits C(n + j - 1, j) with j more rows, over n
+    # masks, and sum_j C(n + j - 1, j) = C(n + left - 1, left - 1) - 1 over
+    # j in 1..left-1.
     if left == 1:
         return 0, False
     n = (1 << sum(sizes)) - 1
@@ -360,27 +370,10 @@ def _walk_cost(sizes, left):
     for size in sizes:
         cells.append(tuple(range(start, start + size)))
         start += size
-    node = 2 if left == 2 else 1
-    walked = sum(node + _walk_cost(tuple(sorted(map(len, split))), left - 1)[0]
-                 for _, _, split in _orbits(tuple(cells)))
+    orbits = _orbits(tuple(cells))
+    walked = len(orbits) + sum(_walk_cost(tuple(sorted(map(len, split))), left - 1)[0]
+                               for _, _, split in orbits)
     return (walked, True) if walked < multiset else (multiset, False)
-
-
-def _summaries(masks, terms, hall, match, full):
-    # What _last_row_routes reads of a family, from its own route states:
-    # the intersection of its monomials, its tight unions (as many columns
-    # as the most rows that have them) and the alternating reach of its
-    # maximum matching, each None where its route answers no.
-    common = tight = reach = None
-    if terms:
-        common = full
-        for mono in terms:
-            common &= mono
-    if hall is not None:
-        tight = [u for u, size in hall.items() if u.bit_count() == size]
-    if match is not None:
-        reach = _alternating_reach(masks, match[1], full & ~match[2])
-    return common, tight, reach
 
 
 @functools.lru_cache(maxsize=1)
@@ -405,33 +398,45 @@ def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, 
     # the run of equal masks at the end, all of the k rows after the
     # walk's start (the rows before it are ordered, counted in the weight
     # of the start).  A child repeating the last mask has weight
-    # `repeat`, every other child `fresh`.
-    if len(rows) == max_m - 2:
-        return _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, k, lo, hi)
+    # `repeat`, every other child `fresh`.  A child one row short of
+    # max_m keeps only its summaries, all None below a parent on which
+    # every route answers no, and takes every last row at once.
     fresh = weight * (k + 1)
     repeat = fresh // (run + 1)
     end = len(cols_of)
+    short = len(rows) == max_m - 2
+    if short:
+        common = child_tight = child_reach = None
+        live = terms or hall is not None or match is not None
+        if live:
+            tight, near, reach = _parent_summaries(masks, hall, match, end - 1)
     checked = mismatches = 0
     for mask in range(lo, hi):
-        cols = cols_of[mask]
-        rows.append(cols)
-        masks.append(mask)
-        child_terms = _euler_step(terms, cols) if terms else terms
-        child_hall = None if hall is None else _hall_row(hall, mask)
-        child_match = None if match is None else _match_row(rows, mask, *match)
         if mask == last:
             child_weight, child_run = repeat, run + 1
         else:
             child_weight, child_run = fresh, 1
-        checked += child_weight
-        if not (bool(child_terms) == (child_hall is not None) == (child_match is not None)):
-            mismatches += child_weight
-        below = _extend(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                        child_weight, mask, child_run, k + 1, mask, end)
-        checked += below[0]
-        mismatches += below[1]
-        rows.pop()
-        masks.pop()
+        if short:
+            if live:
+                common, child_tight, child_reach = _child_summaries(
+                    cols_of, rows, masks, terms, tight, near, match, reach, mask)
+            agree = (common is None) == (child_tight is None) == (child_reach is None)
+            below = _last_rows(k + 1, child_weight, mask, child_run, common, child_tight,
+                               child_reach, end - 1, mask, end)
+        else:
+            cols = cols_of[mask]
+            rows.append(cols)
+            masks.append(mask)
+            child_terms = _euler_step(terms, cols) if terms else terms
+            child_hall = None if hall is None else _hall_row(hall, mask)
+            child_match = None if match is None else _match_row(rows, mask, *match)
+            agree = bool(child_terms) == (child_hall is not None) == (child_match is not None)
+            below = _extend(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
+                            child_weight, mask, child_run, k + 1, mask, end)
+            rows.pop()
+            masks.pop()
+        checked += child_weight + below[0]
+        mismatches += below[1] if agree else child_weight + below[1]
     return checked, mismatches
 
 
@@ -449,68 +454,63 @@ def _hall_row(hall, mask):
     return child
 
 
-def _next_to_last(cols_of, rows, masks, terms, hall, match, weight, last, run, k, lo, hi):
-    # _extend for the families rows + [mask] one row short of max_m: each
-    # child's state is only the summary that _last_rows reads, or None
-    # where its route answers no:
-    # * Euler: the intersection `common` of the child's monomials.  Those
-    #   of a parent monomial are it plus one column of the new row that it
-    #   misses, so their intersection is the monomial itself, or plus that
-    #   column if it misses only one;
-    # * Hall: the tight unions, with exactly as many columns as the most
-    #   rows that have them.  A child that holds keeps the parent's and
-    #   adds each parent union plus the new row that becomes tight;
-    # * matching: the alternating reach of the child's maximum matching.
-    fresh = weight * (k + 1)
-    repeat = fresh // (run + 1)
-    full = len(cols_of) - 1
-    tight = near = None
+def _parent_summaries(masks, hall, match, full):
+    # (tight, near, reach) of a family, what _child_summaries reads of it
+    # besides its states, each None where its route answers no: its tight
+    # unions, with exactly as many columns as the most rows that have
+    # them; the unions with at most one spare column, the only ones that
+    # can fail or become tight with one more row; and the alternating
+    # reach of its maximum matching.
+    tight = near = reach = None
     if hall is not None:
-        # only a union with at most one spare column can fail or become
-        # tight with one more row
         near = [(u, size) for u, size in hall.items() if u.bit_count() <= size + 1]
         tight = [u for u, size in near if u.bit_count() == size]
-    checked = mismatches = 0
-    for mask in range(lo, hi):
-        common = None
-        if terms:
-            acc = full
-            for mono in terms:
-                miss = mask & ~mono
-                if miss:
-                    acc &= mono if miss & (miss - 1) else mono | miss
-                    common = acc
-        child_tight = None
-        if hall is not None:
-            child_tight = tight[:]
-            for u, size in near:
-                spare = (u | mask).bit_count() - size - 1
-                if spare < 0:
-                    child_tight = None
-                    break
-                if not spare:
-                    child_tight.append(u | mask)
-        reach = None
-        if match is not None:
-            rows.append(cols_of[mask])
-            masks.append(mask)
-            child_match = _match_row(rows, mask, *match)
-            if child_match is not None:
-                reach = _alternating_reach(masks, child_match[1], full & ~child_match[2])
-            rows.pop()
-            masks.pop()
-        if mask == last:
-            child_weight, child_run = repeat, run + 1
-        else:
-            child_weight, child_run = fresh, 1
-        checked += child_weight
-        if not ((common is not None) == (child_tight is not None) == (reach is not None)):
-            mismatches += child_weight
-        below = _last_rows(k + 1, child_weight, mask, child_run, common, child_tight, reach,
-                           full, mask, full + 1)
-        checked += below[0]
-        mismatches += below[1]
-    return checked, mismatches
+    if match is not None:
+        reach = _alternating_reach(masks, match[1], full & ~match[2])
+    return tight, near, reach
+
+
+def _child_summaries(cols_of, rows, masks, terms, tight, near, match, reach, mask):
+    # (common, tight, reach) of the family rows + [mask], one row short of
+    # max_m, what _last_row_routes reads of it, from the states of rows
+    # and their _parent_summaries; each None where its route answers no:
+    # * Euler: the intersection of the child's monomials.  Those of a
+    #   parent monomial are it plus one column of the new row that it
+    #   misses, so their intersection is the monomial itself, or plus that
+    #   column if it misses only one;
+    # * Hall: the tight unions.  A child that holds keeps the parent's and
+    #   adds each near union plus the new row that becomes tight;
+    # * matching: the alternating reach of the child's maximum matching.
+    #   The parent's grows by the new row iff the row meets its reach, and
+    #   only then is the child's matching built.
+    full = len(cols_of) - 1
+    common = None
+    if terms:
+        acc = full
+        for mono in terms:
+            miss = mask & ~mono
+            if miss:
+                acc &= mono if miss & (miss - 1) else mono | miss
+                common = acc
+    child_tight = None
+    if near is not None:
+        child_tight = tight[:]
+        for u, size in near:
+            spare = (u | mask).bit_count() - size - 1
+            if spare < 0:
+                child_tight = None
+                break
+            if not spare:
+                child_tight.append(u | mask)
+    child_reach = None
+    if match is not None and mask & reach:
+        rows.append(cols_of[mask])
+        masks.append(mask)
+        _, col_of, used = _match_row(rows, mask, *match)
+        child_reach = _alternating_reach(masks, col_of, full & ~used)
+        rows.pop()
+        masks.pop()
+    return common, child_tight, child_reach
 
 
 def _match_row(rows, mask, row_of, col_of, used):
@@ -539,7 +539,7 @@ def _match_row(rows, mask, row_of, col_of, used):
 def _last_rows(k, weight, last, run, common, tight, reach, full, lo, hi):
     # Weighted (checked, mismatches) over the families rows + [mask], mask
     # in [lo, hi), where rows is described by weight, last, run and k as
-    # in _extend and by its summaries as in _next_to_last.
+    # in _extend and by its summaries as in _child_summaries.
     # Every child has weight `fresh`, except one repeating the last mask.
     euler, hall_ok, saturated = _last_row_routes(common, tight, reach, full, lo, hi)
     wrong = (euler ^ hall_ok) | (hall_ok ^ saturated)

@@ -8,8 +8,9 @@ the Euler class once and runs one maximum matching, which yields both the
 system of distinct representatives and, when there is none, a Hall
 violator.  Any disagreement between the routes is an internal failure,
 never an input error.  ``hall`` is still read from that same matching
-until Hall's condition gets a route of its own (ROADMAP open item 2), so
-today the pass checks the Euler route against the matching route.
+until Hall's condition gets a route of its own (the ROADMAP open item
+"Certify every verdict, and give Hall a route of its own"), so today the
+pass checks the Euler route against the matching route.
 ``equivalence_report`` and the CLI's ``analyze`` are views of the pass.
 
 The verdict engine answers whether one trivial line can split off the
@@ -25,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from . import matching
-from .bundles import BundleFamily, direct_sum, euler_class, has_duplicate_singleton
+from .bundles import BundleFamily, columns, direct_sum, euler_class, has_duplicate_singleton
 from .errors import CapExceeded, InvalidInput, TheoremViolation
 from .matching import HallViolation, MatchingResult
 from .ring import RingElement
@@ -118,21 +118,17 @@ def verify_coefficient_identity(f: BundleFamily) -> bool:
     coefficient of the monomial S must equal the number of systems of
     distinct representatives using exactly the atoms of S (the permanent
     of the incidence matrix).  Monomials must also stay inside the union
-    and be homogeneous of degree m.
+    and be homogeneous of degree m.  The check is ``sweep.coefficient_law``
+    on the family's compressed columns.
     """
     _require_pure(f, "verify_coefficient_identity")
-    m = len(f.sets)
-    if m > matching.PERMANENT_CAP:
+    if len(f.sets) > matching.PERMANENT_CAP:
         raise CapExceeded(f"coefficient check capped at {matching.PERMANENT_CAP} sets")
-    e = euler_class(f)
-    union = f.atoms()
-    for mono in e.terms:
-        if not mono <= union or len(mono) != m:
-            return False
-    for subset in combinations(sorted(union), m):
-        if e.coeff(subset) != matching.sdr_count(f, subset):
-            return False
-    return True
+    # imported here, so that analyze does not load the sweep module
+    from . import sweep
+
+    rows, atoms = columns(f)
+    return sweep.coefficient_law(rows, len(atoms))
 
 
 def subordination_verdict(f: BundleFamily) -> Verdict:

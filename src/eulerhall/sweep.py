@@ -41,10 +41,11 @@ SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
 # The budget counts the multisets of the multiset walk.  The slowest
 # size within it, 6 sets over 5 atoms (2,324,783 multisets), takes
-# 1.0-1.3 s serial on a 2-core x86-64 machine with its first rows walked
-# up to atom relabeling (2.1-2.4 s as multisets only, 8-9 s before the
-# last row was decided for every mask at once); 5x6 (10,424,127) and
-# 4x7 (11,716,639) are the smallest sizes above it.
+# 1.2-1.4 s serial on a 2-core x86-64 machine with its first rows walked
+# up to atom relabeling (1.4-1.5 s there while orbit nodes one row short
+# of the last built their own states, 2.1-2.4 s as multisets only, 8-9 s
+# before the last row was decided for every mask at once); 5x6
+# (10,424,127) and 4x7 (11,716,639) are the smallest sizes above it.
 SWEEP_MULTISET_BUDGET = 10_000_000
 # The coefficient sweep expands each multiset's Euler product and computes
 # up to C(max_atom, m) permanents for it, 20-150 us per multiset.  The
@@ -171,13 +172,11 @@ def _balanced_bounds(max_m: int, max_atom: int, jobs: int) -> list[int]:
 def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
     """Check coefficient = SDR count on every swept family.
 
-    Expands each family's Euler product over compressed columns and
-    compares, for every candidate support, the stored coefficient with
-    the Ryser permanent of the incidence matrix; absent supports must
-    have permanent zero.  Both sides ignore the order of the sets, so
-    each family is checked once up to order and counted m!/prod(mult!)
-    times.  Requests above ``SWEEP_COEFFICIENT_BUDGET`` multisets raise
-    ``CapExceeded`` before any work starts.
+    Checks ``coefficient_law`` on each family's rows.  The law ignores the
+    order of the sets, so each family is checked once up to order and
+    counted m!/prod(mult!) times.  Requests above
+    ``SWEEP_COEFFICIENT_BUDGET`` multisets raise ``CapExceeded`` before
+    any work starts.
     """
     _check_caps(max_m, max_atom)
     _check_budget(max_m, max_atom, SWEEP_COEFFICIENT_BUDGET)
@@ -190,25 +189,34 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
             orderings = factorial(m)
             for mult in Counter(fam).values():
                 orderings //= factorial(mult)
-            rows = [cols_of[mask] for mask in fam]
-            terms = _kernels.euler_terms(rows, max_atom)
-            union = 0
-            for mask in fam:
-                union |= mask
-            ok = all(mono & ~union == 0 and mono.bit_count() == m for mono in terms)
-            if ok:
-                for support in combinations(cols_of[union], m):
-                    col_index = {c: i for i, c in enumerate(support)}
-                    sub_rows = tuple(
-                        tuple(col_index[c] for c in row if c in col_index) for row in rows
-                    )
-                    mono = 0
-                    for c in support:
-                        mono |= 1 << c
-                    if terms.get(mono, 0) != _kernels.permanent(sub_rows, m):
-                        ok = False
-                        break
             checked += orderings
-            if not ok:
+            if not coefficient_law([cols_of[mask] for mask in fam], max_atom):
                 failures += orderings
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=failures)
+
+
+def coefficient_law(rows, ncols: int) -> bool:
+    """Whether every Euler coefficient of the rows counts the SDRs onto it.
+
+    ``rows`` lists each set's columns in ``0 .. ncols-1``, as in
+    ``_kernels``.  The Euler product is expanded over column bitmasks;
+    every monomial must lie inside the union of the rows and have one
+    column per row, and for every choice of as many columns of the union
+    as there are rows, the coefficient of that monomial (zero if absent)
+    must equal the Ryser permanent of the rows restricted to it.
+    """
+    m = len(rows)
+    terms = _kernels.euler_terms(rows, ncols)
+    union = sorted(set().union(*rows))
+    union_mask = sum(1 << c for c in union)
+    if not all(mono & ~union_mask == 0 and mono.bit_count() == m for mono in terms):
+        return False
+    for support in combinations(union, m):
+        col_index = {c: i for i, c in enumerate(support)}
+        sub_rows = tuple(tuple(col_index[c] for c in row if c in col_index) for row in rows)
+        mono = 0
+        for c in support:
+            mono |= 1 << c
+        if terms.get(mono, 0) != _kernels.permanent(sub_rows, m):
+            return False
+    return True

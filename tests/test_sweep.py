@@ -10,6 +10,7 @@ report the same (checked, mismatches) on every range of smallest subsets.
 """
 
 import random
+import sys
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement, permutations, product
 from operator import and_
@@ -293,12 +294,15 @@ def test_orbits_are_exact():
         assert covered == set(range(1, 1 << ncols)), cells
 
 
-# what the cost model picks: the root hands off to the multiset walk, a
-# node below the root does, or the walk takes orbits only
+# what the cost model picks, every node counting one: the root hands off
+# to the multiset walk, a node below the root does, or the walk takes
+# orbits only; a node one row short of the last whose cells are all single
+# columns has as many orbits as masks, and that tie goes to the multiset
+# walk
 BRANCHES = {
-    (5, 2): {0}, (6, 2): {0}, (4, 2): {0}, (5, 3): {0},
-    (4, 3): {1, 2}, (3, 4): {1}, (3, 3): {1},
-    (2, 5): set(), (3, 5): set(),
+    (5, 2): {0}, (6, 2): {0},
+    (4, 2): {1, 2}, (5, 3): {1, 3}, (4, 3): {2},
+    (3, 4): set(), (3, 3): set(), (2, 5): set(), (3, 5): set(),
 }
 
 
@@ -321,23 +325,31 @@ def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
     assert depths == BRANCHES[max_m, max_atom]
 
 
-def test_orbit_node_summaries_match_each_kernel(monkeypatch):
-    # the summaries that orbit nodes one row short of max_m read of their
-    # own state, against each route computed directly on their rows; an
-    # error shared by all three routes leaves the mismatch count at 0
-    seen = []
-    own = _pyref._summaries
+def test_child_summaries_match_each_kernel(monkeypatch):
+    # the summaries of the families one row short of max_m, read off their
+    # parent's state in both walks, against each route computed directly
+    # on their rows; an error shared by all three routes leaves the
+    # mismatch count at 0
+    seen = {"_orbit_walk": [], "_extend": []}
+    own = _pyref._child_summaries
 
-    def recording(masks, terms, hall, match, full):
-        result = own(masks, terms, hall, match, full)
-        seen.append((tuple(masks), full.bit_length(), result))
+    def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
+        result = own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
+        walk = sys._getframe(1).f_code.co_name
+        seen[walk].append((tuple(masks) + (mask,), len(cols_of).bit_length() - 1, result))
         return result
 
-    monkeypatch.setattr(_pyref, "_summaries", recording)
+    monkeypatch.setattr(_pyref, "_child_summaries", recording)
     for max_m, max_atom in ((3, 4), (4, 5), (3, 5), (2, 5)):
-        assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom)[1] == 0
+        end = 1 << max_atom
+        # the full range walks orbits, each half of the two-job split multisets
+        b = sweep._balanced_bounds(max_m, max_atom, 2)[1]
+        for lo, hi in ((1, end), (1, b), (b, end)):
+            assert _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)[1] == 0
+    rng = random.Random(13)
+    sample = rng.sample(seen["_orbit_walk"], 150) + rng.sample(seen["_extend"], 150)
     routes = set()
-    for masks, ncols, (common, tight, reach) in random.Random(13).sample(seen, 300):
+    for masks, ncols, (common, tight, reach) in sample:
         rows = [_pyref.column_table(ncols)[mask] for mask in masks]
         want_common, want_tight, want_reach = summaries(rows, ncols)
         assert common == want_common, masks
@@ -345,6 +357,30 @@ def test_orbit_node_summaries_match_each_kernel(monkeypatch):
         assert reach == want_reach, masks
         routes.add((common is None, tight is None, reach is None))
     assert routes == {(False, False, False), (True, True, True)}
+
+
+@pytest.mark.parametrize("max_m,max_atom", [(2, 5), (3, 5)])
+def test_orbit_walk_builds_no_state_one_row_short(monkeypatch, max_m, max_atom):
+    # a family one row short of max_m keeps only its summaries: no Euler
+    # expansion or Hall map is built for it.  Every monomial of a product
+    # of j rows has j columns and the whole family has j rows, so each
+    # spy reads the length of the family it is building off its parent
+    built = set()
+    euler_step, hall_row = _pyref._euler_step, _pyref._hall_row
+
+    def euler_spy(terms, cols):
+        built.add(next(iter(terms)).bit_count() + 1)
+        return euler_step(terms, cols)
+
+    def hall_spy(hall, mask):
+        built.add(max(hall.values()) + 1)
+        return hall_row(hall, mask)
+
+    monkeypatch.setattr(_pyref, "_euler_step", euler_spy)
+    monkeypatch.setattr(_pyref, "_hall_row", hall_spy)
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
+        sweep.expected_family_count(max_m, max_atom), 0)
+    assert built == set(range(1, max_m - 1))
 
 
 @pytest.mark.parametrize("max_m,max_atom", [(4, 6), (5, 5)])
