@@ -31,7 +31,7 @@ def index_set(atoms: Iterable[int]) -> frozenset:
     if not s:
         raise InvalidInput("index sets must be nonempty")
     for a in s:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+        if (type(a) is not int and (not isinstance(a, int) or isinstance(a, bool))) or a < 1:
             raise InvalidInput(f"atom ids must be integers >= 1, got {a!r}")
     return s
 
@@ -44,7 +44,7 @@ class BundleFamily:
     trivial_lines: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(index_set(s) for s in self.sets))
+        object.__setattr__(self, "sets", tuple(map(index_set, self.sets)))
         trivial = self.trivial_lines
         if not isinstance(trivial, int) or isinstance(trivial, bool) or trivial < 0:
             raise InvalidInput("trivial_lines must be a nonnegative integer")
@@ -115,8 +115,8 @@ def columns(
     the Euler class takes the descending one (see ``euler_class``).
     """
     atoms = sorted(set().union(*f.sets), reverse=descending)
-    index = {a: i for i, a in enumerate(atoms)}
-    rows = tuple(tuple(sorted(map(index.__getitem__, s))) for s in f.sets)
+    column = {a: i for i, a in enumerate(atoms)}.__getitem__
+    rows = tuple([tuple(sorted(map(column, s))) for s in f.sets])
     return rows, atoms
 
 

@@ -34,8 +34,12 @@ A run computes each image nu(j, t) once: it keeps one table of images
 per index j, fills a missing entry on its first lookup, in the order
 ``alpha`` would compute it (so a capped run stops on the same pair with
 the same message), and builds the block i_set(j) from the table when it
-is first needed.  Generated sets are validated where they enter the
-matching, not on every step.
+is first needed.  Each generated set is held, with its provenance and
+label, in a frozen ``LabeledSet`` record with slots (no per-record
+``__dict__``).  Generated sets are validated once, where they enter the
+matching as a ``BundleFamily`` in ``hall_certificate_for_prefix``, not on
+every step; ``nu`` checks both of its arguments on every image, so no
+image of a non-integer index is ever made.
 """
 
 from __future__ import annotations
@@ -50,36 +54,27 @@ from .errors import AtomCapExceeded, InvalidInput, TheoremViolation
 from .matching import MatchingResult
 
 
-def _zigzag(j: int) -> int:
-    # 0, 1, -1, 2, -2, ... -> 0, 1, 2, 3, 4, ...
-    return 2 * j - 1 if j > 0 else -2 * j
-
-
-def _pair(a: int, b: int) -> int:
-    s = a + b
-    return s * (s + 1) // 2 + b
-
-
-def _unpair(n: int) -> tuple[int, int]:
-    w = (isqrt(8 * n + 1) - 1) // 2
-    b = n - w * (w + 1) // 2
-    return w - b, b
-
-
 def nu(j: int, t: int, atom_cap: int | None = None) -> int:
     """The injective relabeling map; always >= 2."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+    if type(j) is not int and (not isinstance(j, int) or isinstance(j, bool)):
+        raise InvalidInput(f"index must be an integer, got {j!r}")
+    if (type(t) is not int and (not isinstance(t, int) or isinstance(t, bool))) or t < 1:
         raise InvalidInput(f"second argument must be an integer >= 1, got {t!r}")
-    value = 2 + _pair(_zigzag(j), t - 1)
+    # 2 + pair(zigzag(j), t - 1): zigzag folds 0, 1, -1, 2, -2, ... onto
+    # 0, 1, 2, 3, 4, ..., and pair(a, b) = s(s + 1)/2 + b with s = a + b
+    s = (2 * j - 1 if j > 0 else -2 * j) + t - 1
+    value = s * (s + 1) // 2 + t + 1
     if atom_cap is not None and value > atom_cap:
         raise AtomCapExceeded(f"nu({j}, {t}) = {value} exceeds atom cap {atom_cap}")
     return value
 
 
 def _predecessor(a: int) -> int:
-    # the decoded second component of an atom a >= 2, as an atom: t for
-    # a = nu(j, t), strictly smaller than a
-    return _unpair(a - 2)[1] + 1
+    # t for an atom a = nu(j, t) >= 2, strictly smaller than a: one plus
+    # the second component b of the Cantor pair a - 2 = w(w + 1)/2 + b
+    n = a - 2
+    w = (isqrt(8 * n + 1) - 1) // 2
+    return n - w * (w + 1) // 2 + 1
 
 
 def level(a: int) -> int:
@@ -92,16 +87,6 @@ def level(a: int) -> int:
         a = _predecessor(a)
         depth += 1
     return depth
-
-
-def _known_level(a: int, levels: dict) -> int:
-    # level(a), in one decoding step when ``levels`` holds the level of
-    # a's predecessor; anything else, invalid atoms included, goes to level()
-    if type(a) is int and a > 1:
-        below = levels.get(_predecessor(a))
-        if below is not None:
-            return below + 1
-    return level(a)
 
 
 def i_set(j: int, atom_cap: int | None = None) -> frozenset:
@@ -147,7 +132,8 @@ def _set_map(j: int, source: frozenset, image, block) -> frozenset:
     # the images are taken in source's order, then the block's
     if j <= 0:
         return frozenset(map(image, source))
-    return frozenset(map(image, [u for u in source if u > j])) | block()
+    kept = [image(u) for u in source if u > j]
+    return block().union(kept)
 
 
 @dataclass(frozen=True)
@@ -166,7 +152,7 @@ class DynamicsConfig:
             raise InvalidInput(f"atom_cap must be None or an integer >= 1, got {cap!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSet:
     atoms: frozenset
     provenance: tuple[int, ...]  # indices j applied, outermost last
@@ -211,16 +197,12 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
         maps.append((j, images.__getitem__, images.block))
     for _ in range(cfg.depth):
         nxt: list[LabeledSet] = []
+        append = nxt.append
         for parent in generations[-1]:
             atoms, provenance, label = parent.atoms, parent.provenance, parent.label
             for j, image, block in maps:
-                nxt.append(
-                    LabeledSet(
-                        atoms=_set_map(j, atoms, image, block),
-                        provenance=provenance + (j,),
-                        label=image(label),
-                    )
-                )
+                append(LabeledSet(_set_map(j, atoms, image, block),
+                                  provenance + (j,), image(label)))
         generations.append(tuple(nxt))
     return GammaFamily(generations=tuple(generations), config=cfg)
 
@@ -247,31 +229,37 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
     generation index.  The first counterexample of each kind is reported.
     """
     membership_failure = injective_failure = level_failure = None
-    seen: dict[int, tuple[int, int]] = {}
+    # positions k count members over all generations, in order
+    seen: dict[int, int] = {}  # label -> position of its first member
     levels = {1: 0}  # label -> level; a label's parent label precedes it
+    start = 0  # position of the generation's first member
     for gen_index, generation in enumerate(g.generations):
-        for pos, ls in enumerate(generation):
+        for k, ls in enumerate(generation, start):
             label = ls.label
             if membership_failure is None and label not in ls.atoms:
                 membership_failure = (
-                    f"label {label} not in set at generation {gen_index}, member {pos}"
+                    f"label {label} not in set at generation {gen_index}, member {k - start}"
                 )
             if injective_failure is None:
-                if label in seen:
-                    prev = seen[label]
+                first = seen.setdefault(label, k)
+                if first != k:
                     injective_failure = (
-                        f"label {label} at generation {gen_index}, member {pos} "
-                        f"repeats generation {prev[0]}, member {prev[1]}"
+                        f"label {label} at generation {gen_index}, member {k - start} "
+                        f"repeats {_member(g, first)}"
                     )
-                else:
-                    seen[label] = (gen_index, pos)
             if level_failure is None:
-                depth = levels[label] = _known_level(label, levels)
+                # one decoding step when the predecessor's level is known;
+                # anything else, invalid labels included, goes to level()
+                below = None
+                if type(label) is int and label > 1:
+                    below = levels.get(_predecessor(label))
+                depth = levels[label] = level(label) if below is None else below + 1
                 if depth != gen_index:
                     level_failure = (
-                        f"label {label} at generation {gen_index}, member {pos} "
+                        f"label {label} at generation {gen_index}, member {k - start} "
                         f"has level {depth}"
                     )
+        start += len(generation)
     return LabelingReport(
         membership_ok=membership_failure is None,
         injective_ok=injective_failure is None,
@@ -280,6 +268,15 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
         injective_failure=injective_failure,
         level_failure=level_failure,
     )
+
+
+def _member(g: GammaFamily, k: int) -> str:
+    # "generation i, member p" for the member at position k (see verify_labeling)
+    gen_index = 0
+    while k >= len(g.generations[gen_index]):
+        k -= len(g.generations[gen_index])
+        gen_index += 1
+    return f"generation {gen_index}, member {k}"
 
 
 def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
@@ -291,12 +288,13 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     """
     labeled = g.prefix(m)
     labels = [ls.label for ls in labeled]
-    for ls in labeled:
-        if ls.label not in ls.atoms:
-            raise TheoremViolation(f"label {ls.label} escaped its set {sorted(ls.atoms)}")
+    sets = tuple([ls.atoms for ls in labeled])
+    for label, atoms in zip(labels, sets):
+        if label not in atoms:
+            raise TheoremViolation(f"label {label} escaped its set {sorted(atoms)}")
     if len(set(labels)) != len(labels):
         raise TheoremViolation("generated labels are not pairwise distinct")
-    family = BundleFamily(sets=tuple(ls.atoms for ls in labeled))
+    family = BundleFamily(sets=sets)
     if not matching.max_matching(family).saturates:
         raise TheoremViolation("matching failed to saturate a labeled prefix family")
     return MatchingResult(assignment=tuple(labels))

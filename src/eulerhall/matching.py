@@ -65,8 +65,8 @@ def certify(f: BundleFamily) -> tuple[MatchingResult, HallViolation | None]:
     """
     rows, atoms = columns(f)
     col_of = _kernels.max_matching(rows, len(atoms))
-    if all(c >= 0 for c in col_of):
-        return MatchingResult(assignment=tuple(atoms[c] for c in col_of)), None
+    if -1 not in col_of:
+        return MatchingResult(assignment=tuple(map(atoms.__getitem__, col_of))), None
     return MatchingResult(assignment=None), _violation(f, rows, len(atoms), col_of)
 
 

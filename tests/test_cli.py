@@ -1,5 +1,6 @@
 """CLI contract: reports, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,10 +8,27 @@ from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
+import pytest
+
 from eulerhall import ring, selftest
 from eulerhall.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+# Size in bytes and sha256 of `dynamics --window W --depth D` stdout
+# (default JSON), keyed by (W, D).  The header carries __version__, so a
+# version bump changes these bytes and must re-pin them.
+DYNAMICS_STDOUT = {
+    (2, 3): (3117, "f00da22cb002a3ff15a1abaac5bea457da455d8418e08fbe54168988bcb8ec2c"),
+    (4, 4): (202056, "d7ed4c676b06ec18eb249454536aa56b4fd86f6cb942f45c36f91bec63ef211f"),
+    (3, 5): (713250, "c34c80135e8a8f85bf8917442c184e01e0f419ada7cde79d17cdcb366ab3ea41"),
+}
+
+
+def stdout_digest(out):
+    data = out.encode()
+    return len(data), hashlib.sha256(data).hexdigest()
 
 
 def run_main(capsys, *argv):
@@ -277,6 +295,13 @@ class TestDynamics:
         assert report["generation_sizes"] == [7**k for k in range(6)]
         assert report["hall_confirmed"] is True
         assert max(report["labels"]) > 2**63 - 1
+        assert stdout_digest(out) == DYNAMICS_STDOUT[3, 5]
+
+    @pytest.mark.parametrize("window,depth", [(2, 3), (4, 4)])
+    def test_stdout_pinned(self, capsys, window, depth):
+        code, out, _ = run_main(capsys, "dynamics", "--window", str(window), "--depth", str(depth))
+        assert code == 0
+        assert stdout_digest(out) == DYNAMICS_STDOUT[window, depth]
 
     def test_window_four_depth_five(self, capsys):
         # the largest documented size

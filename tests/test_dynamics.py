@@ -1,7 +1,9 @@
 """Index map, levels, set dynamics, generations, labels, persistence."""
 
+import copy
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -47,6 +49,19 @@ class TestNu:
             nu(0, 0)
         with pytest.raises(AtomCapExceeded):
             nu(3, 100, atom_cap=1000)
+
+    def test_rejects_fractional_index(self):
+        with pytest.raises(InvalidInput, match="index must be an integer"):
+            nu(-2.5, 3)
+
+    def test_rejects_bool_index(self):
+        with pytest.raises(InvalidInput, match="index must be an integer"):
+            nu(True, 1)
+
+    @pytest.mark.parametrize("j", [1.0, "1", None])
+    def test_rejects_other_non_integer_indices(self, j):
+        with pytest.raises(InvalidInput):
+            nu(j, 1)
 
 
 class TestLevel:
@@ -96,6 +111,11 @@ class TestISetAlpha:
             alpha(2, {5}, atom_cap=10)
         with pytest.raises(AtomCapExceeded, match=r"^nu\(2, 2\) = 13 exceeds atom cap 10$"):
             alpha(2, {1}, atom_cap=10)
+
+    def test_alpha_rejects_fractional_index(self):
+        # no float atom such as 3.0 comes out
+        with pytest.raises(InvalidInput, match="index must be an integer"):
+            alpha(-0.5, [1])
 
     def test_alpha_rejects_empty(self):
         with pytest.raises(InvalidInput):
@@ -398,3 +418,17 @@ class TestConfig:
         ls = LabeledSet(atoms=frozenset({1}), provenance=(), label=1)
         with pytest.raises(Exception):
             ls.label = 2
+
+    def test_labeled_set_is_slotted(self):
+        ls = LabeledSet(frozenset({2, 13}), (0, 2), 13)
+        assert not hasattr(ls, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            ls.atoms = frozenset({1})
+        # a name that is not a field has no slot; which error refuses it
+        # depends on the Python version
+        with pytest.raises((AttributeError, TypeError)):
+            ls.extra = 1
+        assert replace(ls) == ls
+        assert replace(ls, label=2) == LabeledSet(frozenset({2, 13}), (0, 2), 2)
+        assert copy.copy(ls) == ls
+        assert pickle.loads(pickle.dumps(ls)) == ls
