@@ -6,6 +6,11 @@ All reports go to stdout, diagnostics to stderr; repeated runs on the
 same input are byte-identical.  Each command imports the modules it runs
 when it starts, so a sweep never loads the matching or dynamics layers,
 and an analysis never loads the sweep.
+
+JSON reports are written by ``_json``, whose text equals
+``json.dumps(report, indent=2)`` byte for byte for the types reports
+hold (dicts with str keys, lists, str, int, bool and None); it raises
+TypeError on any other type and leaves no cyclic garbage behind.
 """
 
 from __future__ import annotations
@@ -14,9 +19,12 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .errors import EulerHallError, InvalidInput, TheoremViolation
+
+_int_repr = int.__repr__
 
 SWEEP_DEFAULT_M_CAP = 4
 SWEEP_DEFAULT_ATOM_CAP = 5
@@ -105,7 +113,8 @@ def _load_family(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or arrays nested past the decoder's depth limit
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     return bundles.BundleFamily.from_json_dict(data)
 
@@ -114,9 +123,43 @@ def _header(command: str) -> dict:
     return {"tool": "eulerhall", "version": __version__, "command": command}
 
 
+def _json(value, indent: str) -> str:
+    # The text of json.dumps(value, indent=2) for the types reports hold,
+    # written without the stdlib's encoder: Python 3.10 and 3.11 always
+    # run its pure-Python version under indent, whose closures leave
+    # cyclic garbage on every call.
+    if type(value) is str:
+        return _encode_str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return _int_repr(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(_int_repr, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # _encode_str raises TypeError on a key that is not a str
+        body = sep.join([_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json(report, "") + "\n")
     else:
         for key, value in report.items():
             if isinstance(value, dict):

@@ -1,6 +1,9 @@
 """CLI contract: reports, exit codes, determinism."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from eulerhall import ring, selftest
-from eulerhall.cli import main
+from eulerhall.cli import _emit, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,6 +26,31 @@ DYNAMICS_STDOUT = {
     (2, 3): (3117, "f00da22cb002a3ff15a1abaac5bea457da455d8418e08fbe54168988bcb8ec2c"),
     (4, 4): (202056, "d7ed4c676b06ec18eb249454536aa56b4fd86f6cb942f45c36f91bec63ef211f"),
     (3, 5): (713250, "c34c80135e8a8f85bf8917442c184e01e0f419ada7cde79d17cdcb366ab3ea41"),
+}
+
+# Size in bytes and sha256 of the stdout of analyze and euler on each
+# fixture in both formats, of a 3x3 sweep and of selftest, as the
+# stdlib's json.dumps(report, indent=2) wrote them.  The same version
+# note applies.
+REPORT_STDOUT = {
+    ("analyze", "--json", "family_empty.json"): (310, "2b1cc6edb4523c1e37af0b4d0485607b95cc0a075b44e55899a07711e19025c6"),
+    ("analyze", "--text", "family_empty.json"): (224, "1e440b25f834a4d17892df708e4c20af78b68f8a632468ae9626779f415e8008"),
+    ("euler", "--json", "family_empty.json"): (202, "22ac54ed7194c54a49905100beff6dd6a7140a40b82949c20bfcfa7dfed1ffd7"),
+    ("euler", "--text", "family_empty.json"): (143, "780829b839ee39e3f7457dcb4706998452b1d927c19f3e7ed18f7c52a81746c9"),
+    ("analyze", "--json", "family_obstructed.json"): (399, "af15f30e9c558377f1bc505ccd6ef4b98346899975dd95a1ad312546eccbb6ed"),
+    ("analyze", "--text", "family_obstructed.json"): (243, "52941a2ddcb671487ac962d7f9d4d1f06abbb0aef5d7935c70994cb1121b71d0"),
+    ("euler", "--json", "family_obstructed.json"): (275, "289e0753218be13c269e8544a91108303e9317ea1e82cd71ca3b44791bebc0dc"),
+    ("euler", "--text", "family_obstructed.json"): (158, "128a77fe98817a9336027e95b9305cebe43bdfbc26fc0642fd8e74e7cf1c727a"),
+    ("analyze", "--json", "family_repeated_pair.json"): (412, "967a9003a6a4fadff61de60777a80b0f68b526dca2e550c8345a0e3043e52f70"),
+    ("analyze", "--text", "family_repeated_pair.json"): (248, "cd5871a1ac35cbe052fdaeb250456a24c906197dbc7349092b4831842e50aecc"),
+    ("euler", "--json", "family_repeated_pair.json"): (288, "183032e678ba948a9718324ad524ddc4dfc6195af9a1b4b883f9e7bddcf61805"),
+    ("euler", "--text", "family_repeated_pair.json"): (163, "6d88848bb4586b283d9523a23db4807f3b53586631c010ce24e21a6468939e3f"),
+    ("analyze", "--json", "family_subordinate.json"): (382, "c11befe5b03664022c9d03d8cbe33a0ae94e953cd6283ca7a92114968c5f4541"),
+    ("analyze", "--text", "family_subordinate.json"): (234, "cc3178760c0e01cf669bc1c49b0c722708c5ae2176ecdd74eb5ad7ce065e6915"),
+    ("euler", "--json", "family_subordinate.json"): (264, "4002a19b3c543a2b944c57e148a6d9d0e0c3e9c76bf434b669298b3a497dfc15"),
+    ("euler", "--text", "family_subordinate.json"): (155, "9cf824bc6588fb86d36d90815e509da3bbdb471849ae56fa196955c44576ab92"),
+    ("sweep", "--max-m", "3", "--max-atom", "3"): (153, "45157724ba18f2622a57c8f7a43f4edc32bbfbf941a67c604615546e727a2c9a"),
+    ("selftest",): (265, "9b7bb6de80962246503ece53afed617e56a3ee6a647989adb50902849cd4410a"),
 }
 
 
@@ -97,6 +125,22 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, err = run_main(capsys, "analyze", "/nonexistent/family.json")
         assert code == 1 and "cannot read" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "euler"])
+    def test_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        path.write_bytes(b'\xff\xfe{"sets": [[1]]}')
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "euler"])
+    def test_nested_past_decoder_limit(self, tmp_path, capsys, command):
+        path = tmp_path / "f.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_main(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ")
 
     def test_one_pass_per_kernel(self, monkeypatch, capsys):
         # analyze expands the Euler product once and runs one matching,
@@ -409,6 +453,43 @@ class TestUsageAndDeterminism:
         assert run_main(capsys, "sweep", "--max-m", "9")[0] == 1
         code, out, _ = run_main(capsys, "sweep", "--max-m", "1", "--max-atom", "1")
         assert code == 0 and json.loads(out)["families"] == 1
+
+    @pytest.mark.parametrize("argv", list(REPORT_STDOUT), ids=" ".join)
+    def test_stdout_pinned(self, capsys, argv):
+        args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+        code, out, _ = run_main(capsys, *args)
+        assert code == 0
+        assert stdout_digest(out) == REPORT_STDOUT[argv]
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", str(FIXTURES / "family_obstructed.json")),
+        ("euler", str(FIXTURES / "family_obstructed.json")),
+        ("sweep", "--max-m", "3", "--max-atom", "3"),
+        ("dynamics", "--window", "2", "--depth", "3"),
+        ("selftest",),
+    ], ids=lambda argv: argv[0])
+    def test_no_cyclic_garbage(self, argv):
+        # in-process callers (the benchmark, notebooks) make many calls, and
+        # garbage in reference cycles would stay until a full collection
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(list(argv)) == 0
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1,), {1}, {1: "a"}, [1, 2.0], {"k": [None, (1,)]}, {"k": {"j": {2}}},
+    ], ids=repr)
+    def test_writer_rejects_other_types(self, value):
+        # the JSON writer covers the types reports hold and writes nothing else
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(TypeError):
+            _emit(value, "json")
+        assert out.getvalue() == ""
 
     def test_round_trip_canonicalizes(self, tmp_path, capsys):
         path = tmp_path / "f.json"
