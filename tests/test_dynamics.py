@@ -97,8 +97,9 @@ class TestISetAlpha:
             assert len(i_set(j)) == j
 
     def test_i_set_precondition(self):
-        with pytest.raises(InvalidInput):
-            i_set(0)
+        for j in (0, -3, 2.0, True):
+            with pytest.raises(InvalidInput, match=r"^block index must be an integer >= 1, got "):
+                i_set(j)
 
     def test_alpha_examples(self):
         assert alpha(0, {1}) == frozenset({2})
@@ -116,6 +117,16 @@ class TestISetAlpha:
         # no float atom such as 3.0 comes out
         with pytest.raises(InvalidInput, match="index must be an integer"):
             alpha(-0.5, [1])
+        # a kept atom is mapped by nu, which refuses the index first; with
+        # nothing kept, the block refuses it
+        with pytest.raises(InvalidInput, match=r"^index must be an integer, got 2\.5$"):
+            alpha(2.5, {5})
+        with pytest.raises(InvalidInput,
+                           match=r"^block index must be an integer >= 1, got 2\.5$"):
+            alpha(2.5, {1})
+        with pytest.raises(InvalidInput,
+                           match=r"^block index must be an integer >= 1, got True$"):
+            alpha(True, {1})
 
     def test_alpha_rejects_empty(self):
         with pytest.raises(InvalidInput):
