@@ -42,7 +42,6 @@ _EXPORTS = {
         "verify_labeling",
     ),
     "errors": (
-        "AtomCapExceeded",
         "CapExceeded",
         "DimensionMismatch",
         "EulerHallError",

@@ -31,15 +31,14 @@ kept as distinct indexed members, and all checks are stated for the
 indexed family.
 
 A run computes each image nu(j, t) once: it keeps one table of images
-per index j, fills a missing entry on its first lookup, in the order
-``alpha`` would compute it (so a capped run stops on the same pair with
-the same message), and builds the block i_set(j) from the table when it
-is first needed.  Each generated set is held, with its provenance and
-label, in a frozen ``LabeledSet`` record with slots (no per-record
-``__dict__``).  Generated sets are validated once, where they enter the
-matching as a ``BundleFamily`` in ``hall_certificate_for_prefix``, not on
-every step; ``nu`` checks both of its arguments on every image, so no
-image of a non-integer index is ever made.
+per index j, fills a missing entry on its first lookup, and builds the
+block i_set(j) from the table when it is first needed.  Each generated
+set is held, with its provenance and label, in a frozen ``LabeledSet``
+record with slots (no per-record ``__dict__``).  Generated sets are
+validated once, where they enter the matching as a ``BundleFamily`` in
+``hall_certificate_for_prefix``, not on every step; ``nu`` checks both
+of its arguments on every image, so no image of a non-integer index is
+ever made.
 """
 
 from __future__ import annotations
@@ -50,11 +49,11 @@ from typing import Iterable
 
 from . import matching
 from .bundles import BundleFamily, index_set
-from .errors import AtomCapExceeded, InvalidInput, TheoremViolation
+from .errors import InvalidInput, TheoremViolation
 from .matching import MatchingResult
 
 
-def nu(j: int, t: int, atom_cap: int | None = None) -> int:
+def nu(j: int, t: int) -> int:
     """The injective relabeling map; always >= 2."""
     if type(j) is not int and (not isinstance(j, int) or isinstance(j, bool)):
         raise InvalidInput(f"index must be an integer, got {j!r}")
@@ -63,10 +62,7 @@ def nu(j: int, t: int, atom_cap: int | None = None) -> int:
     # 2 + pair(zigzag(j), t - 1): zigzag folds 0, 1, -1, 2, -2, ... onto
     # 0, 1, 2, 3, 4, ..., and pair(a, b) = s(s + 1)/2 + b with s = a + b
     s = (2 * j - 1 if j > 0 else -2 * j) + t - 1
-    value = s * (s + 1) // 2 + t + 1
-    if atom_cap is not None and value > atom_cap:
-        raise AtomCapExceeded(f"nu({j}, {t}) = {value} exceeds atom cap {atom_cap}")
-    return value
+    return s * (s + 1) // 2 + t + 1
 
 
 def _predecessor(a: int) -> int:
@@ -89,47 +85,47 @@ def level(a: int) -> int:
     return depth
 
 
-def i_set(j: int, atom_cap: int | None = None) -> frozenset:
+def i_set(j: int) -> frozenset:
     """The j-element block {nu(j, 1), ..., nu(j, j)} for j >= 1."""
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
-    return _Images(j, atom_cap).block()
+    return _Images(j).block()
 
 
-def alpha(j: int, atoms: Iterable[int], atom_cap: int | None = None) -> frozenset:
+def alpha(j: int, atoms: Iterable[int]) -> frozenset:
     """Apply the set map attached to index j.
 
     For j <= 0 this is nu(j, -) pointwise; for j >= 1 the atoms 1..j are
     removed first and the block i_set(j) is adjoined, so the result is
     never empty.
     """
-    source = index_set(atoms)
-    return _set_map(j, source, lambda t: nu(j, t, atom_cap), lambda: i_set(j, atom_cap))
+    images = _Images(j)
+    return _set_map(j, index_set(atoms), images.__getitem__, images.block)
 
 
 class _Images(dict):
     """The images nu(j, t) of one index j, each computed on first lookup."""
 
-    def __init__(self, j: int, atom_cap: int | None):
+    def __init__(self, j: int):
         super().__init__()
         self.j = j
-        self.atom_cap = atom_cap
         self._block: frozenset | None = None
 
     def __missing__(self, t: int) -> int:
-        value = self[t] = nu(self.j, t, self.atom_cap)
+        value = self[t] = nu(self.j, t)
         return value
 
     def block(self) -> frozenset:
-        """i_set(j), for j >= 1, built from the table on first use."""
+        """i_set(j), built from the table on first use; refuses any j but
+        an integer >= 1."""
         if self._block is None:
-            self._block = frozenset(map(self.__getitem__, range(1, self.j + 1)))
+            j = self.j
+            if not isinstance(j, int) or isinstance(j, bool) or j < 1:
+                raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
+            self._block = frozenset(map(self.__getitem__, range(1, j + 1)))
         return self._block
 
 
 def _set_map(j: int, source: frozenset, image, block) -> frozenset:
-    # alpha(j, source), given image(t) = nu(j, t) and block() = i_set(j);
-    # the images are taken in source's order, then the block's
+    # alpha(j, source), given image(t) = nu(j, t) and block() = i_set(j)
     if j <= 0:
         return frozenset(map(image, source))
     kept = [image(u) for u in source if u > j]
@@ -140,16 +136,12 @@ def _set_map(j: int, source: frozenset, image, block) -> frozenset:
 class DynamicsConfig:
     window: int
     depth: int
-    atom_cap: int | None = None  # atoms are Python ints; None leaves them unbounded
 
     def __post_init__(self):
         if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
             raise InvalidInput("window must be an integer >= 1")
         if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 0:
             raise InvalidInput("depth must be a nonnegative integer")
-        cap = self.atom_cap
-        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
-            raise InvalidInput(f"atom_cap must be None or an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +185,7 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     w = cfg.window
     maps = []
     for j in range(-w, w + 1):
-        images = _Images(j, cfg.atom_cap)
+        images = _Images(j)
         maps.append((j, images.__getitem__, images.block))
     for _ in range(cfg.depth):
         nxt: list[LabeledSet] = []
@@ -312,7 +304,7 @@ def hall_persistence_check(f: BundleFamily, cfg: DynamicsConfig) -> bool:
     if not matching.hall_via_matching(f):
         raise InvalidInput("input family must satisfy Hall's condition")
     w = cfg.window
-    tables = [(j, _Images(j, cfg.atom_cap)) for j in range(-w, w + 1)]
+    tables = [(j, _Images(j)) for j in range(-w, w + 1)]
     image = tuple(
         _set_map(j, s, images.__getitem__, images.block)
         for s in f.sets for j, images in tables

@@ -17,10 +17,6 @@ class DimensionMismatch(EulerHallError):
     """An atom set of the wrong cardinality was supplied."""
 
 
-class AtomCapExceeded(EulerHallError):
-    """An index-map evaluation produced an atom beyond the configured cap."""
-
-
 class TheoremViolation(EulerHallError):
     """An internal cross-check that must hold by theorem failed.
 

@@ -48,11 +48,11 @@ class HallViolation:
     indices: tuple[int, ...]
 
 
-def hall_exhaustive(f: BundleFamily, cap: int = EXHAUSTIVE_CAP) -> bool:
+def hall_exhaustive(f: BundleFamily) -> bool:
     """Check Hall's condition by scanning every nonempty subfamily."""
     m = len(f.sets)
-    if m > cap:
-        raise CapExceeded(f"exhaustive Hall check capped at {cap} sets, got {m}")
+    if m > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"exhaustive Hall check capped at {EXHAUSTIVE_CAP} sets, got {m}")
     rows, atoms = columns(f)
     return _kernels.hall_violation(rows, len(atoms)) < 0
 

@@ -19,10 +19,9 @@ chunk is not closed under relabeling, so it walks multisets only.
 The coefficient sweep walks the same multisets with the same weights,
 one family at a time.  Each sweep refuses a request above its own budget
 of multisets (``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``)
-before any work starts.  The process pool (``ProcessPoolExecutor``, a
-module attribute that callers may replace) is imported on first use, so
-only a sweep with more than one job loads ``concurrent.futures`` and
-``multiprocessing``.
+before any work starts.  The process pool is imported where it is
+used, so only a sweep with more than one job loads ``concurrent.futures``
+and ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -119,26 +118,16 @@ def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
     if jobs == 1:
         checked, mismatches = _kernels.sweep_equivalence_range(max_m, max_atom, 1, full + 1)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = _balanced_bounds(max_m, max_atom, jobs)
         chunks = [(max_m, max_atom, bounds[k], bounds[k + 1]) for k in range(jobs)]
         checked = mismatches = 0
-        # read as a module attribute, so that a caller's replacement is used
-        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             for c, mis in pool.map(_equivalence_chunk, chunks):
                 checked += c
                 mismatches += mis
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=mismatches)
-
-
-def __getattr__(name):
-    # PEP 562: the pool class is bound here on its first access
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _balanced_bounds(max_m: int, max_atom: int, jobs: int) -> list[int]:

@@ -1,5 +1,6 @@
 """CLI contract: reports, exit codes, determinism."""
 
+import concurrent.futures
 import contextlib
 import gc
 import hashlib
@@ -238,7 +239,7 @@ class TestSweep:
             def map(self, fn, chunks):
                 return map(fn, chunks)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
         code, out, _ = run_main(capsys, "sweep", "--force", "--max-m", "1",
                                 "--max-atom", "16", "--jobs", "100000")
@@ -271,7 +272,7 @@ class TestSweep:
                 return map(fn, chunks)
 
         serial = sweep.sweep_equivalence(4, 5, jobs=1)
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
         code, out, _ = run_main(capsys, "sweep", "--max-m", "4", "--max-atom", "5",
                                 "--jobs", "2")
@@ -297,7 +298,7 @@ class TestSweep:
         def no_work(*args, **kwargs):
             raise AssertionError("a refused sweep must start no work")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(sweep._kernels, "sweep_equivalence_range", no_work)
         count = sum(comb(2**16 - 2 + m, m) for m in range(1, 9))
         for jobs in ("1", "2"):

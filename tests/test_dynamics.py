@@ -9,7 +9,6 @@ import pytest
 
 from conftest import random_hall_family, valid_sdr
 from eulerhall import (
-    AtomCapExceeded,
     BundleFamily,
     DynamicsConfig,
     InvalidInput,
@@ -44,11 +43,9 @@ class TestNu:
         values = {nu(j, t) for j in range(-6, 7) for t in range(1, 201)}
         assert len(values) == 13 * 200
 
-    def test_preconditions_and_cap(self):
+    def test_rejects_second_argument_below_one(self):
         with pytest.raises(InvalidInput):
             nu(0, 0)
-        with pytest.raises(AtomCapExceeded):
-            nu(3, 100, atom_cap=1000)
 
     def test_rejects_fractional_index(self):
         with pytest.raises(InvalidInput, match="index must be an integer"):
@@ -105,13 +102,6 @@ class TestISetAlpha:
         assert alpha(0, {1}) == frozenset({2})
         assert alpha(2, {1}) == i_set(2)
         assert alpha(1, {1, 5}) == frozenset({21, 3})
-
-    def test_alpha_cap_maps_kept_atoms_before_block(self):
-        # nu(2, 5) = 34 is computed before the block {nu(2, 1), nu(2, 2)} = {8, 13}
-        with pytest.raises(AtomCapExceeded, match=r"^nu\(2, 5\) = 34 exceeds atom cap 10$"):
-            alpha(2, {5}, atom_cap=10)
-        with pytest.raises(AtomCapExceeded, match=r"^nu\(2, 2\) = 13 exceeds atom cap 10$"):
-            alpha(2, {1}, atom_cap=10)
 
     def test_alpha_rejects_fractional_index(self):
         # no float atom such as 3.0 comes out
@@ -191,38 +181,19 @@ class TestGenerations:
                     label = nu(j, label)
                 assert atoms == ls.atoms and label == ls.label
 
-    def test_atom_cap_enforced(self):
-        with pytest.raises(AtomCapExceeded):
-            gamma_generations(DynamicsConfig(window=3, depth=3, atom_cap=100))
 
-
-def oracle_generations(window, depth, atom_cap=None):
+def oracle_generations(window, depth):
     """Generations as (atoms, provenance, label), by recursion over the
     public alpha and nu alone."""
     if depth == 0:
         return [[(frozenset({1}), (), 1)]]
-    earlier = oracle_generations(window, depth - 1, atom_cap)
+    earlier = oracle_generations(window, depth - 1)
     last = [
-        (alpha(j, atoms, atom_cap), provenance + (j,), nu(j, label, atom_cap))
+        (alpha(j, atoms), provenance + (j,), nu(j, label))
         for atoms, provenance, label in earlier[-1]
         for j in range(-window, window + 1)
     ]
     return earlier + [last]
-
-
-def _outcome(run):
-    try:
-        return run()
-    except AtomCapExceeded as exc:
-        return f"AtomCapExceeded: {exc}"
-
-
-CAP_GRID = [
-    (w, d, cap)
-    for w in (1, 2, 3)
-    for d in range(4)
-    for cap in (5, 20, 50, 100, 500, 2000, 5000, 20000)
-]
 
 
 class TestGenerationsOracle:
@@ -233,27 +204,14 @@ class TestGenerationsOracle:
         got = [[(ls.atoms, ls.provenance, ls.label) for ls in gen] for gen in fam.generations]
         assert got == oracle_generations(window, depth)
 
-    def test_atom_cap_grid_matches_oracle(self):
-        raised = 0
-        for w, d, cap in CAP_GRID:
-            got = _outcome(lambda: [
-                [(ls.atoms, ls.provenance, ls.label) for ls in gen]
-                for gen in gamma_generations(DynamicsConfig(w, d, cap)).generations
-            ])
-            assert got == _outcome(lambda: oracle_generations(w, d, cap)), (w, d, cap)
-            raised += isinstance(got, str)
-        # both outcomes occur on the grid, and depth 0 never maps an atom
-        assert 0 < raised < len(CAP_GRID)
-        assert not isinstance(_outcome(lambda: gamma_generations(DynamicsConfig(3, 0, 1))), str)
-
     def test_each_image_computed_once(self, monkeypatch):
         from eulerhall import dynamics
 
         calls = []
 
-        def counting_nu(j, t, atom_cap=None):
+        def counting_nu(j, t):
             calls.append((j, t))
-            return nu(j, t, atom_cap)
+            return nu(j, t)
 
         monkeypatch.setattr(dynamics, "nu", counting_nu)
         oracle_generations(2, 3)
@@ -262,26 +220,6 @@ class TestGenerationsOracle:
         gamma_generations(DynamicsConfig(window=2, depth=3))
         assert len(calls) == len(set(calls)) < len(oracle_calls)
         assert set(calls) == set(oracle_calls)
-
-    def test_persistence_cap_matches_alpha(self):
-        # the images are computed in alpha's order, so a cap stops both alike
-        rng = random.Random(43)
-        raised = 0
-        for _ in range(200):
-            f = random_hall_family(rng, max_m=4, max_atom=10)
-            cfg = DynamicsConfig(window=rng.randint(1, 3), depth=0,
-                                 atom_cap=rng.choice((20, 100, 500, 2000)))
-            expected = _outcome(lambda: [
-                alpha(j, s, cfg.atom_cap)
-                for s in f.sets for j in range(-cfg.window, cfg.window + 1)
-            ])
-            got = _outcome(lambda: hall_persistence_check(f, cfg))
-            if isinstance(expected, str):
-                assert got == expected
-                raised += 1
-            else:
-                assert got is True
-        assert 0 < raised < 200
 
 
 class TestLabeling:
@@ -411,19 +349,15 @@ class TestConfig:
         {"window": 1, "depth": False},
         {"window": 1.0, "depth": 1},
         {"window": 1, "depth": "2"},
-        {"window": 1, "depth": 1, "atom_cap": "5"},
-        {"window": 1, "depth": 1, "atom_cap": -5},
-        {"window": 1, "depth": 1, "atom_cap": 0},
-        {"window": 1, "depth": 1, "atom_cap": True},
-        {"window": 1, "depth": 1, "atom_cap": 5.0},
+        {"window": None, "depth": 1},
+        {"window": "1", "depth": 1},
+        {"window": -1, "depth": 1},
+        {"window": 1, "depth": None},
+        {"window": 1, "depth": 1.5},
     ])
     def test_rejects_bools_and_bad_caps(self, kwargs):
         with pytest.raises(InvalidInput):
             DynamicsConfig(**kwargs)
-
-    def test_accepts_unbounded_and_positive_caps(self):
-        assert DynamicsConfig(window=1, depth=0).atom_cap is None
-        assert DynamicsConfig(window=1, depth=0, atom_cap=1).atom_cap == 1
 
     def test_labeled_set_is_frozen(self):
         ls = LabeledSet(atoms=frozenset({1}), provenance=(), label=1)
