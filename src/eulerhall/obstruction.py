@@ -89,7 +89,7 @@ def analyze(f: BundleFamily) -> Analysis:
     if not agree:
         raise TheoremViolation(
             f"equivalence broken on {f.to_json_dict()}: "
-            f"euler={nonzero} hall={hall} matching={mm.saturates}"
+            f"euler={nonzero} matching={mm.saturates} (hall is read from the matching)"
         )
     report = EquivalenceReport(
         euler_nonzero=nonzero,

@@ -56,7 +56,8 @@ class TestEquivalenceReport:
         from eulerhall.errors import TheoremViolation
 
         monkeypatch.setattr(obstruction, "euler_class", lambda f: ring.zero())
-        with pytest.raises(TheoremViolation):
+        with pytest.raises(TheoremViolation, match=(
+                r": euler=False matching=True \(hall is read from the matching\)$")):
             obstruction.equivalence_report(BundleFamily.of({1, 2}, {2}))
 
 
