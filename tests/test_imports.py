@@ -33,12 +33,12 @@ def test_checker_finds_an_unused_name():
     source = (
         "from __future__ import annotations\n"
         "import os.path\n"
-        "from .errors import AtomCapExceeded, InvalidInput as Bad\n"
+        "from .errors import CapExceeded, InvalidInput as Bad\n"
         "def f():\n"
         "    from . import sweep\n"
         "    raise Bad(os.sep)\n"
     )
-    assert unused_imports(source) == [(3, "AtomCapExceeded"), (5, "sweep")]
+    assert unused_imports(source) == [(3, "CapExceeded"), (5, "sweep")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
