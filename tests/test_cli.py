@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from eulerhall import ring, selftest
+from eulerhall import cli, ring, selftest
 from eulerhall.cli import _emit, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -27,6 +27,7 @@ DYNAMICS_STDOUT = {
     (2, 3): (3117, "f00da22cb002a3ff15a1abaac5bea457da455d8418e08fbe54168988bcb8ec2c"),
     (4, 4): (202056, "d7ed4c676b06ec18eb249454536aa56b4fd86f6cb942f45c36f91bec63ef211f"),
     (3, 5): (713250, "c34c80135e8a8f85bf8917442c184e01e0f419ada7cde79d17cdcb366ab3ea41"),
+    (4, 5): (2729080, "5f4486522ad07e0096d6cefd9c076b7723b2d4517809e448ec4afdb5be536fe4"),
 }
 
 # Size in bytes and sha256 of the stdout of analyze and euler on each
@@ -356,6 +357,7 @@ class TestDynamics:
         assert report["generation_sizes"] == [9**k for k in range(6)]
         assert report["prefix_sdr_size"] == 66430
         assert report["hall_confirmed"] is True
+        assert stdout_digest(out) == DYNAMICS_STDOUT[4, 5]
 
     def test_caps(self, capsys):
         code, _, err = run_main(capsys, "dynamics", "--window", "5", "--depth", "1")
@@ -462,22 +464,34 @@ class TestUsageAndDeterminism:
         assert code == 0
         assert stdout_digest(out) == REPORT_STDOUT[argv]
 
-    @pytest.mark.parametrize("argv", [
-        ("analyze", str(FIXTURES / "family_obstructed.json")),
-        ("euler", str(FIXTURES / "family_obstructed.json")),
-        ("sweep", "--max-m", "3", "--max-atom", "3"),
-        ("dynamics", "--window", "2", "--depth", "3"),
-        ("selftest",),
-    ], ids=lambda argv: argv[0])
-    def test_no_cyclic_garbage(self, argv):
-        # in-process callers (the benchmark, notebooks) make many calls, and
-        # garbage in reference cycles would stay until a full collection
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(("analyze", str(FIXTURES / "family_obstructed.json")), 0, id="analyze"),
+        pytest.param(("euler", str(FIXTURES / "family_obstructed.json")), 0, id="euler"),
+        pytest.param(("sweep", "--max-m", "3", "--max-atom", "3"), 0, id="sweep"),
+        pytest.param(("sweep", "--max-m", "3", "--max-atom", "3", "--jobs", "2"), 0,
+                     id="sweep --jobs 2"),
+        pytest.param(("dynamics", "--window", "2", "--depth", "3"), 0, id="dynamics"),
+        pytest.param(("selftest",), 0, id="selftest"),
+        pytest.param(("analyze", "malformed.json"), 1, id="malformed file"),
+        pytest.param(("analyze", str(FIXTURES / "missing.json")), 1, id="missing file"),
+        pytest.param(("dynamics", "--window", "9"), 1, id="dynamics cap"),
+        pytest.param(("sweep", "--max-m", "9"), 1, id="sweep cap"),
+    ])
+    def test_no_cyclic_garbage(self, tmp_path, argv, code):
+        # main pauses the cyclic collector while a command runs, which is
+        # safe only while commands leave no garbage in reference cycles: it
+        # would stay until the caller's next collection, and in-process
+        # callers (the benchmark, notebooks) would grow with their call
+        # count.  A usage error is left out: argparse's help formatter holds
+        # six objects in a cycle after printing the usage.
+        (tmp_path / "malformed.json").write_text("{not json")
+        argv = [str(tmp_path / a) if a == "malformed.json" else a for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(list(argv)) == 0
+            assert main(argv) == code
             gc.collect()
             gc.disable()
             try:
-                assert main(list(argv)) == 0
+                assert main(argv) == code
                 assert gc.collect() == 0
             finally:
                 gc.enable()
@@ -498,6 +512,53 @@ class TestUsageAndDeterminism:
         _, out, _ = run_main(capsys, "analyze", str(path))
         family = json.loads(out)["family"]
         assert family == {"sets": [[1, 2], [3]], "trivial_lines": 0}
+
+
+class TestCollectorPause:
+    # main pauses the cyclic collector while a command runs and leaves it
+    # as the caller had it on every way out
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def caller_gc(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_exit_restores_state(self, caller_gc, code, monkeypatch, capsys):
+        from eulerhall import obstruction
+
+        # the obstructed family satisfies Hall's condition
+        name = "missing.json" if code == 1 else "family_obstructed.json"
+        if code == 2:
+            # sabotage one route: analyze must report the disagreement
+            monkeypatch.setattr(obstruction, "euler_class", lambda f: ring.zero())
+        code_seen, _, err = run_main(capsys, "analyze", str(FIXTURES / name))
+        assert code_seen == code, err
+        assert (code == 2) == err.startswith("theorem violation: ")
+        assert gc.isenabled() is caller_gc
+
+    def test_escaping_exception_restores_state(self, caller_gc, monkeypatch):
+        def broken(args):
+            raise RuntimeError("command failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "selftest", broken)
+        with pytest.raises(RuntimeError, match="command failed"):
+            main(["selftest"])
+        assert gc.isenabled() is caller_gc
+
+    def test_command_runs_paused(self, caller_gc, monkeypatch):
+        seen = []
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setitem(cli._COMMANDS, "selftest", spy)
+        assert main(["selftest"]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is caller_gc
 
 
 class TestSubprocessContract:
