@@ -54,16 +54,18 @@ def euler_terms(rows, ncols):
 
 
 def _greedy_order(rows):
-    # Yield the rows in the order euler_terms multiplies them.
-    masks = [sum(1 << c for c in cols) for cols in rows]
-    left = list(range(len(rows)))
-    touched = 0
-    while left:
-        # min keeps the first of equal keys, i.e. the lowest index
-        best = min(left, key=lambda j: (masks[j] & ~touched).bit_count())
-        left.remove(best)
-        touched |= masks[best]
-        yield rows[best]
+    # Yield the rows in the order euler_terms multiplies them: each pick is
+    # a row with the fewest columns no row before it touched.  The counts
+    # of the rows left are one list pass, and index takes the first of the
+    # smallest, the lowest row index among ties.
+    rows = list(rows)
+    masks = [sum(map((1).__lshift__, cols)) for cols in rows]
+    untouched = -1
+    while rows:
+        counts = [(mask & untouched).bit_count() for mask in masks]
+        k = counts.index(min(counts))
+        untouched &= ~masks.pop(k)
+        yield rows.pop(k)
 
 
 def _euler_step(terms, cols):

@@ -87,13 +87,19 @@ class BundleFamily:
             if not isinstance(entry, list) or not entry:
                 raise InvalidInput(f"sets[{i}] must be a nonempty array of atom ids")
             for a in entry:
-                if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+                # as in index_set: the exact type first, the full test otherwise
+                if (type(a) is not int
+                        and (not isinstance(a, int) or isinstance(a, bool))) or a < 1:
                     raise InvalidInput(f"sets[{i}] contains invalid atom id {a!r}")
             sets.append(frozenset(entry))
         trivial = data.get("trivial_lines", 0)
         if not isinstance(trivial, int) or isinstance(trivial, bool) or trivial < 0:
             raise InvalidInput("field 'trivial_lines' must be a nonnegative integer")
-        return cls(sets=tuple(sets), trivial_lines=trivial)
+        # every field is checked above, so the constructor's checks are skipped
+        family = object.__new__(cls)
+        object.__setattr__(family, "sets", tuple(sets))
+        object.__setattr__(family, "trivial_lines", trivial)
+        return family
 
 
 def euler_line(atoms: Iterable[int]) -> RingElement:

@@ -18,11 +18,21 @@ included.  Reference counting still frees every object a command makes,
 because no command makes a reference cycle: the collector would scan the
 dynamics path's tens of thousands of sets and free nothing.
 ``tests/test_cli.py::TestUsageAndDeterminism::test_no_cyclic_garbage``
-guards that premise on every command and on the input errors a command
-raises; a command that began to leave cycles would grow in-process
-callers' memory until their next collection.  Only a usage error leaves
-any: argparse's help formatter, built to print the usage line, holds six
-objects in a cycle.  Library functions leave the collector alone.
+guards that premise on every command, on the input errors a command
+raises and on usage errors; a command that began to leave cycles would
+grow in-process callers' memory until their next collection.  A usage
+error leaves none because the help formatter drops its root section,
+which points back at it, once the usage line is written.  Library
+functions leave the collector alone.
+
+Arguments are parsed in one pass, by parsers built once per process.
+An argv whose first word is a command goes straight to that command's
+parser, the one the top-level parser would hand it to, so the top-level
+parser does not make a pass of its own.  The top-level parser takes
+every other argv: ``-h``, no command, an unknown command, or an option
+before the command.  Arguments that the command's parser leaves over
+are reported against the top-level usage either way, a stray ``--jobs``
+by name.
 """
 
 from __future__ import annotations
@@ -45,7 +55,21 @@ DYNAMICS_WINDOW_CAP = 4
 DYNAMICS_DEPTH_CAP = 5
 
 
+class _Formatter(argparse.HelpFormatter):
+    # The root section and the formatter point at each other.  Dropping the
+    # section once the text is out lets reference counting free the
+    # formatter of a usage line; a full help text's child sections still
+    # point at the root section and stay in cycles.
+    def format_help(self):
+        text = super().format_help()
+        self._root_section = self._current_section = None
+        return text
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, formatter_class=_Formatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
     # usage problems are input errors (exit 1), not internal failures
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -99,23 +123,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
     # One parser per process: a parser is a web of reference cycles, so a
     # fresh one per main() call would stay in memory until a full garbage
     # collection, and in-process callers would grow with their call count.
-    return build_parser()
+    # Returned with its command parsers by name.
+    parser = build_parser()
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    return parser, commands
 
 
 def _parse(argv) -> argparse.Namespace:
-    parser = _shared_parser()
-    args, extras = parser.parse_known_args(argv)
+    parser, commands = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # what the top-level parser would do, without its own pass over argv
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        args.command = argv[0]
+    else:
+        args, extras = parser.parse_known_args(argv)
+    _reject_extras(parser, args.command, extras)
+    return args
+
+
+def _reject_extras(parser, command: str, extras: list) -> None:
     if extras:
         # a stray --jobs would otherwise be reported together with the
         # argument after it, often the family file
         if any(arg.split("=", 1)[0] == "--jobs" for arg in extras):
-            parser.error(f"--jobs belongs to 'sweep', not to '{args.command}'")
+            parser.error(f"--jobs belongs to 'sweep', not to '{command}'")
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
 
 
 def _load_family(path: str):

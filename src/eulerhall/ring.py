@@ -193,23 +193,27 @@ class RingElement:
         order = sorted(masks, reverse=True)
         order.sort(key=int.bit_count)
         texts = _byte_tables([f"*x{a}" for a in atoms], "")
-        out = []
-        for mask in order:
-            coeff = masks[mask]
-            magnitude = abs(coeff)
-            text = ""
-            for shift, table in texts:
-                text += table[mask >> shift & 255]
-            if not mask:
-                text = str(magnitude)
-            elif magnitude == 1:
-                text = text[1:]
-            else:
-                text = f"{magnitude}{text}"
-            out.append(" - " if coeff < 0 else " + ")
-            out.append(text)
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        # The text is one join over slots [sign, magnitude, byte pieces...]
+        # per term, filled one byte table at a time for all terms.  Each
+        # magnitude of a term with atoms is followed by "*", so " + 1*" and
+        # " - 1*" mark exactly the magnitudes of 1 to leave out; that of the
+        # constant term, which has no atoms, is always written.
+        stride = len(texts) + 2
+        out = [" + "] * (stride * len(order))
+        coeffs = list(map(masks.__getitem__, order))
+        signed = min(coeffs) < 0
+        if signed:
+            out[0::stride] = [" - " if c < 0 else " + " for c in coeffs]
+            coeffs = map(abs, coeffs)
+        out[1::stride] = map(str, coeffs)
+        for slot, (shift, table) in enumerate(texts, 2):
+            out[slot::stride] = [table[mask >> shift & 255] for mask in order]
+        text = "".join(out).replace(" + 1*", " + ")
+        if signed:
+            text = text.replace(" - 1*", " - ")
+            if text.startswith(" - "):
+                return "-" + text[3:]
+        return text[3:]
 
     def __str__(self) -> str:
         return self.render()

@@ -16,6 +16,7 @@ import pytest
 
 from eulerhall import cli, ring, selftest
 from eulerhall.cli import _emit, main
+from eulerhall.errors import InvalidInput
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,9 +52,47 @@ REPORT_STDOUT = {
     ("analyze", "--text", "family_subordinate.json"): (234, "cc3178760c0e01cf669bc1c49b0c722708c5ae2176ecdd74eb5ad7ce065e6915"),
     ("euler", "--json", "family_subordinate.json"): (264, "4002a19b3c543a2b944c57e148a6d9d0e0c3e9c76bf434b669298b3a497dfc15"),
     ("euler", "--text", "family_subordinate.json"): (155, "9cf824bc6588fb86d36d90815e509da3bbdb471849ae56fa196955c44576ab92"),
+    # 18 sets over 19 atoms (three byte tables of columns), every
+    # coefficient above 1: a family of the benchmark's analyze_hall pool
+    ("analyze", "--json", "family_wide.json"): (2445, "69578f0be86d31f9b2d174fdb3876336648b655f9f489a9aab0e3b1078617ce2"),
+    ("analyze", "--text", "family_wide.json"): (1577, "20f5a0503d49adfae7e2ec0b078ceea991ee14edd424d0e9d1dc0db965d1789c"),
+    ("euler", "--json", "family_wide.json"): (2198, "c8f5997983d7535cbece89555523474f2426dfe2d8a435d272a627307e0dfe11"),
+    ("euler", "--text", "family_wide.json"): (1433, "8876316090177c260a3419ab6b21ae436a8e612ed7c49b62026399d9403c3284"),
     ("sweep", "--max-m", "3", "--max-atom", "3"): (153, "45157724ba18f2622a57c8f7a43f4edc32bbfbf941a67c604615546e727a2c9a"),
     ("selftest",): (265, "9b7bb6de80962246503ece53afed617e56a3ee6a647989adb50902849cd4410a"),
 }
+
+
+# Argvs for the parser dispatch test; "family.json" stands for a fixture.
+DISPATCH_ARGVS = [
+    ("analyze", "family.json"),
+    ("analyze", "family.json", "--json"),
+    ("analyze", "--json", "family.json"),
+    ("analyze", "family.json", "--text"),
+    ("analyze", "--text", "family.json"),
+    ("analyze", "--text", "--json", "family.json"),
+    ("euler", "family.json", "--text"),
+    ("euler", "--text", "family.json"),
+    ("euler", "--json", "family.json"),
+    ("sweep", "--max-m", "2", "--max-atom", "3", "--jobs", "2", "--force"),
+    ("sweep", "--force", "--jobs", "2", "--max-atom", "3", "--max-m", "2"),
+    ("sweep", "--max-m=2", "--text"),
+    ("dynamics", "--window", "1", "--depth", "2", "--text"),
+    ("dynamics", "--text", "--depth", "2", "--window", "1"),
+    ("selftest",),
+    ("selftest", "--json"),
+    ("analyze", "--jobs", "2", "family.json"),
+    ("analyze", "family.json", "--jobs=2"),
+    ("analyze", "family.json", "extra"),
+    ("selftest", "extra"),
+    ("analyze",),
+    ("euler", "--text"),
+    ("dynamics", "--window", "x"),
+    ("frobnicate",),
+    ("frobnicate", "family.json"),
+    (),
+    ("--text", "analyze", "family.json"),
+]
 
 
 def stdout_digest(out):
@@ -123,6 +162,17 @@ class TestAnalyze:
         path.write_text('{"sets": [[1], [0]]}')
         code, _, err = run_main(capsys, "analyze", str(path))
         assert code == 1 and "sets[1]" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"sets": [[1, 2], [1, true]]}', "sets[1] contains invalid atom id True"),
+        ('{"sets": [[1], [2, 0, 3]]}', "sets[1] contains invalid atom id 0"),
+        ('{"sets": [[2], ["3", 1]]}', "sets[1] contains invalid atom id '3'"),
+        ('{"sets": [[1, 2.0]], "trivial_lines": 0}', "sets[0] contains invalid atom id 2.0"),
+    ], ids=["bool", "zero", "string", "float"])
+    def test_invalid_atom_names_it(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        assert run_main(capsys, "analyze", str(path)) == (1, "", f"error: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run_main(capsys, "analyze", "/nonexistent/family.json")
@@ -457,6 +507,28 @@ class TestUsageAndDeterminism:
         code, out, _ = run_main(capsys, "sweep", "--max-m", "1", "--max-atom", "1")
         assert code == 0 and json.loads(out)["families"] == 1
 
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+    def test_dispatch_matches_top_level_parser(self, capsys, argv):
+        # _parse hands an argv that starts with a command to that command's
+        # parser; it must end as the top-level parser and the extras check do
+        fixture = str(FIXTURES / "family_obstructed.json")
+        argv = [fixture if a == "family.json" else a for a in argv]
+
+        def top_level(argv):
+            parser = cli.build_parser()
+            args, extras = parser.parse_known_args(argv)
+            cli._reject_extras(parser, args.command, extras)
+            return args
+
+        def outcome(parse):
+            try:
+                result = parse(list(argv))
+            except InvalidInput as exc:
+                result = str(exc)
+            return result, capsys.readouterr()
+
+        assert outcome(cli._parse) == outcome(top_level)
+
     @pytest.mark.parametrize("argv", list(REPORT_STDOUT), ids=" ".join)
     def test_stdout_pinned(self, capsys, argv):
         args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
@@ -476,14 +548,17 @@ class TestUsageAndDeterminism:
         pytest.param(("analyze", str(FIXTURES / "missing.json")), 1, id="missing file"),
         pytest.param(("dynamics", "--window", "9"), 1, id="dynamics cap"),
         pytest.param(("sweep", "--max-m", "9"), 1, id="sweep cap"),
+        pytest.param(("frobnicate",), 1, id="unknown command"),
+        pytest.param(("analyze",), 1, id="no family file"),
+        pytest.param((), 1, id="no arguments"),
+        pytest.param(("dynamics", "--window", "x"), 1, id="dynamics --window x"),
     ])
     def test_no_cyclic_garbage(self, tmp_path, argv, code):
         # main pauses the cyclic collector while a command runs, which is
         # safe only while commands leave no garbage in reference cycles: it
         # would stay until the caller's next collection, and in-process
         # callers (the benchmark, notebooks) would grow with their call
-        # count.  A usage error is left out: argparse's help formatter holds
-        # six objects in a cycle after printing the usage.
+        # count.
         (tmp_path / "malformed.json").write_text("{not json")
         argv = [str(tmp_path / a) if a == "malformed.json" else a for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):

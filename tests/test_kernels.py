@@ -72,6 +72,28 @@ class TestEulerOrder:
         # (1, 2) both add {1, 2} and the lower index goes first
         assert steps == [(3,), (0, 3), (0, 1, 2), (1, 2)]
 
+    def test_order_against_its_rule(self):
+        # the rule stated by brute force: of the rows not yet taken, the one
+        # with the fewest columns outside those taken so far, the lowest
+        # index among ties; rows are told apart by identity, not value
+        rng = random.Random(67)
+        ties = inside = 0
+        for _ in range(300):
+            rows, _ = random_rows(rng, max_m=9, max_ncols=6)
+            left, touched, expected = list(range(len(rows))), set(), []
+            while left:
+                new = {j: len(set(rows[j]) - touched) for j in left}
+                fewest = [j for j in left if new[j] == min(new.values())]
+                ties += len(fewest) > 1
+                inside += new[fewest[0]] == 0
+                expected.append(rows[fewest[0]])
+                left.remove(fewest[0])
+                touched |= set(expected[-1])
+            got = list(_pyref._greedy_order(rows))
+            assert len(got) == len(expected)
+            assert all(g is e for g, e in zip(got, expected)), rows
+        assert ties > 300 and inside > 300  # both cases are exercised
+
     def test_row_permutations_give_identical_terms(self):
         rng = random.Random(61)
         for _ in range(300):
