@@ -22,7 +22,9 @@ Conventions:
 
 * ``rows`` is a sequence of tuples of column indices, each tuple strictly
   ascending, columns numbered ``0 .. ncols-1``.  Row ``j`` lists the
-  columns incident to set ``j``.
+  columns incident to set ``j``.  ``max_matching`` also takes rows of
+  distinct columns in any order; the order then decides only which
+  maximum matching it returns, not its size.
 * Matchings are reported as ``col_of``: for each row the matched column,
   or -1 when the row is unmatched.
 """
@@ -111,8 +113,10 @@ def max_matching(rows, ncols):
     """Maximum bipartite matching (rows vs columns), deterministic.
 
     Greedy seeding in row order followed by augmenting-path search for
-    each unmatched row; adjacency is always scanned in stored (ascending)
-    order, so the result depends only on the input.
+    each unmatched row; adjacency is always scanned in stored order, so
+    the result depends only on the input.  Each search keeps the set of
+    columns it has visited, so it costs what it visits, not the number
+    of columns.
     """
     m = len(rows)
     row_of = [-1] * ncols
@@ -125,14 +129,16 @@ def max_matching(rows, ncols):
                 break
     for j in range(m):
         if col_of[j] < 0:
-            _augment(j, rows, row_of, col_of, bytearray(ncols))
+            _augment(j, rows, row_of, col_of)
     return col_of
 
 
-def _augment(start, rows, row_of, col_of, seen):
+def _augment(start, rows, row_of, col_of):
     # Iterative alternating DFS, so long paths hit no recursion limit.
     # frames[i] = [row, next adjacency index]; path_cols[i] = column taken
-    # out of frames[i] towards frames[i+1].
+    # out of frames[i] towards frames[i+1]; `seen` holds the columns this
+    # search has visited.
+    seen = set()
     frames = [[start, 0]]
     path_cols = []
     while frames:
@@ -142,9 +148,9 @@ def _augment(start, rows, row_of, col_of, seen):
         while frame[1] < len(cols):
             c = cols[frame[1]]
             frame[1] += 1
-            if seen[c]:
+            if c in seen:
                 continue
-            seen[c] = 1
+            seen.add(c)
             r = row_of[c]
             if r < 0:
                 path_cols.append(c)
@@ -530,7 +536,7 @@ def _match_row(rows, mask, row_of, col_of, used):
         row_of[c] = k
         return row_of, col_of + [c], used | low
     col_of = col_of + [-1]
-    if not _augment(k, rows, row_of, col_of, bytearray(len(row_of))):
+    if not _augment(k, rows, row_of, col_of):
         return None
     # the path ends at the one column that was free before
     for c in col_of:

@@ -8,7 +8,8 @@ member with atom set I is the sum of the generators of I, and the Euler
 class of the family is the product of those sums (zero as soon as a
 trivial summand is present).  The product is expanded by the bitmask
 kernel over the family's compressed columns (``columns``), the same
-compression the matching routes use, with the atoms in descending order.
+compression the matching routes that print a certificate use, with the
+atoms in descending order.
 
 The JSON form ``{"sets": [[1, 2], [2]], "trivial_lines": 0}`` is the
 canonical on-disk representation consumed by the CLI: atoms are positive
@@ -116,9 +117,10 @@ def columns(
     Returns ``(rows, atoms)``: ``atoms`` is the union of the sets, sorted
     ascending (or descending if ``descending``), and ``rows[j]`` lists the
     columns of ``f.sets[j]`` in ascending order, column ``c`` standing for
-    atom ``atoms[c]``.  The matching routes take the ascending order,
-    which decides the order they scan atoms in and so the SDR they print;
-    the Euler class takes the descending one (see ``euler_class``).
+    atom ``atoms[c]``.  The matching routes that print an SDR or a Hall
+    violator take the ascending order, which decides the order they scan
+    atoms in and so the certificate they print; the Euler class takes the
+    descending one (see ``euler_class``).
     """
     atoms = sorted(set().union(*f.sets), reverse=descending)
     column = {a: i for i, a in enumerate(atoms)}.__getitem__

@@ -19,11 +19,11 @@ because no command makes a reference cycle: the collector would scan the
 dynamics path's tens of thousands of sets and free nothing.
 ``tests/test_cli.py::TestUsageAndDeterminism::test_no_cyclic_garbage``
 guards that premise on every command, on the input errors a command
-raises and on usage errors; a command that began to leave cycles would
-grow in-process callers' memory until their next collection.  A usage
-error leaves none because the help formatter drops its root section,
-which points back at it, once the usage line is written.  Library
-functions leave the collector alone.
+raises, on usage errors and on ``-h``; a command that began to leave
+cycles would grow in-process callers' memory until their next
+collection.  A usage error or a help text leaves none because the help
+formatter empties its tree of sections, which point back at it, once
+the text is written.  Library functions leave the collector alone.
 
 Arguments are parsed in one pass, by parsers built once per process.
 An argv whose first word is a command goes straight to that command's
@@ -56,12 +56,22 @@ DYNAMICS_DEPTH_CAP = 5
 
 
 class _Formatter(argparse.HelpFormatter):
-    # The root section and the formatter point at each other.  Dropping the
-    # section once the text is out lets reference counting free the
-    # formatter of a usage line; a full help text's child sections still
-    # point at the root section and stay in cycles.
+    # The formatter holds its root section, every section points back at
+    # the formatter and a child section at its parent, and a section's
+    # items hold bound methods of the formatter and of its child sections.
+    # Emptying every section's items and dropping the root once the text
+    # is out breaks all these cycles, so reference counting frees the
+    # formatter of a usage line and of a full help text alike.
     def format_help(self):
         text = super().format_help()
+        sections = [self._root_section]
+        while sections:
+            items = sections.pop().items
+            for func, _ in items:
+                owner = getattr(func, "__self__", None)
+                if isinstance(owner, self._Section):
+                    sections.append(owner)
+            items.clear()
         self._root_section = self._current_section = None
         return text
 

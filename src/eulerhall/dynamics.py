@@ -276,7 +276,8 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
 
     The labels are distinct members of their sets, hence a saturating
     system of distinct representatives for the indexed prefix family;
-    saturation is confirmed independently by maximum matching.
+    saturation is confirmed independently by maximum matching
+    (``matching.hall_via_matching``, which reads only whether it saturates).
     """
     labeled = g.prefix(m)
     labels = [ls.label for ls in labeled]
@@ -287,7 +288,7 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     if len(set(labels)) != len(labels):
         raise TheoremViolation("generated labels are not pairwise distinct")
     family = BundleFamily(sets=sets)
-    if not matching.max_matching(family).saturates:
+    if not matching.hall_via_matching(family):
         raise TheoremViolation("matching failed to saturate a labeled prefix family")
     return MatchingResult(assignment=tuple(labels))
 

@@ -8,11 +8,16 @@ the condition three ways -- direct subset enumeration, maximum matching,
 and permanent counting -- because downstream checks rely on the routes
 agreeing.
 
-Atom sets are compressed to column indices 0..u-1 (ascending atom order,
-``bundles.columns``) before hitting the kernels, so families over
-arbitrarily large atom ids work.  One maximum matching yields both
-certificates of the marriage theorem (``certify``): a system of distinct
-representatives when it saturates, else a Hall violator.
+Atom sets are compressed to column indices 0..u-1 before hitting the
+kernels, so families over arbitrarily large atom ids work.  The routes
+that print an SDR or a violator number the atoms in ascending order
+(``bundles.columns``), which decides the order the kernel scans them in
+and so the certificate it returns.  ``hall_via_matching`` reads only
+whether a maximum matching saturates, which no numbering changes, so it
+numbers the atoms as first seen, in one pass without sorting.  One
+maximum matching yields both certificates of the marriage theorem
+(``certify``): a system of distinct representatives when it saturates,
+else a Hall violator.
 """
 
 from __future__ import annotations
@@ -81,7 +86,18 @@ def max_matching(f: BundleFamily) -> MatchingResult:
 
 
 def hall_via_matching(f: BundleFamily) -> bool:
-    return max_matching(f).saturates
+    """Whether a maximum matching saturates the family (Hall's condition).
+
+    The size of a maximum matching is the same under any numbering of the
+    atoms and any order of each set's columns, so the atoms are numbered
+    in the order first seen, one dict lookup each, with no sorted union
+    and no sorted row: the answer equals ``max_matching(f).saturates``,
+    whose ascending order only picks which SDR it returns.
+    """
+    column: dict = {}
+    number = column.setdefault
+    rows = tuple([tuple([number(a, len(column)) for a in s]) for s in f.sets])
+    return -1 not in _kernels.max_matching(rows, len(column))
 
 
 def find_violation(f: BundleFamily) -> HallViolation | None:

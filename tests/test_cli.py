@@ -552,21 +552,31 @@ class TestUsageAndDeterminism:
         pytest.param(("analyze",), 1, id="no family file"),
         pytest.param((), 1, id="no arguments"),
         pytest.param(("dynamics", "--window", "x"), 1, id="dynamics --window x"),
+        pytest.param(("-h",), "SystemExit(0)", id="eulerhall -h"),
+        pytest.param(("analyze", "-h"), "SystemExit(0)", id="analyze -h"),
+        pytest.param(("dynamics", "-h"), "SystemExit(0)", id="dynamics -h"),
     ])
     def test_no_cyclic_garbage(self, tmp_path, argv, code):
         # main pauses the cyclic collector while a command runs, which is
         # safe only while commands leave no garbage in reference cycles: it
         # would stay until the caller's next collection, and in-process
         # callers (the benchmark, notebooks) would grow with their call
-        # count.
+        # count.  Help exits through argparse's SystemExit.
         (tmp_path / "malformed.json").write_text("{not json")
         argv = [str(tmp_path / a) if a == "malformed.json" else a for a in argv]
+
+        def outcome():
+            try:
+                return main(argv)
+            except SystemExit as exc:
+                return f"SystemExit({exc.code})"
+
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == code
+            assert outcome() == code
             gc.collect()
             gc.disable()
             try:
-                assert main(argv) == code
+                assert outcome() == code
                 assert gc.collect() == 0
             finally:
                 gc.enable()

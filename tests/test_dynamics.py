@@ -12,6 +12,8 @@ from eulerhall import (
     BundleFamily,
     DynamicsConfig,
     InvalidInput,
+    TheoremViolation,
+    _kernels,
     alpha,
     gamma_generations,
     hall_certificate_for_prefix,
@@ -22,6 +24,7 @@ from eulerhall import (
     nu,
     verify_labeling,
 )
+from eulerhall.cli import main
 from eulerhall.dynamics import LabeledSet
 
 
@@ -308,6 +311,23 @@ class TestPrefixCertificate:
         fam = gamma_generations(DynamicsConfig(window=1, depth=1))
         with pytest.raises(InvalidInput):
             hall_certificate_for_prefix(fam, 2)
+
+    def test_unsaturated_matching_is_a_violation(self, monkeypatch, capsys):
+        # sabotage the matching route: a kernel that leaves the last row
+        # unmatched must fail the certificate, and the command with exit 2
+        real = _kernels.max_matching
+
+        def short(rows, ncols):
+            col_of = real(rows, ncols)
+            col_of[-1] = -1
+            return col_of
+
+        monkeypatch.setattr(_kernels, "max_matching", short)
+        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        with pytest.raises(TheoremViolation):
+            hall_certificate_for_prefix(fam, 2)
+        assert main(["dynamics", "--window", "2", "--depth", "2"]) == 2
+        assert capsys.readouterr().err.startswith("theorem violation: ")
 
 
 class TestPersistence:

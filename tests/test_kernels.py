@@ -41,6 +41,25 @@ class TestPyrefBasics:
         # beyond any fixed-width fast path: plain Python ints handle it
         rows = tuple((c,) for c in range(0, 300, 3))
         assert _pyref.max_matching(rows, 300) == list(range(0, 300, 3))
+        # 200 chains over 60 columns each: the rows (b+i, b+i+1) take b+i
+        # greedily, so the chain's last row (b,) finds its column taken and
+        # only an augmenting path along the whole chain matches it
+        rows = []
+        for b in range(0, 12_000, 60):
+            rows += [(c, c + 1) for c in range(b, b + 59)]
+            rows.append((b,))
+        taken = set()
+        failures = 0
+        for cols in rows:
+            free = [c for c in cols if c not in taken]
+            if free:
+                taken.add(free[0])
+            else:
+                failures += 1
+        assert failures == 200
+        col_of = _pyref.max_matching(rows, 12_000)
+        assert -1 not in col_of and len(set(col_of)) == len(rows)
+        assert all(c in cols for c, cols in zip(col_of, rows))
 
 
 def record_steps(monkeypatch):

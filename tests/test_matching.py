@@ -91,6 +91,28 @@ class TestHallViaMatching:
             f = random_family(rng, max_m=6, max_atom=6)
             assert hall_via_matching(f) == hall_exhaustive(f)
 
+    def test_first_seen_columns_agree_with_ascending(self):
+        # hall_via_matching numbers atoms as first seen, max_matching in
+        # ascending order; both must answer alike, and as the subset scan
+        # where it runs, on sparse atom ids with repeated and shared sets
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(1000):
+            pool = rng.sample(range(1, 2**45 + 1), rng.randint(1, 24))
+            sets = []
+            for _ in range(rng.randint(0, 16)):
+                if sets and rng.random() < 0.2:
+                    sets.append(rng.choice(sets))
+                else:
+                    sets.append(frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool))))))
+            f = BundleFamily(sets=tuple(sets))
+            answer = hall_via_matching(f)
+            assert answer == max_matching(f).saturates
+            if len(sets) <= 12:
+                assert answer == hall_exhaustive(f)
+            seen.add((answer, len(sets) <= 12))
+        assert len(seen) == 4
+
 
 class TestFindViolation:
     def test_only_violation(self):
