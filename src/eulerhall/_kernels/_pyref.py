@@ -20,11 +20,10 @@ throughout, so there are no width limits.
 
 Conventions:
 
-* ``rows`` is a sequence of tuples of column indices, each tuple strictly
-  ascending, columns numbered ``0 .. ncols-1``.  Row ``j`` lists the
-  columns incident to set ``j``.  ``max_matching`` also takes rows of
-  distinct columns in any order; the order then decides only which
-  maximum matching it returns, not its size.
+* ``rows`` is a sequence of tuples of distinct column indices, in any
+  order, columns numbered ``0 .. ncols-1``.  Row ``j`` lists the columns
+  incident to set ``j``.  Only ``max_matching`` reads the order: it
+  decides which maximum matching it returns, not its size.
 * Matchings are reported as ``col_of``: for each row the matched column,
   or -1 when the row is unmatched.
 """

@@ -7,9 +7,9 @@ Everything here works with equivalence classes only; the Euler class of a
 member with atom set I is the sum of the generators of I, and the Euler
 class of the family is the product of those sums (zero as soon as a
 trivial summand is present).  The product is expanded by the bitmask
-kernel over the family's compressed columns (``columns``), the same
-compression the matching routes that print a certificate use, with the
-atoms in descending order.
+kernel over the family's compressed columns (``BundleFamily.columns``),
+which are computed once per family and shared with the matching routes
+that print a certificate.
 
 The JSON form ``{"sets": [[1, 2], [2]], "trivial_lines": 0}`` is the
 canonical on-disk representation consumed by the CLI: atoms are positive
@@ -19,6 +19,7 @@ integers, inner arrays nonempty, deduplicated and ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import _kernels, ring
@@ -57,6 +58,20 @@ class BundleFamily:
     @property
     def dimension(self) -> int:
         return len(self.sets) + self.trivial_lines
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """The family's atoms as 0-based columns, computed once per family.
+
+        ``(rows, atoms)``: ``atoms`` descend, column ``c`` standing for
+        ``atoms[c]`` as in ``RingElement``'s column form, and ``rows[j]``
+        lists ``sets[j]``'s columns in ascending atom order, the order the
+        matching routes scan them in; the other kernels ignore it.
+        """
+        atoms = sorted(set().union(*self.sets), reverse=True)
+        column = {a: i for i, a in enumerate(atoms)}.__getitem__
+        rows = tuple([tuple(sorted(map(column, s), reverse=True)) for s in self.sets])
+        return rows, atoms
 
     def atoms(self) -> frozenset:
         """Union of all atom sets in the family."""
@@ -109,39 +124,17 @@ def euler_line(atoms: Iterable[int]) -> RingElement:
     return ring.RingElement._raw({frozenset((a,)): 1 for a in s})
 
 
-def columns(
-    f: BundleFamily, descending: bool = False
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Compress the family's atoms to 0-based columns.
-
-    Returns ``(rows, atoms)``: ``atoms`` is the union of the sets, sorted
-    ascending (or descending if ``descending``), and ``rows[j]`` lists the
-    columns of ``f.sets[j]`` in ascending order, column ``c`` standing for
-    atom ``atoms[c]``.  The matching routes that print an SDR or a Hall
-    violator take the ascending order, which decides the order they scan
-    atoms in and so the certificate they print; the Euler class takes the
-    descending one (see ``euler_class``).
-    """
-    atoms = sorted(set().union(*f.sets), reverse=descending)
-    column = {a: i for i, a in enumerate(atoms)}.__getitem__
-    rows = tuple([tuple(sorted(map(column, s))) for s in f.sets])
-    return rows, atoms
-
-
 def euler_class(f: BundleFamily) -> RingElement:
     """Euler class of the whole family via the product formula.
 
     A trivial summand has Euler class zero and kills the product.  The
     empty family gives the unit.  The product of the members' classes is
     expanded over column bitmasks by ``_kernels.euler_terms`` and kept
-    over those columns; the atoms are read back only when needed.  The
-    columns run over the atoms in descending order, the order of
-    ``RingElement``'s column form, in which the larger of two masks of
-    one degree is the monomial with the lower atom tuple.
+    over ``f.columns``; the atoms are read back only when needed.
     """
     if f.trivial_lines > 0:
         return ring.zero()
-    rows, atoms = columns(f, descending=True)
+    rows, atoms = f.columns
     return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms)
 
 

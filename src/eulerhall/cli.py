@@ -369,9 +369,6 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EulerHallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import matching
-from .bundles import BundleFamily, columns, direct_sum, euler_class, has_duplicate_singleton
+from .bundles import BundleFamily, direct_sum, euler_class, has_duplicate_singleton
 from .errors import CapExceeded, InvalidInput, TheoremViolation
 from .matching import HallViolation, MatchingResult
 from .ring import RingElement
@@ -119,7 +119,7 @@ def verify_coefficient_identity(f: BundleFamily) -> bool:
     distinct representatives using exactly the atoms of S (the permanent
     of the incidence matrix).  Monomials must also stay inside the union
     and be homogeneous of degree m.  The check is ``sweep.coefficient_law``
-    on the family's compressed columns.
+    on ``f.columns``.
     """
     _require_pure(f, "verify_coefficient_identity")
     if len(f.sets) > matching.PERMANENT_CAP:
@@ -127,7 +127,7 @@ def verify_coefficient_identity(f: BundleFamily) -> bool:
     # imported here, so that analyze does not load the sweep module
     from . import sweep
 
-    rows, atoms = columns(f)
+    rows, atoms = f.columns
     return sweep.coefficient_law(rows, len(atoms))
 
 

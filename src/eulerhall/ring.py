@@ -257,9 +257,7 @@ def generator(a: int) -> RingElement:
 
 def monomial(atoms: Iterable[int], coeff: int = 1) -> RingElement:
     """The single-term element ``coeff * prod(x_a for a in atoms)``."""
-    if coeff == 0:
-        return zero()
-    return RingElement._raw({frozenset(_check_atom(a) for a in atoms): coeff})
+    return RingElement({frozenset(atoms): coeff})
 
 
 def add(a: RingElement, b: RingElement) -> RingElement:

@@ -17,7 +17,6 @@ from eulerhall import (
     index_set,
     ring,
 )
-from eulerhall.bundles import columns
 from eulerhall.ring import generator, monomial, one
 
 
@@ -146,22 +145,27 @@ class TestRenderOverColumns:
 
 
 class TestFamilyBasics:
-    def test_columns_ascending(self):
-        # frozenset({8, 1}) iterates as 8, 1: each row is sorted after mapping
-        rows, atoms = columns(BundleFamily.of({8, 1}, {17, 9, 1}))
-        assert atoms == [1, 8, 9, 17]
-        assert rows == ((0, 1), (0, 2, 3))
+    def test_columns_atoms_descend(self):
+        # frozenset({8, 1}) iterates as 8, 1: each row is ordered after mapping
+        rows, atoms = BundleFamily.of({8, 1}, {17, 9, 1}).columns
+        assert atoms == [17, 9, 8, 1]
+        assert rows == ((3, 2), (3, 1, 0))
 
-    def test_columns_descending(self):
-        # atoms descend, each row ascends over those columns, and each row
-        # stands for the same set as in the ascending compression
+    def test_columns_rows_ascend_in_atoms(self):
+        # atoms descend, and each row lists its set's atoms in ascending
+        # order, once each
         for f in wide_families(41, 30):
-            rows, atoms = columns(f, descending=True)
-            up_rows, up_atoms = columns(f)
-            assert atoms == sorted(up_atoms, reverse=True)
-            for s, row, up_row in zip(f.sets, rows, up_rows):
-                assert list(row) == sorted(set(row))
-                assert {atoms[c] for c in row} == {up_atoms[c] for c in up_row} == s
+            rows, atoms = f.columns
+            assert atoms == sorted(f.atoms(), reverse=True)
+            for s, row in zip(f.sets, rows):
+                assert [atoms[c] for c in row] == sorted(s)
+
+    def test_columns_computed_once(self):
+        f = BundleFamily.of({2, 5}, {5})
+        assert f.columns is f.columns
+        # a family read from JSON skips the constructor but caches alike
+        g = BundleFamily.from_json_dict({"sets": [[5, 2], [5]]})
+        assert g.columns is g.columns and g.columns == f.columns
 
     def test_dimension(self):
         assert dimension(BundleFamily.of({1, 2}, {3})) == 2

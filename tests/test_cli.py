@@ -8,13 +8,14 @@ import io
 import json
 import subprocess
 import sys
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from eulerhall import cli, ring, selftest
+from eulerhall import BundleFamily, cli, ring, selftest
 from eulerhall.cli import _emit, main
 from eulerhall.errors import InvalidInput
 
@@ -195,17 +196,26 @@ class TestAnalyze:
         assert err.startswith(f"error: {path} is not valid JSON: ")
 
     def test_one_pass_per_kernel(self, monkeypatch, capsys):
-        # analyze expands the Euler product once and runs one matching,
-        # from which both the SDR and the Hall violator are read
+        # analyze compresses the family to columns once, expands the Euler
+        # product once and runs one matching, from which both the SDR and
+        # the Hall violator are read
         from eulerhall import _kernels
 
-        calls = {"euler_terms": 0, "max_matching": 0}
-        for name in calls:
+        calls = {"columns": 0, "euler_terms": 0, "max_matching": 0}
+        for name in ("euler_terms", "max_matching"):
             def counting(*args, _kernel=getattr(_kernels, name), _name=name):
                 calls[_name] += 1
                 return _kernel(*args)
 
             monkeypatch.setattr(_kernels, name, counting)
+
+        def compress(f, _columns=BundleFamily.columns.func):
+            calls["columns"] += 1
+            return _columns(f)
+
+        columns = cached_property(compress)
+        columns.__set_name__(BundleFamily, "columns")
+        monkeypatch.setattr(BundleFamily, "columns", columns)
         fixtures = sorted(FIXTURES.glob("*.json"))
         assert fixtures
         for path in fixtures:
@@ -213,8 +223,7 @@ class TestAnalyze:
                 calls[name] = 0
             code, _, _ = run_main(capsys, "analyze", str(path))
             assert code == 0
-            assert calls == {"euler_terms": 1, "max_matching": 1}, path.name
-
+            assert calls == {"columns": 1, "euler_terms": 1, "max_matching": 1}, path.name
 
     def test_class_stays_over_columns(self, monkeypatch, capsys):
         # analyze and euler read the class's bitmasks only; the frozenset

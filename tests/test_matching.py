@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import random_family, random_hall_family, valid_sdr
+from eulerhall import _kernels
 from eulerhall import (
     BundleFamily,
     CapExceeded,
@@ -112,6 +113,47 @@ class TestHallViaMatching:
                 assert answer == hall_exhaustive(f)
             seen.add((answer, len(sets) <= 12))
         assert len(seen) == 4
+
+
+class TestCertificateOracle:
+    # The certificates read the family's one compression (atoms descending,
+    # each row in ascending atom order).  They must be the ones the kernel
+    # returns on an ascending compression built here, the violator being
+    # the sets reached by alternating paths from the first unmatched set.
+    @staticmethod
+    def expected(f):
+        atoms = sorted(set().union(*f.sets))
+        rows = [[atoms.index(a) for a in sorted(s)] for s in f.sets]
+        col_of = _kernels.max_matching(rows, len(atoms))
+        if -1 not in col_of:
+            return tuple(atoms[c] for c in col_of), None
+        matched_row = {c: j for j, c in enumerate(col_of) if c >= 0}
+        reached = {col_of.index(-1)}
+        stack = list(reached)
+        while stack:
+            for c in rows[stack.pop()]:
+                j = matched_row.get(c)
+                if j is not None and j not in reached:
+                    reached.add(j)
+                    stack.append(j)
+        return None, tuple(sorted(reached))
+
+    def test_matches_ascending_compression(self):
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(1000):
+            pool = rng.sample(range(1, 10**9), rng.randint(1, 12))
+            sets = [
+                frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+                for _ in range(rng.randint(0, 12))
+            ]
+            f = BundleFamily(sets=tuple(sets))
+            assignment, indices = self.expected(f)
+            assert max_matching(f).assignment == assignment
+            v = find_violation(f)
+            assert (None if v is None else v.indices) == indices
+            outcomes.add(indices is None)
+        assert outcomes == {True, False}
 
 
 class TestFindViolation:

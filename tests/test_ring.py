@@ -189,6 +189,16 @@ class TestElementBehaviour:
         e = RingElement({(1, 2): 1, (2, 1): 2, (3,): 0})
         assert dict(e.terms) == {frozenset({1, 2}): 3}
 
+    def test_monomial_checks_coefficients(self):
+        # one coefficient check for both constructors
+        for bad in (True, 2.5, "x"):
+            with pytest.raises(InvalidInput, match="coefficients must be ints"):
+                RingElement({(1, 2): bad})
+            with pytest.raises(InvalidInput, match="coefficients must be ints"):
+                monomial([1, 2], bad)
+        assert monomial([2, 1], 3) == RingElement({(1, 2): 3})
+        assert monomial([1], 0).is_zero
+
     def test_hash_and_eq(self):
         assert hash(monomial({1, 2})) == hash(RingElement({(2, 1): 1}))
         assert monomial({1}) != generator(2)
