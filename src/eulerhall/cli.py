@@ -313,7 +313,7 @@ def cmd_dynamics(args) -> int:
     report["window"] = cfg.window
     report["depth"] = cfg.depth
     report["generation_sizes"] = fam.sizes()
-    report["labels"] = [ls.label for gen in fam.generations for ls in gen]
+    report["labels"] = [label for generation in fam.labels for label in generation]
     report["labeling"] = {
         "membership": labeling.membership_ok,
         "injective": labeling.injective_ok,

@@ -32,22 +32,28 @@ indexed family.
 
 A run computes each image nu(j, t) once: it keeps one table of images
 per index j, fills a missing entry on its first lookup, and builds the
-block i_set(j) from the table when it is first needed.  Each generated
-set is held, with its provenance and label, in a frozen ``LabeledSet``
-record with slots (no per-record ``__dict__``).  Generated sets are
-validated once, where they enter the matching as a ``BundleFamily`` in
-``hall_certificate_for_prefix``, not on every step; ``nu`` checks both
-of its arguments on every image, so no image of a non-integer index is
-ever made.
+block i_set(j) from the table when it is first needed.  The tables of a
+run share one numbering of the atoms, ``GammaFamily.columns``: atom 1
+is column 0, and each image gets the next column when its table first
+computes it.  Since nu is injective, every atom of the run is numbered
+exactly once.  Each generation is held as two parallel tuples, its sets
+and their labels; a ``LabeledSet`` record with its provenance is built
+only when ``GammaFamily.generations`` is read.  Validation stays at the
+boundary: ``nu`` checks both of its arguments on every image, so no image
+of a non-integer index is ever made, and the prefix certificate maps its
+sets through the run's numbering straight into the matching kernel,
+without revalidating them as a ``BundleFamily``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 from math import isqrt
 from typing import Iterable
 
-from . import matching
+from . import _kernels, matching
 from .bundles import BundleFamily, index_set
 from .errors import InvalidInput, TheoremViolation
 from .matching import MatchingResult
@@ -102,15 +108,19 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
 
 
 class _Images(dict):
-    """The images nu(j, t) of one index j, each computed on first lookup."""
+    """The images nu(j, t) of one index j, each computed on first lookup
+    and numbered in ``columns``, which the tables of a run share."""
 
-    def __init__(self, j: int):
+    def __init__(self, j: int, columns: dict | None = None):
         super().__init__()
         self.j = j
+        self.columns = {} if columns is None else columns
         self._block: frozenset | None = None
 
     def __missing__(self, t: int) -> int:
         value = self[t] = nu(self.j, t)
+        columns = self.columns
+        columns[value] = len(columns)
         return value
 
     def block(self) -> frozenset:
@@ -153,24 +163,48 @@ class LabeledSet:
 
 @dataclass(frozen=True)
 class GammaFamily:
-    generations: tuple[tuple[LabeledSet, ...], ...]
+    """Generations as parallel tuples: ``sets[k][i]`` has label
+    ``labels[k][i]``.  ``columns`` numbers every atom of the run once,
+    0..len(columns) - 1, in the order the generator made them."""
+
+    sets: tuple[tuple[frozenset, ...], ...]
+    labels: tuple[tuple[int, ...], ...]
     config: DynamicsConfig
+    columns: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def generations(self) -> tuple[tuple[LabeledSet, ...], ...]:
+        """The generations as ``LabeledSet`` records, built on first read.
+
+        Member i of generation k was made by the indices whose k digits in
+        base 2W+1, most significant first, spell i (each digit minus W):
+        the generator lists a parent's images together, in index order.
+        """
+        w = self.config.window
+        indices = range(-w, w + 1)
+        return tuple(
+            tuple(map(LabeledSet, sets, product(indices, repeat=k), labels))
+            for k, (sets, labels) in enumerate(zip(self.sets, self.labels))
+        )
 
     @property
     def depth(self) -> int:
-        return len(self.generations) - 1
+        return len(self.sets) - 1
 
     def sizes(self) -> list[int]:
-        return [len(g) for g in self.generations]
+        return [len(g) for g in self.sets]
 
     def prefix(self, m: int) -> list[LabeledSet]:
         """All labeled sets of generations 0..m, in generation order."""
-        if m < 0 or m > self.depth:
-            raise InvalidInput(f"prefix depth must lie in 0..{self.depth}, got {m}")
+        self._check_prefix(m)
         out: list[LabeledSet] = []
         for k in range(m + 1):
             out.extend(self.generations[k])
         return out
+
+    def _check_prefix(self, m: int) -> None:
+        if m < 0 or m > self.depth:
+            raise InvalidInput(f"prefix depth must lie in 0..{self.depth}, got {m}")
 
 
 def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
@@ -180,23 +214,25 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     (in order) and every j from -window to window, with the label
     recursion label(alpha_j(I)) = nu(j, label(I)).
     """
-    root = LabeledSet(atoms=frozenset((1,)), provenance=(), label=1)
-    generations: list[tuple[LabeledSet, ...]] = [(root,)]
+    columns = {1: 0}
     w = cfg.window
     maps = []
     for j in range(-w, w + 1):
-        images = _Images(j)
+        images = _Images(j, columns)
         maps.append((j, images.__getitem__, images.block))
+    sets: list[tuple[frozenset, ...]] = [(frozenset((1,)),)]
+    labels: list[tuple[int, ...]] = [(1,)]
     for _ in range(cfg.depth):
-        nxt: list[LabeledSet] = []
-        append = nxt.append
-        for parent in generations[-1]:
-            atoms, provenance, label = parent.atoms, parent.provenance, parent.label
+        nxt_sets: list[frozenset] = []
+        nxt_labels: list[int] = []
+        add_set, add_label = nxt_sets.append, nxt_labels.append
+        for atoms, label in zip(sets[-1], labels[-1]):
             for j, image, block in maps:
-                append(LabeledSet(_set_map(j, atoms, image, block),
-                                  provenance + (j,), image(label)))
-        generations.append(tuple(nxt))
-    return GammaFamily(generations=tuple(generations), config=cfg)
+                add_set(_set_map(j, atoms, image, block))
+                add_label(image(label))
+        sets.append(tuple(nxt_sets))
+        labels.append(tuple(nxt_labels))
+    return GammaFamily(sets=tuple(sets), labels=tuple(labels), config=cfg, columns=columns)
 
 
 @dataclass(frozen=True)
@@ -225,10 +261,9 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
     seen: dict[int, int] = {}  # label -> position of its first member
     levels = {1: 0}  # label -> level; a label's parent label precedes it
     start = 0  # position of the generation's first member
-    for gen_index, generation in enumerate(g.generations):
-        for k, ls in enumerate(generation, start):
-            label = ls.label
-            if membership_failure is None and label not in ls.atoms:
+    for gen_index, (labels, sets) in enumerate(zip(g.labels, g.sets)):
+        for k, label, atoms in zip(range(start, start + len(labels)), labels, sets):
+            if membership_failure is None and label not in atoms:
                 membership_failure = (
                     f"label {label} not in set at generation {gen_index}, member {k - start}"
                 )
@@ -251,7 +286,7 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
                         f"label {label} at generation {gen_index}, member {k - start} "
                         f"has level {depth}"
                     )
-        start += len(generation)
+        start += len(labels)
     return LabelingReport(
         membership_ok=membership_failure is None,
         injective_ok=injective_failure is None,
@@ -265,8 +300,8 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
 def _member(g: GammaFamily, k: int) -> str:
     # "generation i, member p" for the member at position k (see verify_labeling)
     gen_index = 0
-    while k >= len(g.generations[gen_index]):
-        k -= len(g.generations[gen_index])
+    while k >= len(g.labels[gen_index]):
+        k -= len(g.labels[gen_index])
         gen_index += 1
     return f"generation {gen_index}, member {k}"
 
@@ -276,19 +311,24 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
 
     The labels are distinct members of their sets, hence a saturating
     system of distinct representatives for the indexed prefix family;
-    saturation is confirmed independently by maximum matching
-    (``matching.hall_via_matching``, which reads only whether it saturates).
+    saturation is confirmed independently by one maximum matching over
+    the run's own numbering of the atoms, ``g.columns``.  A set that
+    holds an atom the run never numbered is a violation too.
     """
-    labeled = g.prefix(m)
-    labels = [ls.label for ls in labeled]
-    sets = tuple([ls.atoms for ls in labeled])
+    g._check_prefix(m)
+    labels = [label for generation in g.labels[:m + 1] for label in generation]
+    sets = [atoms for generation in g.sets[:m + 1] for atoms in generation]
     for label, atoms in zip(labels, sets):
         if label not in atoms:
             raise TheoremViolation(f"label {label} escaped its set {sorted(atoms)}")
     if len(set(labels)) != len(labels):
         raise TheoremViolation("generated labels are not pairwise distinct")
-    family = BundleFamily(sets=sets)
-    if not matching.hall_via_matching(family):
+    column = g.columns.__getitem__
+    try:
+        rows = tuple([tuple(map(column, atoms)) for atoms in sets])
+    except KeyError as exc:
+        raise TheoremViolation(f"atom {exc.args[0]!r} of a prefix set has no column") from None
+    if -1 in _kernels.max_matching(rows, len(g.columns)):
         raise TheoremViolation("matching failed to saturate a labeled prefix family")
     return MatchingResult(assignment=tuple(labels))
 

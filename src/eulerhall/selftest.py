@@ -109,7 +109,7 @@ def check_dynamics(window: int = 2, depth: int = 2) -> bool:
     sdr = dynamics.hall_certificate_for_prefix(fam, depth)
     if sdr.assignment is None or len(sdr.assignment) != sum(fam.sizes()):
         return False
-    first = [ls.atoms for ls in fam.generations[1]]
+    first = list(fam.sets[1])
     expected = [frozenset({dynamics.nu(j, 1)}) for j in range(-window, 1)] + [
         dynamics.i_set(j) for j in range(1, window + 1)
     ]

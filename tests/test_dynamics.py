@@ -173,6 +173,14 @@ class TestGenerations:
                 assert len(ls.provenance) == k
                 assert all(-2 <= j <= 2 for j in ls.provenance)
 
+    @pytest.mark.parametrize("window,depth", [(1, 0), (1, 5), (2, 3), (4, 3)])
+    def test_columns_number_each_atom_once(self, window, depth):
+        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        atoms = set().union(*(s for generation in fam.sets for s in generation))
+        assert set(fam.columns) == atoms
+        assert sorted(fam.columns.values()) == list(range(len(fam.columns)))
+        assert fam.columns[1] == 0
+
     def test_provenance_reconstructs_sets(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
         for generation in fam.generations:
@@ -238,10 +246,15 @@ class TestLabeling:
     def test_depth_zero_passes(self):
         assert verify_labeling(gamma_generations(DynamicsConfig(window=1, depth=0))).ok
 
-    def _corrupt(self, fam, gen, pos, **changes):
-        generations = [list(g) for g in fam.generations]
-        generations[gen][pos] = replace(generations[gen][pos], **changes)
-        return replace(fam, generations=tuple(tuple(g) for g in generations))
+    @staticmethod
+    def _corrupt(fam, gen, pos, atoms=None, label=None):
+        sets = [list(g) for g in fam.sets]
+        labels = [list(g) for g in fam.labels]
+        if atoms is not None:
+            sets[gen][pos] = atoms
+        if label is not None:
+            labels[gen][pos] = label
+        return replace(fam, sets=tuple(map(tuple, sets)), labels=tuple(map(tuple, labels)))
 
     def test_corrupted_label_breaks_injectivity(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
@@ -311,6 +324,29 @@ class TestPrefixCertificate:
         fam = gamma_generations(DynamicsConfig(window=1, depth=1))
         with pytest.raises(InvalidInput):
             hall_certificate_for_prefix(fam, 2)
+
+    def test_label_outside_its_set_is_a_violation(self):
+        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        ls = fam.generations[2][0]
+        bad = TestLabeling._corrupt(fam, 2, 0, label=max(ls.atoms) + 1)
+        with pytest.raises(TheoremViolation, match=r"^label \d+ escaped its set \["):
+            hall_certificate_for_prefix(bad, 2)
+
+    def test_duplicated_label_is_a_violation(self):
+        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        ls, other = fam.generations[2][0], fam.generations[2][1]
+        bad = TestLabeling._corrupt(fam, 2, 0, atoms=ls.atoms | {other.label}, label=other.label)
+        with pytest.raises(TheoremViolation, match="^generated labels are not pairwise distinct$"):
+            hall_certificate_for_prefix(bad, 2)
+
+    def test_unnumbered_atom_is_a_violation(self):
+        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        ls = fam.generations[2][0]
+        foreign = max(fam.columns) + 1
+        assert foreign not in fam.columns
+        bad = TestLabeling._corrupt(fam, 2, 0, atoms=ls.atoms | {foreign})
+        with pytest.raises(TheoremViolation, match=f"^atom {foreign} of a prefix set has no column$"):
+            hall_certificate_for_prefix(bad, 2)
 
     def test_unsaturated_matching_is_a_violation(self, monkeypatch, capsys):
         # sabotage the matching route: a kernel that leaves the last row

@@ -183,6 +183,19 @@ class TestFindViolation:
                 union = set().union(*(f.sets[j] for j in v.indices))
                 assert len(union) < len(v.indices)
 
+    def test_non_maximum_matching_raises_theorem_violation(self, monkeypatch):
+        # sabotage the kernel: row 1 is left unmatched although its column
+        # is free, so the alternating reach covers as many atoms as rows
+        from eulerhall import matching
+        from eulerhall.errors import TheoremViolation
+
+        f = BundleFamily.of({1}, {2})
+        assert f.columns[0] == ((1,), (0,))
+        monkeypatch.setattr(_kernels, "max_matching", lambda rows, ncols: [1, -1])
+        with pytest.raises(TheoremViolation, match="^alternating reachability produced "
+                                                   "an invalid Hall witness$"):
+            matching.certify(f)
+
 
 class TestSdrCount:
     def test_examples(self):
