@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import _kernels, ring
-from .errors import InvalidInput
+from .errors import InvalidInput, is_integer
 from .ring import RingElement
 
 
@@ -33,8 +33,7 @@ def index_set(atoms: Iterable[int]) -> frozenset:
     if not s:
         raise InvalidInput("index sets must be nonempty")
     for a in s:
-        if (type(a) is not int and (not isinstance(a, int) or isinstance(a, bool))) or a < 1:
-            raise InvalidInput(f"atom ids must be integers >= 1, got {a!r}")
+        ring.check_atom(a)
     return s
 
 
@@ -48,7 +47,7 @@ class BundleFamily:
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(map(index_set, self.sets)))
         trivial = self.trivial_lines
-        if not isinstance(trivial, int) or isinstance(trivial, bool) or trivial < 0:
+        if not is_integer(trivial) or trivial < 0:
             raise InvalidInput("trivial_lines must be a nonnegative integer")
 
     @classmethod
@@ -68,9 +67,8 @@ class BundleFamily:
         lists ``sets[j]``'s columns in ascending atom order, the order the
         matching routes scan them in; the other kernels ignore it.
         """
-        atoms = sorted(set().union(*self.sets), reverse=True)
-        column = {a: i for i, a in enumerate(atoms)}.__getitem__
-        rows = tuple([tuple(sorted(map(column, s), reverse=True)) for s in self.sets])
+        atoms, column = ring.descending_columns(self.sets)
+        rows = tuple([tuple(sorted(map(column.__getitem__, s), reverse=True)) for s in self.sets])
         return rows, atoms
 
     def atoms(self) -> frozenset:
@@ -103,13 +101,12 @@ class BundleFamily:
             if not isinstance(entry, list) or not entry:
                 raise InvalidInput(f"sets[{i}] must be a nonempty array of atom ids")
             for a in entry:
-                # as in index_set: the exact type first, the full test otherwise
-                if (type(a) is not int
-                        and (not isinstance(a, int) or isinstance(a, bool))) or a < 1:
+                # the exact type first, so a plain int makes no call
+                if (type(a) is not int and not is_integer(a)) or a < 1:
                     raise InvalidInput(f"sets[{i}] contains invalid atom id {a!r}")
             sets.append(frozenset(entry))
         trivial = data.get("trivial_lines", 0)
-        if not isinstance(trivial, int) or isinstance(trivial, bool) or trivial < 0:
+        if not is_integer(trivial) or trivial < 0:
             raise InvalidInput("field 'trivial_lines' must be a nonnegative integer")
         # every field is checked above, so the constructor's checks are skipped
         family = object.__new__(cls)

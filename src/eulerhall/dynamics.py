@@ -53,17 +53,18 @@ from itertools import product
 from math import isqrt
 from typing import Iterable
 
-from . import _kernels, matching
+from . import _kernels, matching, ring
 from .bundles import BundleFamily, index_set
-from .errors import InvalidInput, TheoremViolation
+from .errors import InvalidInput, TheoremViolation, is_integer
 from .matching import MatchingResult
 
 
 def nu(j: int, t: int) -> int:
     """The injective relabeling map; always >= 2."""
-    if type(j) is not int and (not isinstance(j, int) or isinstance(j, bool)):
+    # the exact type first, so a plain int makes no call
+    if type(j) is not int and not is_integer(j):
         raise InvalidInput(f"index must be an integer, got {j!r}")
-    if (type(t) is not int and (not isinstance(t, int) or isinstance(t, bool))) or t < 1:
+    if (type(t) is not int and not is_integer(t)) or t < 1:
         raise InvalidInput(f"second argument must be an integer >= 1, got {t!r}")
     # 2 + pair(zigzag(j), t - 1): zigzag folds 0, 1, -1, 2, -2, ... onto
     # 0, 1, 2, 3, 4, ..., and pair(a, b) = s(s + 1)/2 + b with s = a + b
@@ -82,8 +83,7 @@ def _predecessor(a: int) -> int:
 def level(a: int) -> int:
     """Derivation depth of an atom: 0 for the seed 1, else 1 + level of
     the decoded second component.  Total and well-founded."""
-    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-        raise InvalidInput(f"atom ids must be integers >= 1, got {a!r}")
+    ring.check_atom(a)
     depth = 0
     while a != 1:
         a = _predecessor(a)
@@ -128,7 +128,7 @@ class _Images(dict):
         an integer >= 1."""
         if self._block is None:
             j = self.j
-            if not isinstance(j, int) or isinstance(j, bool) or j < 1:
+            if not is_integer(j) or j < 1:
                 raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
             self._block = frozenset(map(self.__getitem__, range(1, j + 1)))
         return self._block
@@ -148,9 +148,9 @@ class DynamicsConfig:
     depth: int
 
     def __post_init__(self):
-        if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
+        if not is_integer(self.window) or self.window < 1:
             raise InvalidInput("window must be an integer >= 1")
-        if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 0:
+        if not is_integer(self.depth) or self.depth < 0:
             raise InvalidInput("depth must be a nonnegative integer")
 
 

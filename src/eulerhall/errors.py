@@ -9,6 +9,12 @@ class InvalidInput(EulerHallError, ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is an int and not a bool: the integer rule of every
+    validator, which refuses bools and accepts int subclasses."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class CapExceeded(EulerHallError):
     """An exhaustive or exact routine was asked to exceed its size cap."""
 

@@ -9,15 +9,13 @@ and permanent counting -- because downstream checks rely on the routes
 agreeing.
 
 Atom sets are compressed to column indices 0..u-1 before hitting the
-kernels, so families over arbitrarily large atom ids work.  The routes
-read the family's one compression, ``BundleFamily.columns``, whose rows
-list each set's atoms in ascending order: the kernel scans them in that
-order, which decides the certificate it returns.  ``hall_via_matching``
-reads only whether a maximum matching saturates, which no numbering
-changes, so it numbers the atoms as first seen (see there).  One
-maximum matching yields both certificates of the marriage theorem
-(``certify``): a system of distinct representatives when it saturates,
-else a Hall violator.
+kernels, so families over arbitrarily large atom ids work.  The subset
+scan and every matching route read the family's one compression,
+``BundleFamily.columns``, whose rows list each set's atoms in ascending
+order: the kernel scans them in that order, which decides the
+certificate it returns.  One maximum matching yields both certificates
+of the marriage theorem (``certify``): a system of distinct
+representatives when it saturates, else a Hall violator.
 """
 
 from __future__ import annotations
@@ -86,21 +84,10 @@ def max_matching(f: BundleFamily) -> MatchingResult:
 
 
 def hall_via_matching(f: BundleFamily) -> bool:
-    """Whether a maximum matching saturates the family (Hall's condition).
-
-    The size of a maximum matching is the same under any numbering of the
-    atoms and any order of each set's columns, so the atoms are numbered
-    in the order first seen, one dict lookup each, with no sorted union
-    and no sorted row: the answer equals ``max_matching(f).saturates``,
-    whose scan order only picks which SDR it returns.  It serves
-    ``dynamics.hall_persistence_check`` and the tests' cross-checks; the
-    dynamics prefix certificate numbers its atoms as the generator makes
-    them (``GammaFamily.columns``) and calls the kernel itself.
-    """
-    column: dict = {}
-    number = column.setdefault
-    rows = tuple([tuple([number(a, len(column)) for a in s]) for s in f.sets])
-    return -1 not in _kernels.max_matching(rows, len(column))
+    """Whether a maximum matching saturates the family (Hall's condition):
+    ``max_matching(f).saturates``, without mapping the matching to atoms."""
+    rows, atoms = f.columns
+    return -1 not in _kernels.max_matching(rows, len(atoms))
 
 
 def find_violation(f: BundleFamily) -> HallViolation | None:

@@ -9,8 +9,8 @@ system of distinct representatives and, when there is none, a Hall
 violator.  Any disagreement between the routes is an internal failure,
 never an input error.  ``hall`` is still read from that same matching
 until Hall's condition gets a route of its own (the ROADMAP open item
-"Certify every verdict, and give Hall a route of its own"), so today the
-pass checks the Euler route against the matching route.
+"Certify every verdict"), so today the pass checks the Euler route
+against the matching route.
 ``equivalence_report`` and the CLI's ``analyze`` are views of the pass.
 
 The verdict engine answers whether one trivial line can split off the

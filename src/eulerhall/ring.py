@@ -14,15 +14,15 @@ fixed-width integers would overflow.  Elements are immutable after
 construction and safe to share between workers.
 
 An element can also be held over columns: a map ``{column bitmask ->
-coefficient}`` plus the descending atom list, column ``c`` standing for
-``atoms[c]``, which is the form the Euler kernel produces.  Zero tests,
-degrees and rendering read the columns; the frozenset map is built only
-when it is asked for (``terms``, ``coeff``, arithmetic, equality).  The
-atoms descend so that the highest column is the smallest atom: of two
-monomials of one degree, the lower ascending atom tuple holds the
-smallest atom in which they differ, which is the highest column in which
-their masks differ, so it is the larger mask.  Rendering therefore sorts
-the masks themselves.
+coefficient}`` plus the descending atom list of ``descending_columns``,
+column ``c`` standing for ``atoms[c]``, the form the Euler kernel
+produces.  Zero tests, degrees and rendering read the columns; the
+frozenset map is built only when it is asked for (``terms``, ``coeff``,
+arithmetic, equality).  The atoms descend so that the highest column is
+the smallest atom: of two monomials of one degree, the lower ascending
+atom tuple holds the smallest atom in which they differ, which is the
+highest column in which their masks differ, so it is the larger mask.
+Rendering therefore sorts the masks themselves.
 """
 
 from __future__ import annotations
@@ -30,15 +30,22 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import InvalidInput
+from .errors import InvalidInput, is_integer
 
 Monomial = frozenset  # frozenset[int]: the squarefree support of one term
 
 
-def _check_atom(a) -> int:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+def check_atom(a) -> int:
+    if not is_integer(a) or a < 1:
         raise InvalidInput(f"atom ids must be integers >= 1, got {a!r}")
     return a
+
+
+def descending_columns(atom_sets: Iterable[Iterable[int]]) -> tuple[list, dict]:
+    """``(atoms, column)``: the union of ``atom_sets`` descending, column
+    ``c`` standing for ``atoms[c]``, and ``column[atoms[c]] == c``."""
+    atoms = sorted(set().union(*atom_sets), reverse=True)
+    return atoms, {a: c for c, a in enumerate(atoms)}
 
 
 class RingElement:
@@ -53,11 +60,11 @@ class RingElement:
         normalized: dict[frozenset, int] = {}
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(coeff, int) or isinstance(coeff, bool):
+                if not is_integer(coeff):
                     raise InvalidInput(f"coefficients must be ints, got {coeff!r}")
                 if coeff == 0:
                     continue
-                key = frozenset(_check_atom(a) for a in mono)
+                key = frozenset(check_atom(a) for a in mono)
                 normalized[key] = normalized.get(key, 0) + coeff
                 if normalized[key] == 0:
                     del normalized[key]
@@ -100,9 +107,8 @@ class RingElement:
 
     def _columns(self) -> tuple[dict, list]:
         if self._cols is None:
-            atoms = sorted(set().union(*self._mono), reverse=True)
-            bit = {a: 1 << c for c, a in enumerate(atoms)}
-            masks = {sum(bit[a] for a in mono): coeff for mono, coeff in self._mono.items()}
+            atoms, column = descending_columns(self._mono)
+            masks = {sum(1 << column[a] for a in mono): coeff for mono, coeff in self._mono.items()}
             self._cols = (masks, atoms)
         return self._cols
 
@@ -251,7 +257,7 @@ def one() -> RingElement:
 
 def generator(a: int) -> RingElement:
     """The degree-one generator attached to sphere coordinate ``a``."""
-    _check_atom(a)
+    check_atom(a)
     return RingElement._raw({frozenset((a,)): 1})
 
 
@@ -284,7 +290,7 @@ def product_of_generators(seq: Iterable[int], n: int) -> RingElement:
     Agreement with the fold of ``mul`` over ``generator`` is part of the
     test suite, not assumed here.
     """
-    ids = [_check_atom(a) for a in seq]
+    ids = [check_atom(a) for a in seq]
     if len(ids) != n:
         raise InvalidInput(f"expected a sequence of length {n}, got {len(ids)}")
     if any(a > n for a in ids):

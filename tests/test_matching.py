@@ -92,10 +92,10 @@ class TestHallViaMatching:
             f = random_family(rng, max_m=6, max_atom=6)
             assert hall_via_matching(f) == hall_exhaustive(f)
 
-    def test_first_seen_columns_agree_with_ascending(self):
-        # hall_via_matching numbers atoms as first seen, max_matching in
-        # ascending order; both must answer alike, and as the subset scan
-        # where it runs, on sparse atom ids with repeated and shared sets
+    def test_sparse_atom_ids_agree_with_every_route(self):
+        # on sparse atom ids with repeated and shared sets, hall_via_matching
+        # must answer as max_matching, which reads the same columns, and as
+        # the subset scan where it runs
         rng = random.Random(29)
         seen = set()
         for _ in range(1000):

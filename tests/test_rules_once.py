@@ -1,0 +1,84 @@
+"""Each input rule and the column numbering are written once in the package."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eulerhall"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+ATOM_MESSAGE = "atom ids must be integers >= 1"
+
+
+def sources():
+    return {path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8")
+            for path in MODULES}
+
+
+def calls(source, test):
+    """The innermost enclosing function name (None at module level) of each
+    call in ``source`` for which ``test(call)`` holds."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and test(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def is_bool_check(call):
+    # isinstance(x, bool), also with bool inside a tuple of types
+    return (isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+            and len(call.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(call.args[1])))
+
+
+def is_descending_union(call):
+    # sorted(<...>.union(...), reverse=True): the atoms of some sets, descending
+    return (isinstance(call.func, ast.Name) and call.func.id == "sorted" and call.args
+            and isinstance(call.args[0], ast.Call)
+            and isinstance(call.args[0].func, ast.Attribute)
+            and call.args[0].func.attr == "union"
+            and any(k.arg == "reverse" for k in call.keywords))
+
+
+def test_checkers_find_each_pattern():
+    source = (
+        "def f(x):\n"
+        "    return isinstance(x, (int, bool)) or isinstance(x, int)\n"
+        "def g(sets):\n"
+        "    return sorted(set().union(*sets), reverse=True), sorted(set().union(*sets))\n"
+        "isinstance(1, bool)\n"
+    )
+    assert calls(source, is_bool_check) == ["f", None]
+    assert calls(source, is_descending_union) == ["g"]
+
+
+def test_bool_is_refused_in_one_predicate():
+    # cli._text_value renders values; it validates nothing
+    found = [(name, scope) for name, source in sources().items()
+             for scope in calls(source, is_bool_check)]
+    assert sorted(found) == [("cli.py", "_text_value"), ("errors.py", "is_integer")]
+
+
+def test_atom_message_is_written_once():
+    assert sum(source.count(ATOM_MESSAGE) for source in sources().values()) == 1
+
+
+def test_atoms_are_numbered_descending_in_one_helper():
+    found = [(name, scope) for name, source in sources().items()
+             for scope in calls(source, is_descending_union)]
+    assert found == [("ring.py", "descending_columns")]
+
+
+def test_hall_via_matching_reads_the_family_columns():
+    tree = ast.parse(sources()["matching.py"])
+    (function,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "hall_via_matching"]
+    nodes = list(ast.walk(function))
+    assert not [n for n in nodes if isinstance(n, (ast.Dict, ast.DictComp))]
+    assert [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "columns"]

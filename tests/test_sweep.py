@@ -117,6 +117,21 @@ def test_coefficient_sweep_weights_failures(monkeypatch):
     assert result.mismatches == expected > 0
 
 
+@pytest.mark.parametrize("rows, ncols, extra", [
+    pytest.param(((0,),), 2, 0b10, id="outside-the-union"),
+    pytest.param(((0, 1),), 2, 0b11, id="wrong-degree"),
+])
+def test_coefficient_law_refuses_a_stray_term(monkeypatch, rows, ncols, extra):
+    # the permanent loop reads only the degree-m subsets of the union, so
+    # only the support check sees either extra term
+    def padded(rows, n_cols):
+        return {**euler_terms(rows, n_cols), extra: 1}
+
+    assert sweep.coefficient_law(rows, ncols)
+    monkeypatch.setattr(sweep._kernels, "euler_terms", padded)
+    assert sweep.coefficient_law(rows, ncols) is False
+
+
 def test_coefficient_sweep_budget_refuses_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a refused sweep must start no work")

@@ -1,0 +1,73 @@
+"""Every integer validator of the package, with its exact message.
+
+Each validator refuses a bool, a non-integer and its first out-of-range
+integer with ``InvalidInput`` and the text pinned here, and accepts an
+instance of an ``int`` subclass as the integer it equals.
+"""
+
+import re
+
+import pytest
+
+from eulerhall import InvalidInput, bundles, dynamics, ring
+from eulerhall.bundles import BundleFamily
+from eulerhall.dynamics import DynamicsConfig
+
+
+class Int(int):
+    """An int subclass, accepted wherever an int is."""
+
+
+def from_json(**fields):
+    return BundleFamily.from_json_dict({"sets": [], **fields})
+
+
+def atom_message(x):
+    return f"atom ids must be integers >= 1, got {x!r}"
+
+
+# name: (call with the checked value, message for a value, first
+# out-of-range int or None, a valid value)
+VALIDATORS = {
+    "ring.generator": (ring.generator, atom_message, 0, 2),
+    "ring.coefficient": (lambda x: ring.monomial((1,), x),
+                         lambda x: f"coefficients must be ints, got {x!r}", None, 3),
+    "dynamics.nu.index": (lambda x: dynamics.nu(x, 1),
+                          lambda x: f"index must be an integer, got {x!r}", None, -1),
+    "dynamics.nu.second": (lambda x: dynamics.nu(1, x),
+                           lambda x: f"second argument must be an integer >= 1, got {x!r}", 0, 2),
+    "dynamics.level": (dynamics.level, atom_message, 0, 2),
+    "dynamics.i_set": (dynamics.i_set,
+                       lambda x: f"block index must be an integer >= 1, got {x!r}", 0, 2),
+    "DynamicsConfig.window": (lambda x: DynamicsConfig(window=x, depth=0),
+                              lambda x: "window must be an integer >= 1", 0, 1),
+    "DynamicsConfig.depth": (lambda x: DynamicsConfig(window=1, depth=x),
+                             lambda x: "depth must be a nonnegative integer", -1, 1),
+    "bundles.index_set": (lambda x: bundles.index_set([x]), atom_message, 0, 2),
+    "BundleFamily.trivial_lines": (lambda x: BundleFamily(trivial_lines=x),
+                                   lambda x: "trivial_lines must be a nonnegative integer", -1, 1),
+    "from_json_dict.atom": (lambda x: from_json(sets=[[x]]),
+                            lambda x: f"sets[0] contains invalid atom id {x!r}", 0, 2),
+    "from_json_dict.trivial_lines": (
+        lambda x: from_json(trivial_lines=x),
+        lambda x: "field 'trivial_lines' must be a nonnegative integer", -1, 1),
+}
+
+REFUSALS = [
+    pytest.param(call, message, value, id=f"{name}-{value!r}")
+    for name, (call, message, out_of_range, _) in VALIDATORS.items()
+    for value in (True, False, 2.0, "3", *([] if out_of_range is None else [out_of_range]))
+]
+
+
+@pytest.mark.parametrize("call, message, value", REFUSALS)
+def test_refuses_with_its_message(call, message, value):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, valid", [
+    pytest.param(call, valid, id=name) for name, (call, _, _, valid) in VALIDATORS.items()
+])
+def test_accepts_an_int_subclass(call, valid):
+    assert call(Int(valid)) == call(valid)
