@@ -24,6 +24,9 @@ Conventions:
   order, columns numbered ``0 .. ncols-1``.  Row ``j`` lists the columns
   incident to set ``j``.  Only ``max_matching`` reads the order: it
   decides which maximum matching it returns, not its size.
+  ``max_matching`` alone takes more: its columns may be any hashable
+  keys but -1, and a row any iterable of distinct columns, scanned in
+  iteration order; it does not read ``ncols``.
 * Matchings are reported as ``col_of``: for each row the matched column,
   or -1 when the row is unmatched.
 """
@@ -112,56 +115,55 @@ def max_matching(rows, ncols):
     """Maximum bipartite matching (rows vs columns), deterministic.
 
     Greedy seeding in row order followed by augmenting-path search for
-    each unmatched row; adjacency is always scanned in stored order, so
-    the result depends only on the input.  Each search keeps the set of
-    columns it has visited, so it costs what it visits, not the number
-    of columns.
+    each unmatched row; adjacency is always scanned in iteration order,
+    so the result depends only on the input.  Each search keeps the set
+    of columns it has visited, so it costs what it visits, not the number
+    of columns; ``ncols`` is not read.
     """
-    m = len(rows)
-    row_of = [-1] * ncols
-    col_of = [-1] * m
+    row_of = _RowOf()
+    col_of = [-1] * len(rows)
     for j, cols in enumerate(rows):
         for c in cols:
-            if row_of[c] < 0:
+            if c not in row_of:
                 row_of[c] = j
                 col_of[j] = c
                 break
-    for j in range(m):
-        if col_of[j] < 0:
+    for j, c in enumerate(col_of):
+        if c == -1:
             _augment(j, rows, row_of, col_of)
     return col_of
 
 
+class _RowOf(dict):
+    # column -> matched row; a column not yet matched reads -1
+    def __missing__(self, c):
+        return -1
+
+
 def _augment(start, rows, row_of, col_of):
     # Iterative alternating DFS, so long paths hit no recursion limit.
-    # frames[i] = [row, next adjacency index]; path_cols[i] = column taken
-    # out of frames[i] towards frames[i+1]; `seen` holds the columns this
-    # search has visited.
+    # frames[i] = (row, iterator over its remaining columns); path_cols[i]
+    # = column taken out of frames[i] towards frames[i+1]; `seen` holds
+    # the columns this search has visited.  row_of maps a column to its
+    # row, -1 when unmatched: a list over 0..ncols-1 or a _RowOf.
     seen = set()
-    frames = [[start, 0]]
+    frames = [(start, iter(rows[start]))]
     path_cols = []
     while frames:
-        frame = frames[-1]
-        cols = rows[frame[0]]
-        advanced = False
-        while frame[1] < len(cols):
-            c = cols[frame[1]]
-            frame[1] += 1
+        for c in frames[-1][1]:
             if c in seen:
                 continue
             seen.add(c)
             r = row_of[c]
+            path_cols.append(c)
             if r < 0:
-                path_cols.append(c)
                 for (row, _), col in zip(frames, path_cols):
                     row_of[col] = row
                     col_of[row] = col
                 return True
-            frames.append([r, 0])
-            path_cols.append(c)
-            advanced = True
+            frames.append((r, iter(rows[r])))
             break
-        if not advanced:
+        else:
             frames.pop()
             if path_cols:
                 path_cols.pop()

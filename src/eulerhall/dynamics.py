@@ -31,26 +31,29 @@ kept as distinct indexed members, and all checks are stated for the
 indexed family.
 
 A run computes each image nu(j, t) once: it keeps one table of images
-per index j, fills a missing entry on its first lookup, and builds the
-block i_set(j) from the table when it is first needed.  The tables of a
-run share one numbering of the atoms, ``GammaFamily.columns``: atom 1
-is column 0, and each image gets the next column when its table first
-computes it.  Since nu is injective, every atom of the run is numbered
-exactly once.  Each generation is held as two parallel tuples, its sets
-and their labels; a ``LabeledSet`` record with its provenance is built
-only when ``GammaFamily.generations`` is read.  Validation stays at the
-boundary: ``nu`` checks both of its arguments on every image, so no image
-of a non-integer index is ever made, and the prefix certificate maps its
-sets through the run's numbering straight into the matching kernel,
-without revalidating them as a ``BundleFamily``.
+per index j.  Each generation is built one index at a time: the index's
+table first computes, in one batch, the images of the atoms that the
+generation's parents hold and the table lacks, then makes all the
+parents' children and labels by lookups, and the per-index lists are
+interleaved back into parent order.  Each generation is held as two
+parallel tuples, its sets and their labels; a ``LabeledSet`` record
+with its provenance is built only when ``GammaFamily.generations`` is
+read.  Validation stays at the boundary: ``nu`` checks both of its
+arguments on every image, so no image of a non-integer index is ever
+made.  The label laws are checked by passes over whole generations, and
+only a failure walks the members one by one to name it.  The prefix
+certificate hands its sets to the matching kernel as they are, the atoms
+themselves being the columns, without numbering them or revalidating
+them as a ``BundleFamily``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from math import isqrt
+from operator import contains
 from typing import Iterable
 
 from . import _kernels, matching, ring
@@ -103,25 +106,39 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
     removed first and the block i_set(j) is adjoined, so the result is
     never empty.
     """
-    images = _Images(j)
-    return _set_map(j, index_set(atoms), images.__getitem__, images.block)
+    return _Images(j).alpha([index_set(atoms)])[0]
 
 
 class _Images(dict):
-    """The images nu(j, t) of one index j, each computed on first lookup
-    and numbered in ``columns``, which the tables of a run share."""
+    """The images nu(j, t) of one index j, each computed once: on first
+    lookup, or by ``fill`` for many atoms at a time."""
 
-    def __init__(self, j: int, columns: dict | None = None):
+    def __init__(self, j: int):
         super().__init__()
         self.j = j
-        self.columns = {} if columns is None else columns
         self._block: frozenset | None = None
 
     def __missing__(self, t: int) -> int:
         value = self[t] = nu(self.j, t)
-        columns = self.columns
-        columns[value] = len(columns)
         return value
+
+    def fill(self, atoms: set) -> None:
+        """Compute the images of the atoms the table lacks, in one batch."""
+        missing = atoms - self.keys()
+        self.update(zip(missing, map(nu, repeat(self.j, len(missing)), missing)))
+
+    def alpha(self, sources) -> list[frozenset]:
+        """alpha(j, I) for each set I of atoms in ``sources``.
+
+        For j >= 1 the kept atoms of every source are mapped before the
+        block is built, so a non-integer j is refused by ``nu`` first.
+        """
+        j, image = self.j, self.__getitem__
+        if j <= 0:
+            return [frozenset(map(image, source)) for source in sources]
+        above = j.__lt__
+        kept = [list(map(image, filter(above, source))) for source in sources]
+        return list(map(self.block().union, kept))
 
     def block(self) -> frozenset:
         """i_set(j), built from the table on first use; refuses any j but
@@ -132,14 +149,6 @@ class _Images(dict):
                 raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
             self._block = frozenset(map(self.__getitem__, range(1, j + 1)))
         return self._block
-
-
-def _set_map(j: int, source: frozenset, image, block) -> frozenset:
-    # alpha(j, source), given image(t) = nu(j, t) and block() = i_set(j)
-    if j <= 0:
-        return frozenset(map(image, source))
-    kept = [image(u) for u in source if u > j]
-    return block().union(kept)
 
 
 @dataclass(frozen=True)
@@ -164,13 +173,11 @@ class LabeledSet:
 @dataclass(frozen=True)
 class GammaFamily:
     """Generations as parallel tuples: ``sets[k][i]`` has label
-    ``labels[k][i]``.  ``columns`` numbers every atom of the run once,
-    0..len(columns) - 1, in the order the generator made them."""
+    ``labels[k][i]``."""
 
     sets: tuple[tuple[frozenset, ...], ...]
     labels: tuple[tuple[int, ...], ...]
     config: DynamicsConfig
-    columns: dict = field(compare=False, repr=False)
 
     @cached_property
     def generations(self) -> tuple[tuple[LabeledSet, ...], ...]:
@@ -207,32 +214,38 @@ class GammaFamily:
             raise InvalidInput(f"prefix depth must lie in 0..{self.depth}, got {m}")
 
 
+def _parent_major(per_index) -> tuple:
+    # One list per index, each over the same parents, as one tuple listing
+    # each parent's images together, in index order
+    return tuple(chain.from_iterable(zip(*per_index)))
+
+
 def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     """Expand the seed {1} through all window indices, depth times.
 
     Generation k+1 lists alpha(j, I) for every member I of generation k
     (in order) and every j from -window to window, with the label
-    recursion label(alpha_j(I)) = nu(j, label(I)).
+    recursion label(alpha_j(I)) = nu(j, label(I)).  It is built one index
+    at a time: the index's table first gains the images of every atom the
+    parents hold, then gives all the parents' children and labels, and
+    the per-index lists are interleaved back into that order.
     """
-    columns = {1: 0}
     w = cfg.window
-    maps = []
-    for j in range(-w, w + 1):
-        images = _Images(j, columns)
-        maps.append((j, images.__getitem__, images.block))
+    tables = [_Images(j) for j in range(-w, w + 1)]
     sets: list[tuple[frozenset, ...]] = [(frozenset((1,)),)]
     labels: list[tuple[int, ...]] = [(1,)]
     for _ in range(cfg.depth):
-        nxt_sets: list[frozenset] = []
-        nxt_labels: list[int] = []
-        add_set, add_label = nxt_sets.append, nxt_labels.append
-        for atoms, label in zip(sets[-1], labels[-1]):
-            for j, image, block in maps:
-                add_set(_set_map(j, atoms, image, block))
-                add_label(image(label))
-        sets.append(tuple(nxt_sets))
-        labels.append(tuple(nxt_labels))
-    return GammaFamily(sets=tuple(sets), labels=tuple(labels), config=cfg, columns=columns)
+        parents, parent_labels = sets[-1], labels[-1]
+        # each label is an atom of its set, so its image is filled too
+        held = set().union(*parents)
+        children, child_labels = [], []
+        for images in tables:
+            images.fill(held)
+            children.append(images.alpha(parents))
+            child_labels.append(map(images.__getitem__, parent_labels))
+        sets.append(_parent_major(children))
+        labels.append(_parent_major(child_labels))
+    return GammaFamily(sets=tuple(sets), labels=tuple(labels), config=cfg)
 
 
 @dataclass(frozen=True)
@@ -255,7 +268,18 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
     (a) each label belongs to its set, (b) labels are pairwise distinct
     across all generations, (c) the level of a label equals its
     generation index.  The first counterexample of each kind is reported.
+    Whole-generation passes decide first whether all three laws hold; only
+    when one fails are the members walked one by one for the messages.
     """
+    labels = list(chain.from_iterable(g.labels))
+    if _distinct_members(chain.from_iterable(g.sets), labels) and _levels_hold(g.labels):
+        return LabelingReport(membership_ok=True, injective_ok=True, level_ok=True)
+    return _labeling_walk(g)
+
+
+def _labeling_walk(g: GammaFamily) -> LabelingReport:
+    # verify_labeling member by member, naming the first counterexample
+    # of each law
     membership_failure = injective_failure = level_failure = None
     # positions k count members over all generations, in order
     seen: dict[int, int] = {}  # label -> position of its first member
@@ -298,7 +322,7 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
 
 
 def _member(g: GammaFamily, k: int) -> str:
-    # "generation i, member p" for the member at position k (see verify_labeling)
+    # "generation i, member p" for the member at position k (see _labeling_walk)
     gen_index = 0
     while k >= len(g.labels[gen_index]):
         k -= len(g.labels[gen_index])
@@ -306,29 +330,48 @@ def _member(g: GammaFamily, k: int) -> str:
     return f"generation {gen_index}, member {k}"
 
 
+def _distinct_members(sets, labels: list) -> bool:
+    # Whether each of `labels` is in its set of `sets` and no label
+    # repeats, each law checked by one pass over all members
+    return all(map(contains, sets, labels)) and len(set(labels)) == len(labels)
+
+
+def _levels_hold(labels) -> bool:
+    # Whether the label of each member of generation k has level k, one
+    # pass per generation: generation 0 holds only the label 1, and every
+    # later label is an int > 1 whose predecessor is a label of the
+    # generation before
+    previous = {1}
+    for k, generation in enumerate(labels):
+        current = set(generation)
+        if k == 0:
+            if not current <= previous:
+                return False
+        elif not (set(map(type, current)) <= {int} and min(current, default=2) > 1
+                  and previous.issuperset(map(_predecessor, current))):
+            return False
+        previous = current
+    return True
+
+
 def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     """The labels of generations 0..m as an explicit SDR, cross-checked.
 
     The labels are distinct members of their sets, hence a saturating
     system of distinct representatives for the indexed prefix family;
-    saturation is confirmed independently by one maximum matching over
-    the run's own numbering of the atoms, ``g.columns``.  A set that
-    holds an atom the run never numbered is a violation too.
+    saturation is confirmed independently by one maximum matching whose
+    columns are the atoms themselves.
     """
     g._check_prefix(m)
-    labels = [label for generation in g.labels[:m + 1] for label in generation]
-    sets = [atoms for generation in g.sets[:m + 1] for atoms in generation]
-    for label, atoms in zip(labels, sets):
-        if label not in atoms:
-            raise TheoremViolation(f"label {label} escaped its set {sorted(atoms)}")
-    if len(set(labels)) != len(labels):
-        raise TheoremViolation("generated labels are not pairwise distinct")
-    column = g.columns.__getitem__
-    try:
-        rows = tuple([tuple(map(column, atoms)) for atoms in sets])
-    except KeyError as exc:
-        raise TheoremViolation(f"atom {exc.args[0]!r} of a prefix set has no column") from None
-    if -1 in _kernels.max_matching(rows, len(g.columns)):
+    labels = list(chain.from_iterable(g.labels[:m + 1]))
+    sets = list(chain.from_iterable(g.sets[:m + 1]))
+    if not _distinct_members(sets, labels):
+        for label, atoms in zip(labels, sets):
+            if label not in atoms:
+                raise TheoremViolation(f"label {label} escaped its set {sorted(atoms)}")
+        if len(set(labels)) != len(labels):
+            raise TheoremViolation("generated labels are not pairwise distinct")
+    if -1 in _kernels.max_matching(sets, None):
         raise TheoremViolation("matching failed to saturate a labeled prefix family")
     return MatchingResult(assignment=tuple(labels))
 
@@ -345,9 +388,5 @@ def hall_persistence_check(f: BundleFamily, cfg: DynamicsConfig) -> bool:
     if not matching.hall_via_matching(f):
         raise InvalidInput("input family must satisfy Hall's condition")
     w = cfg.window
-    tables = [(j, _Images(j)) for j in range(-w, w + 1)]
-    image = tuple(
-        _set_map(j, s, images.__getitem__, images.block)
-        for s in f.sets for j, images in tables
-    )
+    image = _parent_major([_Images(j).alpha(f.sets) for j in range(-w, w + 1)])
     return matching.hall_via_matching(BundleFamily(sets=image))

@@ -198,16 +198,6 @@ class TestFamilyBasics:
         with pytest.raises(InvalidInput):
             BundleFamily(trivial_lines=-1)
 
-    def test_trivial_lines_rejects_bools(self):
-        # the constructor refuses what from_json_dict refuses
-        for flag in (True, False):
-            with pytest.raises(InvalidInput):
-                BundleFamily(trivial_lines=flag)
-            with pytest.raises(InvalidInput):
-                BundleFamily.of({1}, trivial_lines=flag)
-            with pytest.raises(InvalidInput):
-                BundleFamily.from_json_dict({"sets": [[1]], "trivial_lines": flag})
-
 
 class TestJson:
     def test_canonical_round_trip(self):

@@ -200,11 +200,35 @@ def brute_max_matching_size(rows, ncols):
 
 class TestMatchingMaximality:
     def test_cardinality_matches_brute_force(self):
+        # rows as tuples, lists or frozensets: any iterable of columns
         rng = random.Random(55)
         for _ in range(300):
             rows, ncols = random_rows(rng, max_m=6, max_ncols=6)
-            col_of = _pyref.max_matching(rows, ncols)
-            assert sum(c >= 0 for c in col_of) == brute_max_matching_size(rows, ncols)
+            size = brute_max_matching_size(rows, ncols)
+            for kind in (tuple, list, frozenset):
+                col_of = _pyref.max_matching([kind(cols) for cols in rows], ncols)
+                assert sum(c >= 0 for c in col_of) == size, kind
+
+    def test_raw_atoms_match_their_numbering(self):
+        # columns may be any hashable keys: a family of frozensets of atom
+        # ids up to 10**12 matches as its compression to 0-based columns,
+        # numbered as first met and listed in each set's iteration order,
+        # so both scan alike and the matched atoms are the matched columns'
+        rng = random.Random(56)
+        for _ in range(1000):
+            pool = rng.sample(range(1, 10**12 + 1), rng.randint(1, 8))
+            sets = [frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+                    for _ in range(rng.randint(0, 9))]
+            column = {}
+            for atoms in sets:
+                for a in atoms:
+                    column.setdefault(a, len(column))
+            rows = tuple(tuple(map(column.__getitem__, atoms)) for atoms in sets)
+            by_atom = _pyref.max_matching(sets, None)
+            by_column = _pyref.max_matching(rows, len(column))
+            unmatched = [j for j, a in enumerate(by_atom) if a == -1]
+            assert unmatched == [j for j, c in enumerate(by_column) if c == -1]
+            assert [column.get(a, -1) for a in by_atom] == by_column
 
     def test_long_augmenting_chain(self):
         # the final row forces an augmenting path through all 3000 ladder

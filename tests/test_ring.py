@@ -35,12 +35,6 @@ class TestGenerator:
     def test_distinct_generators_multiply_freely(self):
         assert ring.mul(generator(1), generator(2)) == monomial({1, 2})
 
-    def test_rejects_bad_atoms(self):
-        with pytest.raises(InvalidInput):
-            generator(0)
-        with pytest.raises(InvalidInput):
-            generator(-3)
-
 
 class TestAddMul:
     def test_add_collects_coefficients(self):

@@ -1,8 +1,9 @@
 """Every integer validator of the package, with its exact message.
 
-Each validator refuses a bool, a non-integer and its first out-of-range
-integer with ``InvalidInput`` and the text pinned here, and accepts an
-instance of an ``int`` subclass as the integer it equals.
+Each validator refuses a bool, a non-integer and the further values
+listed for it, its first out-of-range integer first, with
+``InvalidInput`` and the text pinned here, and accepts an instance of an
+``int`` subclass as the integer it equals.
 """
 
 import re
@@ -26,37 +27,44 @@ def atom_message(x):
     return f"atom ids must be integers >= 1, got {x!r}"
 
 
-# name: (call with the checked value, message for a value, first
-# out-of-range int or None, a valid value)
+def trivial_lines_message(x):
+    return "trivial_lines must be a nonnegative integer"
+
+
+# name: (call with the checked value, message for a value, further
+# refused values, the first out-of-range int first, a valid value)
 VALIDATORS = {
-    "ring.generator": (ring.generator, atom_message, 0, 2),
+    "ring.generator": (ring.generator, atom_message, (0, -3), 2),
     "ring.coefficient": (lambda x: ring.monomial((1,), x),
-                         lambda x: f"coefficients must be ints, got {x!r}", None, 3),
+                         lambda x: f"coefficients must be ints, got {x!r}", (), 3),
     "dynamics.nu.index": (lambda x: dynamics.nu(x, 1),
-                          lambda x: f"index must be an integer, got {x!r}", None, -1),
+                          lambda x: f"index must be an integer, got {x!r}", (), -1),
     "dynamics.nu.second": (lambda x: dynamics.nu(1, x),
-                           lambda x: f"second argument must be an integer >= 1, got {x!r}", 0, 2),
-    "dynamics.level": (dynamics.level, atom_message, 0, 2),
+                           lambda x: f"second argument must be an integer >= 1, got {x!r}",
+                           (0,), 2),
+    "dynamics.level": (dynamics.level, atom_message, (0,), 2),
     "dynamics.i_set": (dynamics.i_set,
-                       lambda x: f"block index must be an integer >= 1, got {x!r}", 0, 2),
+                       lambda x: f"block index must be an integer >= 1, got {x!r}", (0,), 2),
     "DynamicsConfig.window": (lambda x: DynamicsConfig(window=x, depth=0),
-                              lambda x: "window must be an integer >= 1", 0, 1),
+                              lambda x: "window must be an integer >= 1", (0, None), 1),
     "DynamicsConfig.depth": (lambda x: DynamicsConfig(window=1, depth=x),
-                             lambda x: "depth must be a nonnegative integer", -1, 1),
-    "bundles.index_set": (lambda x: bundles.index_set([x]), atom_message, 0, 2),
+                             lambda x: "depth must be a nonnegative integer", (-1, None, 1.5), 1),
+    "bundles.index_set": (lambda x: bundles.index_set([x]), atom_message, (0,), 2),
     "BundleFamily.trivial_lines": (lambda x: BundleFamily(trivial_lines=x),
-                                   lambda x: "trivial_lines must be a nonnegative integer", -1, 1),
+                                   trivial_lines_message, (-1,), 1),
+    "BundleFamily.of.trivial_lines": (lambda x: BundleFamily.of({1}, trivial_lines=x),
+                                      trivial_lines_message, (-1,), 1),
     "from_json_dict.atom": (lambda x: from_json(sets=[[x]]),
-                            lambda x: f"sets[0] contains invalid atom id {x!r}", 0, 2),
+                            lambda x: f"sets[0] contains invalid atom id {x!r}", (0,), 2),
     "from_json_dict.trivial_lines": (
         lambda x: from_json(trivial_lines=x),
-        lambda x: "field 'trivial_lines' must be a nonnegative integer", -1, 1),
+        lambda x: "field 'trivial_lines' must be a nonnegative integer", (-1,), 1),
 }
 
 REFUSALS = [
     pytest.param(call, message, value, id=f"{name}-{value!r}")
-    for name, (call, message, out_of_range, _) in VALIDATORS.items()
-    for value in (True, False, 2.0, "3", *([] if out_of_range is None else [out_of_range]))
+    for name, (call, message, further, _) in VALIDATORS.items()
+    for value in (True, False, 2.0, "3", *further)
 ]
 
 
