@@ -46,9 +46,17 @@ class TestNu:
         values = {nu(j, t) for j in range(-6, 7) for t in range(1, 201)}
         assert len(values) == 13 * 200
 
+    def test_rejects_second_argument_below_one(self):
+        with pytest.raises(InvalidInput):
+            nu(0, 0)
+
     def test_rejects_fractional_index(self):
         with pytest.raises(InvalidInput, match="index must be an integer"):
             nu(-2.5, 3)
+
+    def test_rejects_bool_index(self):
+        with pytest.raises(InvalidInput, match="index must be an integer"):
+            nu(True, 1)
 
     @pytest.mark.parametrize("j", [1.0, "1", None])
     def test_rejects_other_non_integer_indices(self, j):
@@ -73,6 +81,10 @@ class TestLevel:
         # every positive atom has a well-defined depth
         for a in range(1, 2000):
             assert level(a) >= 0
+
+    def test_rejects_bad_atom(self):
+        with pytest.raises(InvalidInput):
+            level(0)
 
 
 class TestISetAlpha:
