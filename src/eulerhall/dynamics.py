@@ -41,10 +41,11 @@ with its provenance is built only when ``GammaFamily.generations`` is
 read.  Validation stays at the boundary: ``nu`` checks both of its
 arguments on every image, so no image of a non-integer index is ever
 made.  The label laws are checked by passes over whole generations, and
-only a failure walks the members one by one to name it.  The prefix
-certificate hands its sets to the matching kernel as they are, the atoms
-themselves being the columns, without numbering them or revalidating
-them as a ``BundleFamily``.
+only a failure walks the members one by one to name it; membership and
+distinctness are the SDR predicate of ``certificates``.  The prefix
+certificate is checked by that module, then hands its sets to the
+matching kernel as they are, the atoms themselves being the columns,
+without numbering them or revalidating them as a ``BundleFamily``.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 from math import isqrt
-from operator import contains
 from typing import Iterable
 
-from . import _kernels, matching, ring
+from . import _kernels, certificates, matching, ring
 from .bundles import BundleFamily, index_set
 from .errors import InvalidInput, TheoremViolation, is_integer
 from .matching import MatchingResult
@@ -210,8 +210,8 @@ class GammaFamily:
         return out
 
     def _check_prefix(self, m: int) -> None:
-        if m < 0 or m > self.depth:
-            raise InvalidInput(f"prefix depth must lie in 0..{self.depth}, got {m}")
+        if not is_integer(m) or m < 0 or m > self.depth:
+            raise InvalidInput(f"prefix depth must lie in 0..{self.depth}, got {m!r}")
 
 
 def _parent_major(per_index) -> tuple:
@@ -268,11 +268,13 @@ def verify_labeling(g: GammaFamily) -> LabelingReport:
     (a) each label belongs to its set, (b) labels are pairwise distinct
     across all generations, (c) the level of a label equals its
     generation index.  The first counterexample of each kind is reported.
-    Whole-generation passes decide first whether all three laws hold; only
-    when one fails are the members walked one by one for the messages.
+    Whole-generation passes decide first whether all three laws hold, (a)
+    and (b) together being ``certificates.is_sdr``; only when one fails
+    are the members walked one by one for the messages.
     """
+    sets = list(chain.from_iterable(g.sets))
     labels = list(chain.from_iterable(g.labels))
-    if _distinct_members(chain.from_iterable(g.sets), labels) and _levels_hold(g.labels):
+    if certificates.is_sdr(sets, labels) and _levels_hold(g.labels):
         return LabelingReport(membership_ok=True, injective_ok=True, level_ok=True)
     return _labeling_walk(g)
 
@@ -283,7 +285,6 @@ def _labeling_walk(g: GammaFamily) -> LabelingReport:
     membership_failure = injective_failure = level_failure = None
     # positions k count members over all generations, in order
     seen: dict[int, int] = {}  # label -> position of its first member
-    levels = {1: 0}  # label -> level; a label's parent label precedes it
     start = 0  # position of the generation's first member
     for gen_index, (labels, sets) in enumerate(zip(g.labels, g.sets)):
         for k, label, atoms in zip(range(start, start + len(labels)), labels, sets):
@@ -299,12 +300,7 @@ def _labeling_walk(g: GammaFamily) -> LabelingReport:
                         f"repeats {_member(g, first)}"
                     )
             if level_failure is None:
-                # one decoding step when the predecessor's level is known;
-                # anything else, invalid labels included, goes to level()
-                below = None
-                if type(label) is int and label > 1:
-                    below = levels.get(_predecessor(label))
-                depth = levels[label] = level(label) if below is None else below + 1
+                depth = level(label)
                 if depth != gen_index:
                     level_failure = (
                         f"label {label} at generation {gen_index}, member {k - start} "
@@ -330,12 +326,6 @@ def _member(g: GammaFamily, k: int) -> str:
     return f"generation {gen_index}, member {k}"
 
 
-def _distinct_members(sets, labels: list) -> bool:
-    # Whether each of `labels` is in its set of `sets` and no label
-    # repeats, each law checked by one pass over all members
-    return all(map(contains, sets, labels)) and len(set(labels)) == len(labels)
-
-
 def _levels_hold(labels) -> bool:
     # Whether the label of each member of generation k has level k, one
     # pass per generation: generation 0 holds only the label 1, and every
@@ -357,20 +347,16 @@ def _levels_hold(labels) -> bool:
 def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     """The labels of generations 0..m as an explicit SDR, cross-checked.
 
-    The labels are distinct members of their sets, hence a saturating
-    system of distinct representatives for the indexed prefix family;
-    saturation is confirmed independently by one maximum matching whose
-    columns are the atoms themselves.
+    ``certificates.check_sdr`` confirms that the labels are distinct
+    members of their sets, hence a saturating system of distinct
+    representatives for the indexed prefix family; saturation is confirmed
+    independently by one maximum matching whose columns are the atoms
+    themselves.
     """
     g._check_prefix(m)
     labels = list(chain.from_iterable(g.labels[:m + 1]))
     sets = list(chain.from_iterable(g.sets[:m + 1]))
-    if not _distinct_members(sets, labels):
-        for label, atoms in zip(labels, sets):
-            if label not in atoms:
-                raise TheoremViolation(f"label {label} escaped its set {sorted(atoms)}")
-        if len(set(labels)) != len(labels):
-            raise TheoremViolation("generated labels are not pairwise distinct")
+    certificates.check_sdr(sets, labels)
     if -1 in _kernels.max_matching(sets, None):
         raise TheoremViolation("matching failed to saturate a labeled prefix family")
     return MatchingResult(assignment=tuple(labels))

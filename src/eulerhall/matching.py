@@ -15,7 +15,10 @@ scan and every matching route read the family's one compression,
 order: the kernel scans them in that order, which decides the
 certificate it returns.  One maximum matching yields both certificates
 of the marriage theorem (``certify``): a system of distinct
-representatives when it saturates, else a Hall violator.
+representatives when it saturates, else a Hall violator.  ``certify``
+checks whichever it returns with ``certificates``, which shares no code
+with these routes, so ``max_matching``, ``find_violation`` and the
+verdicts hand out only checked certificates.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable
 
-from . import _kernels
+from . import _kernels, certificates
 from .bundles import BundleFamily
-from .errors import CapExceeded, DimensionMismatch, TheoremViolation
+from .errors import CapExceeded, DimensionMismatch
 
 EXHAUSTIVE_CAP = 16  # 2^m subsets scanned
 PERMANENT_CAP = 20  # 2^m Ryser terms, exact big-int accumulation
@@ -65,12 +68,18 @@ def certify(f: BundleFamily) -> tuple[MatchingResult, HallViolation | None]:
 
     Returns the matching and, when it leaves a set unmatched, a Hall
     violator derived from that same matching (``None`` when it saturates).
+    Raises TheoremViolation unless ``certificates`` accepts the SDR or the
+    violator returned.
     """
     rows, atoms = f.columns
     col_of = _kernels.max_matching(rows, len(atoms))
     if -1 not in col_of:
-        return MatchingResult(assignment=tuple(map(atoms.__getitem__, col_of))), None
-    return MatchingResult(assignment=None), _violation(f, rows, len(atoms), col_of)
+        assignment = tuple(map(atoms.__getitem__, col_of))
+        certificates.check_sdr(f.sets, assignment)
+        return MatchingResult(assignment=assignment), None
+    violation = _violation(rows, len(atoms), col_of)
+    certificates.check_violator(f.sets, violation.indices)
+    return MatchingResult(assignment=None), violation
 
 
 def max_matching(f: BundleFamily) -> MatchingResult:
@@ -101,7 +110,7 @@ def find_violation(f: BundleFamily) -> HallViolation | None:
     return certify(f)[1]
 
 
-def _violation(f: BundleFamily, rows, ncols: int, col_of) -> HallViolation:
+def _violation(rows, ncols: int, col_of) -> HallViolation:
     # col_of is a maximum matching with at least one unmatched row.
     row_of = [-1] * ncols
     for j, c in enumerate(col_of):
@@ -124,11 +133,7 @@ def _violation(f: BundleFamily, rows, ncols: int, col_of) -> HallViolation:
                     seen_rows.add(r)
                     nxt.append(r)
         frontier = nxt
-    indices = tuple(sorted(seen_rows))
-    union = set().union(*(f.sets[j] for j in indices))
-    if len(union) >= len(indices):
-        raise TheoremViolation("alternating reachability produced an invalid Hall witness")
-    return HallViolation(indices=indices)
+    return HallViolation(indices=tuple(sorted(seen_rows)))
 
 
 def sdr_count(f: BundleFamily, atoms: Iterable[int]) -> int:

@@ -7,10 +7,11 @@ representatives exists.  ``analyze`` is the one analysis pass: it expands
 the Euler class once and runs one maximum matching, which yields both the
 system of distinct representatives and, when there is none, a Hall
 violator.  Any disagreement between the routes is an internal failure,
-never an input error.  ``hall`` is still read from that same matching
-until Hall's condition gets a route of its own (the ROADMAP open item
-"Certify every verdict"), so today the pass checks the Euler route
-against the matching route.
+never an input error.  The pass checks the Euler route against the
+matching route.  ``hall`` is read from that matching and is backed by a
+checked certificate either way: the matching hands out its SDR, or its
+Hall violator, only after ``certificates`` has checked it against the
+sets, by code that shares none with the matching.
 ``equivalence_report`` and the CLI's ``analyze`` are views of the pass.
 
 The verdict engine answers whether one trivial line can split off the
@@ -75,8 +76,10 @@ def analyze(f: BundleFamily) -> Analysis:
     """Euler class, equivalence report and verdict from one pass.
 
     The Euler class is expanded once and the matching runs once; the Hall
-    violator of the verdict comes from that same matching.  Raises
-    TheoremViolation if the routes disagree; that would mean a bug, not
+    violator of the verdict comes from that same matching.  ``hall`` is
+    backed by a checked certificate either way: the SDR when it holds,
+    the violator when it fails.  Raises TheoremViolation if the routes
+    disagree or a certificate fails its check; that would mean a bug, not
     bad input.
     """
     _require_pure(f, "analyze")

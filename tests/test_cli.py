@@ -172,6 +172,23 @@ class TestAnalyze:
         assert "verdict: not_subordinate" in out
         assert "euler_class: x1*x2" in out
 
+    @pytest.mark.parametrize("fixture, sabotage, message", [
+        ("family_repeated_pair.json", lambda col_of: [col_of[0]] * len(col_of),
+         "generated labels are not pairwise distinct"),
+        ("family_obstructed.json", lambda col_of: col_of[::-1], "label 1 escaped its set [2]"),
+    ], ids=["repeated_column", "column_outside_its_row"])
+    def test_invalid_sdr_is_a_theorem_violation(self, monkeypatch, capsys, fixture, sabotage,
+                                                message):
+        # sabotage the matching kernel: the SDR it returns saturates, so
+        # the routes agree, and only the certificate check refuses it
+        from eulerhall import _kernels
+
+        real = _kernels.max_matching
+        monkeypatch.setattr(_kernels, "max_matching",
+                            lambda rows, ncols: sabotage(real(rows, ncols)))
+        assert run_main(capsys, "analyze", str(FIXTURES / fixture)) == (
+            2, "", f"theorem violation: {message}\n")
+
     def test_rejects_trivial_lines(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text('{"sets": [[1]], "trivial_lines": 1}')

@@ -435,27 +435,6 @@ class TestPersistence:
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidInput):
-            DynamicsConfig(window=0, depth=1)
-        with pytest.raises(InvalidInput):
-            DynamicsConfig(window=1, depth=-1)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"window": True, "depth": 1},
-        {"window": 1, "depth": False},
-        {"window": 1.0, "depth": 1},
-        {"window": 1, "depth": "2"},
-        {"window": None, "depth": 1},
-        {"window": "1", "depth": 1},
-        {"window": -1, "depth": 1},
-        {"window": 1, "depth": None},
-        {"window": 1, "depth": 1.5},
-    ])
-    def test_rejects_bools_and_bad_caps(self, kwargs):
-        with pytest.raises(InvalidInput):
-            DynamicsConfig(**kwargs)
-
     def test_labeled_set_is_frozen(self):
         ls = LabeledSet(atoms=frozenset({1}), provenance=(), label=1)
         with pytest.raises(Exception):

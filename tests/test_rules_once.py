@@ -1,4 +1,5 @@
-"""Each input rule and the column numbering are written once in the package."""
+"""Each input rule, the column numbering and each certificate check are
+written once in the package."""
 
 import ast
 from pathlib import Path
@@ -46,16 +47,48 @@ def is_descending_union(call):
             and any(k.arg == "reverse" for k in call.keywords))
 
 
+def is_membership_pass(call):
+    # map(contains, ...) or map(operator.contains, ...): each label tested
+    # against its set
+    return (isinstance(call.func, ast.Name) and call.func.id == "map" and call.args
+            and getattr(call.args[0], "id", getattr(call.args[0], "attr", None)) == "contains")
+
+
+def is_theorem_violation(call):
+    return isinstance(call.func, ast.Name) and call.func.id == "TheoremViolation"
+
+
+def imported_names(source):
+    """Each dotted part of every module and name the source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names - {""}
+
+
 def test_checkers_find_each_pattern():
     source = (
+        "import operator, a.b\n"
+        "from . import _kernels\n"
+        "from .errors import TheoremViolation\n"
         "def f(x):\n"
         "    return isinstance(x, (int, bool)) or isinstance(x, int)\n"
         "def g(sets):\n"
         "    return sorted(set().union(*sets), reverse=True), sorted(set().union(*sets))\n"
+        "def h(sets, labels):\n"
+        "    if all(map(operator.contains, sets, labels)) and map(contains, sets, labels):\n"
+        "        raise TheoremViolation('x')\n"
         "isinstance(1, bool)\n"
     )
     assert calls(source, is_bool_check) == ["f", None]
     assert calls(source, is_descending_union) == ["g"]
+    assert calls(source, is_membership_pass) == ["h", "h"]
+    assert calls(source, is_theorem_violation) == ["h"]
+    assert imported_names(source) == {"operator", "a", "b", "_kernels", "errors",
+                                      "TheoremViolation"}
 
 
 def test_bool_is_refused_in_one_predicate():
@@ -82,3 +115,23 @@ def test_hall_via_matching_reads_the_family_columns():
     nodes = list(ast.walk(function))
     assert not [n for n in nodes if isinstance(n, (ast.Dict, ast.DictComp))]
     assert [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "columns"]
+
+
+def test_certificates_share_no_code_with_their_routes():
+    source = sources()["certificates.py"]
+    assert not imported_names(source) & {"_kernels", "matching", "bundles"}
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and node.attr == "columns"]
+
+
+def test_certificates_are_checked_in_one_module():
+    def found(rule):
+        return sorted((name, scope) for name, source in sources().items()
+                      for scope in calls(source, rule))
+
+    assert found(is_membership_pass) == [("certificates.py", "is_sdr")]
+    # every TheoremViolation raised outside the checker is a disagreement
+    # between two routes
+    assert found(is_theorem_violation) == (
+        [("certificates.py", "check_sdr")] * 3 + [("certificates.py", "check_violator")] * 2
+        + [("dynamics.py", "hall_certificate_for_prefix"), ("obstruction.py", "analyze")])

@@ -14,6 +14,9 @@ from eulerhall import InvalidInput, bundles, dynamics, ring
 from eulerhall.bundles import BundleFamily
 from eulerhall.dynamics import DynamicsConfig
 
+# generations 0..1, so a prefix depth lies in 0..1
+FAMILY = dynamics.gamma_generations(DynamicsConfig(window=1, depth=1))
+
 
 class Int(int):
     """An int subclass, accepted wherever an int is."""
@@ -46,9 +49,12 @@ VALIDATORS = {
     "dynamics.i_set": (dynamics.i_set,
                        lambda x: f"block index must be an integer >= 1, got {x!r}", (0,), 2),
     "DynamicsConfig.window": (lambda x: DynamicsConfig(window=x, depth=0),
-                              lambda x: "window must be an integer >= 1", (0, None), 1),
+                              lambda x: "window must be an integer >= 1", (0, None, -1), 1),
     "DynamicsConfig.depth": (lambda x: DynamicsConfig(window=1, depth=x),
                              lambda x: "depth must be a nonnegative integer", (-1, None, 1.5), 1),
+    "GammaFamily.prefix": (FAMILY.prefix,
+                           lambda x: f"prefix depth must lie in 0..1, got {x!r}",
+                           (-1, 2, None, 1.5), 1),
     "bundles.index_set": (lambda x: bundles.index_set([x]), atom_message, (0,), 2),
     "BundleFamily.trivial_lines": (lambda x: BundleFamily(trivial_lines=x),
                                    trivial_lines_message, (-1,), 1),
