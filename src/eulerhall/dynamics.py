@@ -16,12 +16,14 @@ of atoms of derivation depth r, with {1} alone at depth 0.
 On finite atom sets, ``alpha(j, -)`` applies nu(j, -) pointwise for
 j <= 0; for j >= 1 it first discards the atoms 1..j (raw ids), maps the
 survivors, and adjoins the block ``i_set(j) = {nu(j, 1), ..., nu(j, j)}``.
-Iterating all alpha_j from the seed {1} produces generations of labeled
-sets; labels follow the recursion label(alpha_j(I)) = nu(j, label(I)),
-stay members of their sets, remain globally distinct, and sit at level
-equal to the generation index.  The labels therefore form an explicit
-system of distinct representatives for any prefix of generations, which
-is the certificate the verdict machinery consumes.
+The block is the image of the atoms 1..j, so for j >= 1 this is
+alpha(j, I) = i_set(j) | nu(j, I), and each child is made so, by one
+union.  Iterating all alpha_j from the seed {1} produces generations of
+labeled sets; labels follow the recursion label(alpha_j(I)) =
+nu(j, label(I)), stay members of their sets, remain globally distinct,
+and sit at level equal to the generation index.  The labels therefore
+form an explicit system of distinct representatives for any prefix of
+generations, which is the certificate the verdict machinery consumes.
 
 Generations quantify over all integers j; we window to j in [-W..W].
 Every verified property (injectivity, membership, Hall) is monotone under
@@ -32,27 +34,30 @@ indexed family.
 
 A run computes each image nu(j, t) once: it keeps one table of images
 per index j.  Each generation is built one index at a time: the index's
-table first computes, in one batch, the images of the atoms that the
-generation's parents hold and the table lacks, then makes all the
-parents' children and labels by lookups, and the per-index lists are
+table first computes, in one arithmetic pass, the images of the atoms
+that the generation's parents hold and the table lacks, then makes all
+the parents' children and labels by lookups, and the per-index lists are
 interleaved back into parent order.  Each generation is held as two
 parallel tuples, its sets and their labels; a ``LabeledSet`` record
 with its provenance is built only when ``GammaFamily.generations`` is
 read.  Validation stays at the boundary: ``nu`` checks both of its
-arguments on every image, so no image of a non-integer index is ever
-made.  The label laws are checked by passes over whole generations, and
-only a failure walks the members one by one to name it; membership and
-distinctness are the SDR predicate of ``certificates``.  The prefix
-certificate is checked by that module, then hands its sets to the
-matching kernel as they are, the atoms themselves being the columns,
-without numbering them or revalidating them as a ``BundleFamily``.
+arguments, and a table checks its index once per batch, whose atoms are
+generated or already checked, so no image of a non-integer index is
+ever made.  The label laws are checked by passes over whole
+generations, the level law decoding each generation's labels in one
+pass, and only a failure walks the members one by one to name it;
+membership and distinctness are the SDR predicate of ``certificates``.
+The prefix certificate is checked by that module, then hands its sets
+to the matching kernel as they are, the atoms themselves being the
+columns, without numbering them or revalidating them as a
+``BundleFamily``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import isqrt
 from typing import Iterable
 
@@ -64,23 +69,31 @@ from .matching import MatchingResult
 
 def nu(j: int, t: int) -> int:
     """The injective relabeling map; always >= 2."""
+    _check_index(j)
+    if (type(t) is not int and not is_integer(t)) or t < 1:
+        raise InvalidInput(f"second argument must be an integer >= 1, got {t!r}")
+    return _images(j, (t,))[0]
+
+
+def _check_index(j) -> None:
     # the exact type first, so a plain int makes no call
     if type(j) is not int and not is_integer(j):
         raise InvalidInput(f"index must be an integer, got {j!r}")
-    if (type(t) is not int and not is_integer(t)) or t < 1:
-        raise InvalidInput(f"second argument must be an integer >= 1, got {t!r}")
-    # 2 + pair(zigzag(j), t - 1): zigzag folds 0, 1, -1, 2, -2, ... onto
-    # 0, 1, 2, 3, 4, ..., and pair(a, b) = s(s + 1)/2 + b with s = a + b
-    s = (2 * j - 1 if j > 0 else -2 * j) + t - 1
-    return s * (s + 1) // 2 + t + 1
 
 
-def _predecessor(a: int) -> int:
-    # t for an atom a = nu(j, t) >= 2, strictly smaller than a: one plus
-    # the second component b of the Cantor pair a - 2 = w(w + 1)/2 + b
-    n = a - 2
-    w = (isqrt(8 * n + 1) - 1) // 2
-    return n - w * (w + 1) // 2 + 1
+def _images(j: int, atoms) -> list:
+    # nu(j, t) for each t in atoms, unchecked: 2 + pair(zigzag(j), t - 1),
+    # where zigzag folds 0, 1, -1, 2, -2, ... onto 0, 1, 2, 3, 4, ..., and
+    # pair(a, b) = s(s + 1)/2 + b with s = a + b
+    shift = (2 * j - 1 if j > 0 else -2 * j) - 1
+    return [s * (s + 1) // 2 + t + 1 for t in atoms for s in (shift + t,)]
+
+
+def _predecessors(atoms) -> list:
+    # t for each atom a = nu(j, t) >= 2, strictly smaller than a: one plus
+    # the second component b of the Cantor pair a - 2 = w(w + 1)/2 + b,
+    # where 8(a - 2) + 1 = 8a - 15
+    return [a - 1 - w * (w + 1) // 2 for a in atoms for w in ((isqrt(8 * a - 15) - 1) // 2,)]
 
 
 def level(a: int) -> int:
@@ -89,7 +102,7 @@ def level(a: int) -> int:
     ring.check_atom(a)
     depth = 0
     while a != 1:
-        a = _predecessor(a)
+        (a,) = _predecessors((a,))
         depth += 1
     return depth
 
@@ -104,7 +117,9 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
 
     For j <= 0 this is nu(j, -) pointwise; for j >= 1 the atoms 1..j are
     removed first and the block i_set(j) is adjoined, so the result is
-    never empty.
+    never empty.  An index >= 1 is checked by the block, so a non-integer
+    one such as 2.5 or True is refused as a block index; any other index
+    is checked by ``nu`` on the first image.
     """
     return _Images(j).alpha([index_set(atoms)])[0]
 
@@ -123,22 +138,25 @@ class _Images(dict):
         return value
 
     def fill(self, atoms: set) -> None:
-        """Compute the images of the atoms the table lacks, in one batch."""
+        """Compute the images of the atoms the table lacks, in one batch.
+
+        The atoms are generated or ``index_set``-checked, so only the
+        index is checked, once per batch."""
         missing = atoms - self.keys()
-        self.update(zip(missing, map(nu, repeat(self.j, len(missing)), missing)))
+        if missing:
+            _check_index(self.j)
+            self.update(zip(missing, _images(self.j, missing)))
 
     def alpha(self, sources) -> list[frozenset]:
         """alpha(j, I) for each set I of atoms in ``sources``.
 
-        For j >= 1 the kept atoms of every source are mapped before the
-        block is built, so a non-integer j is refused by ``nu`` first.
+        For j >= 1, alpha(j, I) = i_set(j) | nu(j, I): the images of the
+        atoms 1..j make up the block, so mapping those atoms instead of
+        removing them changes nothing.
         """
-        j, image = self.j, self.__getitem__
-        if j <= 0:
-            return [frozenset(map(image, source)) for source in sources]
-        above = j.__lt__
-        kept = [list(map(image, filter(above, source))) for source in sources]
-        return list(map(self.block().union, kept))
+        union = self.block().union if self.j >= 1 else frozenset().union
+        image = self.__getitem__
+        return [union(map(image, source)) for source in sources]
 
     def block(self) -> frozenset:
         """i_set(j), built from the table on first use; refuses any j but
@@ -328,17 +346,18 @@ def _member(g: GammaFamily, k: int) -> str:
 
 def _levels_hold(labels) -> bool:
     # Whether the label of each member of generation k has level k, one
-    # pass per generation: generation 0 holds only the label 1, and every
-    # later label is an int > 1 whose predecessor is a label of the
-    # generation before
+    # pass per generation: every label is an int, generation 0 holds only
+    # the label 1, and every later label is > 1 and decodes to a label of
+    # the generation before
     previous = {1}
     for k, generation in enumerate(labels):
         current = set(generation)
+        if not set(map(type, current)) <= {int}:
+            return False
         if k == 0:
             if not current <= previous:
                 return False
-        elif not (set(map(type, current)) <= {int} and min(current, default=2) > 1
-                  and previous.issuperset(map(_predecessor, current))):
+        elif not (min(current, default=2) > 1 and previous.issuperset(_predecessors(current))):
             return False
         previous = current
     return True
@@ -371,8 +390,8 @@ def hall_persistence_check(f: BundleFamily, cfg: DynamicsConfig) -> bool:
     """
     if f.trivial_lines > 0:
         raise InvalidInput("hall_persistence_check requires trivial_lines = 0")
-    if not matching.hall_via_matching(f):
+    if not matching.certify(f)[0].saturates:
         raise InvalidInput("input family must satisfy Hall's condition")
     w = cfg.window
     image = _parent_major([_Images(j).alpha(f.sets) for j in range(-w, w + 1)])
-    return matching.hall_via_matching(BundleFamily(sets=image))
+    return matching.certify(BundleFamily(sets=image))[0].saturates

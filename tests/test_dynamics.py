@@ -110,9 +110,9 @@ class TestISetAlpha:
         # no float atom such as 3.0 comes out
         with pytest.raises(InvalidInput, match="index must be an integer"):
             alpha(-0.5, [1])
-        # a kept atom is mapped by nu, which refuses the index first; with
-        # nothing kept, the block refuses it
-        with pytest.raises(InvalidInput, match=r"^index must be an integer, got 2\.5$"):
+        # an index >= 1 is refused by the block, before any atom is mapped
+        with pytest.raises(InvalidInput,
+                           match=r"^block index must be an integer >= 1, got 2\.5$"):
             alpha(2.5, {5})
         with pytest.raises(InvalidInput,
                            match=r"^block index must be an integer >= 1, got 2\.5$"):
@@ -211,18 +211,113 @@ class TestGenerationsOracle:
         from eulerhall import dynamics
 
         calls = []
+        images = dynamics._images
 
-        def counting_nu(j, t):
-            calls.append((j, t))
-            return nu(j, t)
+        def counting_images(j, atoms):
+            atoms = list(atoms)
+            calls.extend((j, t) for t in atoms)
+            return images(j, atoms)
 
-        monkeypatch.setattr(dynamics, "nu", counting_nu)
+        monkeypatch.setattr(dynamics, "_images", counting_images)
         oracle_generations(2, 3)
         oracle_calls = calls[:]
         calls.clear()
         gamma_generations(DynamicsConfig(window=2, depth=3))
         assert len(calls) == len(set(calls)) < len(oracle_calls)
         assert set(calls) == set(oracle_calls)
+
+
+def oracle_nu(j, t):
+    """nu(j, t) = 2 + pair(zigzag(j), t - 1) from the definitions: zigzag
+    as a position in the list 0, 1, -1, 2, -2, ..., pair as the Cantor
+    pairing."""
+    folded = [0] + [i for k in range(1, abs(j) + 1) for i in (k, -k)]
+    a, b = folded.index(j), t - 1
+    return 2 + (a + b) * (a + b + 1) // 2 + b
+
+
+def oracle_level(a):
+    """Derivation depth, unpairing a - 2 by a binary search for its
+    diagonal w, the largest with w(w + 1)/2 <= a - 2."""
+    depth = 0
+    while a != 1:
+        n = a - 2
+        low, high = 0, n + 1
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if mid * (mid + 1) // 2 <= n else (low, mid)
+        a = n - low * (low + 1) // 2 + 1
+        depth += 1
+    return depth
+
+
+class TestBatchForms:
+    SECONDS = [*range(1, 60), *(2**e + d for e in range(6, 71) for d in (-1, 0, 1))]
+
+    @pytest.mark.parametrize("j", range(-6, 7))
+    def test_images_match_scalar_nu(self, j):
+        from eulerhall import dynamics
+
+        images = dynamics._images(j, self.SECONDS)
+        assert images == [nu(j, t) for t in self.SECONDS]
+        assert images == [oracle_nu(j, t) for t in self.SECONDS]
+        assert dynamics._predecessors(images) == self.SECONDS
+
+    def test_alpha_matches_definition(self):
+        # drop the atoms 1..j, map the survivors, adjoin nu(j, 1..j); the
+        # sets hold atoms <= j, and the table path fills in one batch
+        from eulerhall import dynamics
+
+        rng = random.Random(43)
+        for j in range(-6, 7):
+            sources = [frozenset(rng.sample(range(1, 12), rng.randint(1, 5))
+                                 + rng.sample(range(1, 2**40), rng.randint(0, 2)))
+                       for _ in range(40)]
+            block = {oracle_nu(j, t) for t in range(1, j + 1)}
+            expected = [frozenset({oracle_nu(j, t) for t in atoms if t > j} | block)
+                        for atoms in sources]
+            assert [alpha(j, atoms) for atoms in sources] == expected
+            table = dynamics._Images(j)
+            table.fill(set().union(*sources))
+            assert table.alpha(sources) == expected
+
+    @staticmethod
+    def _tampered(labels):
+        # (description, generation changed, labels) for one fault at a time
+        for k, generation in enumerate(labels):
+            for pos in {0, len(generation) - 1}:
+                values = [("label", v) for v in (0, 1, 2, 3, 4, 2.0, 1.0, True, "5", None)]
+                values += [("swap", other) for other in range(len(labels)) if other != k]
+                for kind, value in values:
+                    changed = [list(g) for g in labels]
+                    if kind == "label":
+                        changed[k][pos] = value
+                    else:
+                        changed[k][pos], changed[value][-1] = labels[value][-1], labels[k][pos]
+                    yield f"{kind} {value!r} at {k}/{pos}", k, tuple(map(tuple, changed))
+
+    @pytest.mark.parametrize("window,depth", [(1, 3), (2, 3), (3, 2)])
+    def test_levels_pass_matches_the_walk(self, window, depth):
+        # the pass checks that each label decodes to a label of the
+        # generation before, which implies the level law; the law alone
+        # does not need those links, so a same-level label in an earlier
+        # generation (2 or 3 in generation 1) fails the pass, and the walk
+        # that follows then clears it
+        from eulerhall import dynamics
+
+        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        cases = [("untouched", depth, fam.labels), ("empty", depth, (*fam.labels[:-1], ())),
+                 *self._tampered(fam.labels)]
+        for description, k, tampered in cases:
+            walk = all(type(label) is int and label >= 1 and oracle_level(label) == i
+                       for i, generation in enumerate(tampered) for label in generation)
+            held = dynamics._levels_hold(tampered)
+            assert held == walk if k == depth else walk or not held, description
+            if all(type(label) is int and label >= 1
+                   for generation in tampered for label in generation):
+                report = verify_labeling(replace(fam, labels=tampered))
+                assert report.level_ok == walk, description
+        assert len(cases) > 30 and sum(not dynamics._levels_hold(t) for *_, t in cases) > 20
 
 
 class TestLabeling:
@@ -326,6 +421,14 @@ class TestLabeling:
         failures = {"membership": report.membership_failure,
                     "injective": report.injective_failure, "level": report.level_failure}
         assert failures == {name: message if name == kind else None for name in failures}
+
+    @pytest.mark.parametrize("label", [True, 1.0])
+    def test_non_int_seed_label_reaches_level(self, label):
+        # equal to the seed label 1, so only its type is at fault
+        fam = gamma_generations(DynamicsConfig(window=1, depth=1))
+        bad = self._corrupt(fam, 0, 0, label=label)
+        with pytest.raises(InvalidInput, match="^atom ids must be integers >= 1, got "):
+            verify_labeling(bad)
 
     def test_seed_label_fault(self):
         # a family of generation 0 alone: its label must be 1
@@ -432,6 +535,30 @@ class TestPersistence:
             hall_persistence_check(
                 BundleFamily.of({1}, trivial_lines=1), DynamicsConfig(window=1, depth=0)
             )
+
+
+    def test_checks_every_image(self, monkeypatch):
+        # the image family is alpha(j, I) for every member I and every j
+        # in the window, each member's images together
+        from eulerhall import matching
+
+        checked = []
+        certify = matching.certify
+        monkeypatch.setattr(matching, "certify", lambda f: checked.append(f.sets) or certify(f))
+        f = BundleFamily.of({1, 2}, {2, 7}, {3})
+        assert hall_persistence_check(f, DynamicsConfig(window=2, depth=0))
+        assert checked[0] == f.sets
+        assert list(checked[1]) == [
+            frozenset({oracle_nu(j, t) for t in atoms if t > j}
+                      | {oracle_nu(j, t) for t in range(1, j + 1)})
+            for atoms in f.sets for j in range(-2, 3)]
+
+    def test_faulty_kernel_is_a_violation(self, monkeypatch):
+        # a kernel that gives every row column 0 claims a saturating
+        # matching of {1}, {1}; the checked certificate refuses it
+        monkeypatch.setattr(_kernels, "max_matching", lambda rows, ncols: [0] * len(rows))
+        with pytest.raises(TheoremViolation, match="^generated labels are not pairwise distinct$"):
+            hall_persistence_check(BundleFamily.of({1}, {1}), DynamicsConfig(window=1, depth=0))
 
 
 class TestConfig:

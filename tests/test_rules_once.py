@@ -1,5 +1,5 @@
-"""Each input rule, the column numbering and each certificate check are
-written once in the package."""
+"""Each input rule, the column numbering, each certificate check and
+nu's formula and decode are written once in the package."""
 
 import ast
 from pathlib import Path
@@ -135,3 +135,27 @@ def test_certificates_are_checked_in_one_module():
     assert found(is_theorem_violation) == (
         [("certificates.py", "check_sdr")] * 3 + [("certificates.py", "check_violator")] * 2
         + [("dynamics.py", "hall_certificate_for_prefix"), ("obstruction.py", "analyze")])
+
+
+def test_nu_is_computed_and_decoded_in_one_place():
+    # the zigzag fold of nu's index only in dynamics._images, the isqrt
+    # decode only in dynamics._predecessors; nu and level call them
+    def scopes(wanted):
+        found = []
+
+        def visit(node, scope):
+            if isinstance(node, ast.FunctionDef):
+                scope = node.name
+            if wanted(node):
+                found.append(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        for name, source in sources().items():
+            visit(ast.parse(source), name)
+        return found
+
+    assert scopes(lambda node: isinstance(node, ast.IfExp)
+                  and ast.unparse(node.orelse) == "-2 * j") == ["_images"]
+    assert scopes(lambda node: isinstance(node, ast.Name) and node.id == "isqrt") == [
+        "_predecessors"]
