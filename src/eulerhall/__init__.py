@@ -53,7 +53,6 @@ _EXPORTS = {
         "MatchingResult",
         "find_violation",
         "hall_exhaustive",
-        "hall_via_matching",
         "max_matching",
         "sdr_count",
         "sdr_count_naive",

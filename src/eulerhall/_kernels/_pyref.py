@@ -389,8 +389,8 @@ def _walk_cost(sizes, left):
 def column_table(ncols):
     """The ascending column tuple of every bitmask below 2**ncols, by mask.
 
-    Shared by the sweeps and cached, so a sweep split into many ranges
-    builds it once per process; only the latest width is kept.
+    Shared by the sweeps and cached, so a process that runs several
+    sweeps of one width builds it once; only the latest width is kept.
     """
     table = [()]
     for c in range(ncols):

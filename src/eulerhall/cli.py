@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-atom", type=int, default=4, metavar="A",
                    help="largest atom id (default 4)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1; at most one per CPU)")
+                   help="accepted for compatibility and ignored (N >= 1): "
+                        "the sweep runs in one process")
     p.add_argument("--force", action="store_true",
                    help=f"allow sizes beyond the default caps "
                         f"(m <= {SWEEP_DEFAULT_M_CAP}, atoms <= {SWEEP_DEFAULT_ATOM_CAP})")
@@ -285,7 +286,9 @@ def cmd_sweep(args) -> int:
             raise InvalidInput(
                 f"--max-atom {args.max_atom} exceeds the default cap "
                 f"{SWEEP_DEFAULT_ATOM_CAP} (pass --force to raise it)")
-    result = sweep.sweep_equivalence(args.max_m, args.max_atom, jobs=args.jobs)
+    if args.jobs < 1:
+        raise InvalidInput(f"jobs must be at least 1, got {args.jobs}")
+    result = sweep.sweep_equivalence(args.max_m, args.max_atom)
     report = _header("sweep")
     report["max_m"] = result.max_m
     report["max_atom"] = result.max_atom

@@ -118,9 +118,13 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
     For j <= 0 this is nu(j, -) pointwise; for j >= 1 the atoms 1..j are
     removed first and the block i_set(j) is adjoined, so the result is
     never empty.  An index >= 1 is checked by the block, so a non-integer
-    one such as 2.5 or True is refused as a block index; any other index
-    is checked by ``nu`` on the first image.
+    one such as 2.5 or True is refused as a block index; any other int or
+    float is checked by ``nu`` on the first image.  An index of another
+    type, such as "1" or None, is refused as ``nu`` refuses it, before it
+    is compared with 1.
     """
+    if not isinstance(j, (int, float)):
+        _check_index(j)
     return _Images(j).alpha([index_set(atoms)])[0]
 
 

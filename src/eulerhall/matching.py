@@ -92,13 +92,6 @@ def max_matching(f: BundleFamily) -> MatchingResult:
     return certify(f)[0]
 
 
-def hall_via_matching(f: BundleFamily) -> bool:
-    """Whether a maximum matching saturates the family (Hall's condition):
-    ``max_matching(f).saturates``, without mapping the matching to atoms."""
-    rows, atoms = f.columns
-    return -1 not in _kernels.max_matching(rows, len(atoms))
-
-
 def find_violation(f: BundleFamily) -> HallViolation | None:
     """A witnessing subfamily when Hall's condition fails, else None.
 

@@ -6,27 +6,20 @@ conditions (nonzero Euler class, Hall, matching saturation) agree, or
 that every Euler coefficient equals the matching count onto its support.
 
 The equivalence sweep lets families that share their first rows share
-each route's partial state.  A serial sweep walks the full range of
-smallest subsets up to atom relabeling: ordered first rows, one per orbit
-under the permutations of the atoms that fix the rows before them,
-weighted by the orbit's size, and the remaining rows wherever that is
-cheaper as multisets, the non-decreasing sequences of subset bitmasks,
-each weighted by its number of orderings m!/prod(mult!).  Its counts are
-those of a per-family check over the ordered families whose smallest
-subset lies in a range, so the sweep is partitioned across processes by
-the smallest subset's bitmask, into chunks of equal multiset counts; a
-chunk is not closed under relabeling, so it walks multisets only.
-The coefficient sweep walks the same multisets with the same weights,
-one family at a time.  Each sweep refuses a request above its own budget
-of multisets (``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``)
-before any work starts.  The process pool is imported where it is
-used, so only a sweep with more than one job loads ``concurrent.futures``
-and ``multiprocessing``.
+each route's partial state.  It walks every family in one process, up
+to atom relabeling: ordered first rows, one per orbit under the
+permutations of the atoms that fix the rows before them, weighted by the
+orbit's size, and the remaining rows wherever that is cheaper as
+multisets, the non-decreasing sequences of subset bitmasks, each
+weighted by its number of orderings m!/prod(mult!).  The coefficient
+sweep walks the same multisets with the same weights, one family at a
+time.  Each sweep refuses a request above its own budget of multisets
+(``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``) before any
+work starts.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -34,13 +27,13 @@ from math import comb, factorial
 
 from . import _kernels
 from ._kernels import _pyref
-from .errors import CapExceeded, InvalidInput
+from .errors import CapExceeded
 
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
 # The budget counts the multisets of the multiset walk.  The slowest
 # size within it, 6 sets over 5 atoms (2,324,783 multisets), takes
-# 1.2-1.4 s serial on a 2-core x86-64 machine with its first rows walked
+# 1.2-1.4 s on a 2-core x86-64 machine with its first rows walked
 # up to atom relabeling (1.4-1.5 s there while orbit nodes one row short
 # of the last built their own states, 2.1-2.4 s as multisets only, 8-9 s
 # before the last row was decided for every mask at once); 5x6
@@ -93,69 +86,17 @@ def _check_budget(max_m: int, max_atom: int, budget: int) -> None:
             f"above the budget of {budget}")
 
 
-def _equivalence_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
-    max_m, max_atom, lo, hi = args
-    return _kernels.sweep_equivalence_range(max_m, max_atom, lo, hi)
-
-
-def sweep_equivalence(max_m: int, max_atom: int, jobs: int = 1) -> SweepResult:
+def sweep_equivalence(max_m: int, max_atom: int) -> SweepResult:
     """Run the three-way equivalence sweep; every family must agree.
 
     Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
-    ``CapExceeded`` before any work starts.  One job walks the full range
-    of smallest subsets, up to atom relabeling where that is cheaper.
-    More ``jobs`` worker processes split the range into chunks of equal
-    multiset counts and walk each as multisets; no more are started than
-    there are CPUs or subsets.  A process pool is imported only for
-    ``jobs`` above 1.
+    ``CapExceeded`` before any work starts.  The families are walked up
+    to atom relabeling where that is cheaper.
     """
     _check_caps(max_m, max_atom)
-    if jobs < 1:
-        raise InvalidInput(f"jobs must be at least 1, got {jobs}")
     _check_budget(max_m, max_atom, SWEEP_MULTISET_BUDGET)
-    full = (1 << max_atom) - 1
-    jobs = min(jobs, full, os.cpu_count() or 1)
-    if jobs == 1:
-        checked, mismatches = _kernels.sweep_equivalence_range(max_m, max_atom, 1, full + 1)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = _balanced_bounds(max_m, max_atom, jobs)
-        chunks = [(max_m, max_atom, bounds[k], bounds[k + 1]) for k in range(jobs)]
-        checked = mismatches = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for c, mis in pool.map(_equivalence_chunk, chunks):
-                checked += c
-                mismatches += mis
+    checked, mismatches = _kernels.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom)
     return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=mismatches)
-
-
-def _balanced_bounds(max_m: int, max_atom: int, jobs: int) -> list[int]:
-    # 1 = b_0 < ... < b_jobs = 2**max_atom: b_k is the smallest subset at
-    # which the multisets before it come nearest to k/jobs of the total,
-    # kept strictly increasing so that every chunk is nonempty.
-    end = 1 << max_atom
-    total = multisets_from(1, max_m, max_atom)
-
-    def miss(s, k):
-        # jobs times (multisets before s, minus the k-th target)
-        return jobs * (total - multisets_from(s, max_m, max_atom)) - k * total
-
-    bounds = [1]
-    for k in range(1, jobs):
-        # binary search for the first s that reaches the target; miss grows with s
-        lo, hi = bounds[-1] + 1, end - (jobs - k)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if miss(mid, k) >= 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo - 1 > bounds[-1] and -miss(lo - 1, k) < miss(lo, k):
-            lo -= 1
-        bounds.append(lo)
-    bounds.append(end)
-    return bounds
 
 
 def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:

@@ -51,7 +51,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_three_way_equivalence():
     t0 = time.perf_counter()
-    result = sweep_equivalence(4, 4, jobs=1)
+    result = sweep_equivalence(4, 4)
     # object-level re-check of the three routes on the small slice
     spot_ok = all(
         equivalence_report(f).agree and hall_exhaustive(f) == equivalence_report(f).hall

@@ -13,7 +13,6 @@ from eulerhall import (
     DimensionMismatch,
     find_violation,
     hall_exhaustive,
-    hall_via_matching,
     max_matching,
     sdr_count,
     sdr_count_naive,
@@ -78,24 +77,26 @@ class TestMaxMatching:
 
 
 class TestHallViaMatching:
+    # Hall's condition read off a maximum matching: max_matching(f).saturates
+
     def test_examples(self):
-        assert hall_via_matching(BundleFamily.of({1}, {2}, {1, 2})) is False
-        assert hall_via_matching(BundleFamily.of({1}, {2}, {1, 3})) is True
+        assert max_matching(BundleFamily.of({1}, {2}, {1, 2})).saturates is False
+        assert max_matching(BundleFamily.of({1}, {2}, {1, 3})).saturates is True
 
     def test_agrees_with_exhaustive(self):
         for f in all_families(3, 3):
-            assert hall_via_matching(f) == hall_exhaustive(f)
+            assert max_matching(f).saturates == hall_exhaustive(f)
 
     def test_agrees_with_exhaustive_random(self):
         rng = random.Random(23)
         for _ in range(300):
             f = random_family(rng, max_m=6, max_atom=6)
-            assert hall_via_matching(f) == hall_exhaustive(f)
+            assert max_matching(f).saturates == hall_exhaustive(f)
 
     def test_sparse_atom_ids_agree_with_every_route(self):
-        # on sparse atom ids with repeated and shared sets, hall_via_matching
-        # must answer as max_matching, which reads the same columns, and as
-        # the subset scan where it runs
+        # on sparse atom ids with repeated and shared sets, the matching must
+        # answer as find_violation, which reads the same columns, and as the
+        # subset scan where it runs
         rng = random.Random(29)
         seen = set()
         for _ in range(1000):
@@ -107,8 +108,8 @@ class TestHallViaMatching:
                 else:
                     sets.append(frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool))))))
             f = BundleFamily(sets=tuple(sets))
-            answer = hall_via_matching(f)
-            assert answer == max_matching(f).saturates
+            answer = max_matching(f).saturates
+            assert answer == (find_violation(f) is None)
             if len(sets) <= 12:
                 assert answer == hall_exhaustive(f)
             seen.add((answer, len(sets) <= 12))
@@ -177,9 +178,9 @@ class TestFindViolation:
             f = random_family(rng, max_m=5, max_atom=4)
             v = find_violation(f)
             if v is None:
-                assert hall_via_matching(f)
+                assert max_matching(f).saturates
             else:
-                assert not hall_via_matching(f)
+                assert not max_matching(f).saturates
                 union = set().union(*(f.sets[j] for j in v.indices))
                 assert len(union) < len(v.indices)
 

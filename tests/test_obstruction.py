@@ -17,7 +17,7 @@ from eulerhall import (
     equivalence_report,
     euler_class,
     has_duplicate_singleton,
-    hall_via_matching,
+    max_matching,
     sdr_count_naive,
     subordination_verdict,
     verify_coefficient_identity,
@@ -120,7 +120,7 @@ class TestSubordinationVerdict:
     def test_tags_exclusive_and_sound_exhaustive(self):
         for f in all_families(3, 3):
             v = subordination_verdict(f)
-            hall = hall_via_matching(f)
+            hall = max_matching(f).saturates
             dup = has_duplicate_singleton(f)
             if v.tag is VerdictTag.NOT_SUBORDINATE:
                 assert hall and valid_sdr(f, v.matching.assignment)

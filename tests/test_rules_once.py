@@ -108,15 +108,6 @@ def test_atoms_are_numbered_descending_in_one_helper():
     assert found == [("ring.py", "descending_columns")]
 
 
-def test_hall_via_matching_reads_the_family_columns():
-    tree = ast.parse(sources()["matching.py"])
-    (function,) = [node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "hall_via_matching"]
-    nodes = list(ast.walk(function))
-    assert not [n for n in nodes if isinstance(n, (ast.Dict, ast.DictComp))]
-    assert [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "columns"]
-
-
 def test_certificates_share_no_code_with_their_routes():
     source = sources()["certificates.py"]
     assert not imported_names(source) & {"_kernels", "matching", "bundles"}

@@ -42,6 +42,12 @@ def loaded_modules(*argv):
              "eulerhall.bundles", "eulerhall.selftest"),
         ),
         (
+            # --jobs 2 loads no worker pool, though two subsets could be split
+            ("sweep", "--max-m", "1", "--max-atom", "2", "--jobs", "2"),
+            "eulerhall.sweep",
+            ("concurrent.futures", "multiprocessing"),
+        ),
+        (
             ("analyze", FIXTURE),
             "eulerhall.obstruction",
             ("eulerhall.dynamics", "eulerhall.sweep", "eulerhall.selftest",
@@ -54,7 +60,7 @@ def loaded_modules(*argv):
              "concurrent.futures"),
         ),
     ],
-    ids=["sweep", "analyze", "dynamics"],
+    ids=["sweep", "sweep --jobs 2", "analyze", "dynamics"],
 )
 def test_command_loads_only_its_modules(argv, present, absent):
     modules = loaded_modules(*argv)

@@ -357,8 +357,8 @@ def test_child_summaries_match_each_kernel(monkeypatch):
     monkeypatch.setattr(_pyref, "_child_summaries", recording)
     for max_m, max_atom in ((3, 4), (4, 5), (3, 5), (2, 5)):
         end = 1 << max_atom
-        # the full range walks orbits, each half of the two-job split multisets
-        b = sweep._balanced_bounds(max_m, max_atom, 2)[1]
+        # the full range walks orbits, each half multisets
+        b = end // 2
         for lo, hi in ((1, end), (1, b), (b, end)):
             assert _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)[1] == 0
     rng = random.Random(13)
@@ -398,14 +398,15 @@ def test_orbit_walk_builds_no_state_one_row_short(monkeypatch, max_m, max_atom):
     assert built == set(range(1, max_m - 1))
 
 
-@pytest.mark.parametrize("max_m,max_atom", [(4, 6), (5, 5)])
+@pytest.mark.parametrize("max_m,max_atom", [(4, 6), (5, 5), (3, 8), (2, 12), (8, 4)])
 def test_orbit_walk_beyond_the_oracle(max_m, max_atom):
-    # the full range against the multiset walk over the two halves of the
-    # sweep's own two-job split
+    # the full range against the multiset walk over its two halves, split
+    # at the middle mask.  The full range walks orbits only at 4x6, 3x8
+    # and 2x12, and hands the root's rows to the multiset walk at 8x4
     end = 1 << max_atom
     expected = (sweep.expected_family_count(max_m, max_atom), 0)
     assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
-    b = sweep._balanced_bounds(max_m, max_atom, 2)[1]
+    b = end // 2
     parts = [_pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)
              for lo, hi in ((1, b), (b, end))]
     assert (parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]) == expected

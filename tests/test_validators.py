@@ -34,6 +34,13 @@ def trivial_lines_message(x):
     return "trivial_lines must be a nonnegative integer"
 
 
+def alpha_index_message(x):
+    # an index >= 1 is refused by the block, any other by nu's index rule
+    if isinstance(x, (int, float)) and x >= 1:
+        return f"block index must be an integer >= 1, got {x!r}"
+    return f"index must be an integer, got {x!r}"
+
+
 # name: (call with the checked value, message for a value, further
 # refused values, the first out-of-range int first, a valid value)
 VALIDATORS = {
@@ -48,6 +55,8 @@ VALIDATORS = {
     "dynamics.level": (dynamics.level, atom_message, (0,), 2),
     "dynamics.i_set": (dynamics.i_set,
                        lambda x: f"block index must be an integer >= 1, got {x!r}", (0,), 2),
+    "dynamics.alpha.index": (lambda x: dynamics.alpha(x, {1, 5}), alpha_index_message,
+                             (None, -0.5, 2.5), -1),
     "DynamicsConfig.window": (lambda x: DynamicsConfig(window=x, depth=0),
                               lambda x: "window must be an integer >= 1", (0, None, -1), 1),
     "DynamicsConfig.depth": (lambda x: DynamicsConfig(window=1, depth=x),
