@@ -1,22 +1,22 @@
 """Kernels over bitmasks: the one implementation behind ``_kernels``.
 
-The sweep of the full range walks ordered row prefixes up to atom
-relabeling: one prefix per orbit under the permutations of the atoms
-that fix the rows chosen so far, weighted by the orbit's size.  At each
-node a closed-form count of the nodes below it picks the cheaper walk
-for the remaining rows: more orbits, or the multiset walk, which visits
-only the non-decreasing sequences of subset bitmasks, each weighted by
-its number of orderings.  A proper sub-range is not closed under
-relabeling and takes the multiset walk from the root.  Both walks extend
-each route's state by one row, and stop extending a route once that
-route's answer is no for every descendant.  A family one row short of the
-last keeps only one summary per route, which both walks derive the same
-way from its parent's state, and its last row is decided for every mask
-at once: each route turns its summary into a bitset over the masks on
-which it answers yes.  The contract is the same
-(checked, mismatches) as a per-family check over every ordered family
-whose smallest subset lies in a given range.  Integers are Python ints
-throughout, so there are no width limits.
+The sweep of the full range walks row prefixes whose popcounts never
+decrease, up to atom relabeling: one prefix per orbit under the
+permutations of the atoms that fix the rows chosen so far, weighted by
+the orbit's size times the orderings of rows it stands for.  Once those
+permutations are only the identity, the node hands its remaining rows to
+the multiset walk, which visits only the non-decreasing sequences of
+subset bitmasks, each weighted by its number of orderings.  A proper
+sub-range is not closed under relabeling and takes the multiset walk
+from the root.  Both walks extend each route's state by one row, and
+stop extending a route once that route's answer is no for every
+descendant.  A family one row short of the last keeps only one summary
+per route, which both walks derive the same way from its parent's state,
+and its last row is decided for every mask at once: each route turns its
+summary into a bitset over the masks on which it answers yes.  The
+contract is the same (checked, mismatches) as a per-family check over
+every ordered family whose smallest subset lies in a given range.
+Integers are Python ints throughout, so there are no width limits.
 
 Conventions:
 
@@ -221,29 +221,42 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     ValueError (mask 0 is the empty set, no subset); an empty range or
     max_m < 1 checks nothing.
 
-    All three routes are invariant under permuting atoms, so the full
-    range is walked up to relabeling (``_orbit_walk``): a node is an
-    ordered prefix standing for its orbit under the permutations of the
-    atoms, weighted by the orbit's size.  The atoms that no row chosen so
-    far tells apart form the cells of the prefix's stabilizer; the masks
-    taking t atoms from a cell of c atoms, for every cell, form one orbit
-    of C(c, t) choices per cell, represented by the first t atoms of each
-    cell.  Every ordered family is thus counted exactly once, through its
-    orbit, with no canonical-form test.  At each node ``_walk_cost``
-    compares the nodes that more orbits and the multiset walk would visit
-    below it, and the node hands its remaining rows to the cheaper one.
+    All three routes are invariant under permuting rows and atoms.  The
+    full range is walked (``_orbit_walk``) over the row sequences whose
+    popcounts (columns per row) never decrease: a sequence of L rows, n_q
+    of them with q columns, stands for the L!/prod(n_q!) ordered families
+    that interleave its popcount classes, each class's rows in their order.
+    Relabeling keeps each row's popcount, so these sequences are also
+    walked up to relabeling: a node is such a prefix standing for its orbit
+    under the permutations of the atoms, weighted by the orbit's size times
+    its orderings.  The atoms that no row chosen so far tells apart form
+    the cells of the prefix's stabilizer; the masks taking t atoms from a
+    cell of c atoms, for every cell, form one orbit of C(c, t) choices per
+    cell, represented by the first t atoms of each cell.  A child takes
+    only the orbits with at least as many columns as the last row, and has
+    its parent's weight times the orbit's size times (L+1)/n_q, n_q now
+    counting the child's rows with the child's popcount.  Every ordered
+    family is thus counted exactly once, with no canonical-form test.  A
+    node whose cells are all single columns has no relabeling left, and
+    hands its remaining rows to the multiset walk.
 
-    All three routes are invariant under permuting rows too, so the
-    multiset walk (``_extend``) visits only the non-decreasing mask
-    sequences of the rows after its start: the children of a node whose
-    last mask is s run over s..2**max_atom - 1.  A visited family whose
-    rows after the start have mask multiplicities mult stands for their
-    j!/prod(mult!) orderings, j rows in all, times the weight of the start,
-    and adds that to both counts.  The weight is kept along the walk: a
-    child with j+1 rows after the start has its parent's weight times
-    (j+1)/r, where r is the multiplicity of its last mask (the length of
-    the run of equal masks at its end).  A proper sub-range is not closed
-    under relabeling, so its walk is the multiset walk from the root.
+    The multiset walk (``_extend``) visits only the non-decreasing mask
+    sequences of the rows after its start, each row with at least p
+    columns, p the popcount of the start's last row: the children of a
+    node whose last mask is s run over s..2**max_atom - 1.  A visited
+    family of L rows, the start's L0 among them, stands for the start's
+    weight times L!/L0! * n! j!/(n+j)! / prod(mult!) ordered families,
+    where n and j count the rows with p columns in the start and after it,
+    and mult are the mask multiplicities after the start; it adds that to
+    both counts.  The weight is kept along the walk: a child of a family of
+    L rows has its parent's weight times (L+1)/r if it has more than p
+    columns, and times (L+1)(j+1)/((n+j+1) r) if it has exactly p, where r
+    is the multiplicity of its last mask after the start (the length of
+    the run of equal masks at its end) and j counts the parent's.  A
+    proper sub-range is not closed under relabeling, so its walk is the
+    multiset walk from the root, where p = 0: every child takes the first
+    factor, and a family with mask multiplicities mult stands for its
+    L!/prod(mult!) orderings.
 
     Each visited family extends its parent's state, one independent
     piece per route, by its last row:
@@ -264,7 +277,10 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     (``_child_summaries``), and the families of length max_m are decided
     from it, every mask at once, as bitsets over the masks
     (``_last_row_routes``).  With max_m = 1 that family is the empty one,
-    whose summaries are fixed.
+    whose summaries are fixed.  Each summary is invariant under row order,
+    the reach too: it is the set of columns that some maximum matching
+    leaves free, whichever matching was found.  So one summary serves every
+    ordering a node stands for.
     """
     end = 1 << max_atom
     if lo < 1 or hi > end:
@@ -274,43 +290,55 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     if max_m == 1:
         # the one row extends the empty family, whose summaries are fixed:
         # its one monomial is 1 (common = 0), its one union is the empty one
-        # of no rows (tight), and no column is matched (all reached)
-        return _last_rows(0, 1, 0, 0, 0, [0], end - 1, end - 1, lo, hi)
+        # of no rows (tight), and no column is matched (all reached); no row
+        # comes before it, so there is no floor
+        return _last_rows(0, 1, 0, 0, 0, 0, 0, 0, [0], end - 1, end - 1, lo, hi)
     cols_of = column_table(max_atom)
     # the root is the empty family: product 1, only the empty subset (no
     # rows, no columns), empty matching, weight 1; no row tells two atoms
     # apart, so its stabilizer has one cell
     terms, hall, match = {0: 1}, {0: 0}, ([-1] * max_atom, [], 0)
     if lo == 1 and hi == end:
-        return _orbit_walk(max_m, cols_of, [], [], terms, hall, match, 1, (tuple(range(max_atom)),))
-    # no last mask (0 is no subset's mask)
-    return _extend(max_m, cols_of, [], [], terms, hall, match, 1, 0, 0, 0, lo, hi)
+        return _orbit_walk(max_m, cols_of, [], [], terms, hall, match, 1,
+                           (tuple(range(max_atom)),), 0, 0)
+    # no last mask (0 is no subset's mask), and no floor: every mask has
+    # more than 0 columns
+    return _extend(max_m, cols_of, [], [], terms, hall, match, 1, 0, 0, 0, 0, 0, lo, hi)
 
 
-def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells):
+def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells, floor, n_floor):
     # Weighted (checked, mismatches) over the families that extend rows by
-    # 1..max_m - len(rows) rows, for all `weight` prefixes in the orbit of
-    # rows, at least two rows short of max_m; the arguments after rows are
-    # as in _extend, and `cells` are the cells of the stabilizer of rows,
-    # as tuples of columns.  A child one row short of max_m takes every
-    # last row at once, once per prefix in its orbit (no row walked as
-    # multisets, k = 0).
-    left = max_m - len(rows)
+    # 1..max_m - len(rows) rows, popcounts never decreasing, for all
+    # `weight` ordered families that rows stands for (its orbit's size
+    # times its orderings); rows is at least two rows short of max_m.  The
+    # arguments after rows are as in _extend; `cells` are the cells of the
+    # stabilizer of rows, as tuples of columns, `floor` is the popcount of
+    # the last row (0 at the root) and n_floor counts the rows with it.
+    # Once every cell is a single column no relabeling is left, and the
+    # remaining rows go to the multiset walk, none walked yet.
     full = len(cols_of) - 1
-    if not _walk_cost(tuple(sorted(map(len, cells))), left)[1]:
-        return _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, 0, 0, 0,
-                       1, full + 1)
+    if len(cells) == full.bit_length():
+        return _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, 0, 0, floor,
+                       n_floor, 0, 1, full + 1)
+    left = max_m - len(rows)
     if left == 2:
         tight, near, reach = _parent_summaries(masks, hall, match, full)
+    grown = len(rows) + 1
     checked = mismatches = 0
     for mask, size, child_cells in _orbits(cells):
-        child_weight = weight * size
+        count = mask.bit_count()
+        if count < floor:
+            continue
+        # L rows, n_q of them with q columns, stand for L!/prod(n_q!)
+        # orderings; the child's new row is its n-th with `count` columns
+        n = n_floor + 1 if count == floor else 1
+        child_weight = weight * size * grown // n
         if left == 2:
             common, child_tight, child_reach = _child_summaries(cols_of, rows, masks, terms, tight,
                                                                 near, match, reach, mask)
             agree = (common is None) == (child_tight is None) == (child_reach is None)
-            below = _last_rows(0, child_weight, 0, 0, common, child_tight, child_reach, full,
-                               1, full + 1)
+            below = _last_rows(grown, child_weight, 0, 0, count, n, 0, common, child_tight,
+                               child_reach, full, 1, full + 1)
         else:
             cols = cols_of[mask]
             rows.append(cols)
@@ -320,7 +348,7 @@ def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells):
             child_match = None if match is None else _match_row(rows, mask, *match)
             agree = bool(child_terms) == (child_hall is not None) == (child_match is not None)
             below = _orbit_walk(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                                child_weight, child_cells)
+                                child_weight, child_cells, count, n)
             rows.pop()
             masks.pop()
         checked += child_weight + below[0]
@@ -360,31 +388,6 @@ def _orbits(cells):
     return tuple(orbits)
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _walk_cost(sizes, left):
-    # (cost, orbits) for a node whose stabilizer has cells of the given
-    # sorted sizes and which has `left` rows still to add: the cost of the
-    # cheaper walk below it, each orbit node choosing its own walk in
-    # turn, and whether that is the orbit walk (else the multiset walk; a
-    # tie goes to it).  The cost counts the nodes above the last row, one
-    # each: both walks read a node's summaries off its parent's state.
-    # The multiset walk visits C(n + j - 1, j) with j more rows, over n
-    # masks, and sum_j C(n + j - 1, j) = C(n + left - 1, left - 1) - 1 over
-    # j in 1..left-1.
-    if left == 1:
-        return 0, False
-    n = (1 << sum(sizes)) - 1
-    multiset = comb(n + left - 1, left - 1) - 1
-    cells, start = [], 0
-    for size in sizes:
-        cells.append(tuple(range(start, start + size)))
-        start += size
-    orbits = _orbits(tuple(cells))
-    walked = len(orbits) + sum(_walk_cost(tuple(sorted(map(len, split))), left - 1)[0]
-                               for _, _, split in orbits)
-    return (walked, True) if walked < multiset else (multiset, False)
-
-
 @functools.lru_cache(maxsize=1)
 def column_table(ncols):
     """The ascending column tuple of every bitmask below 2**ncols, by mask.
@@ -398,20 +401,44 @@ def column_table(ncols):
     return tuple(table)
 
 
-def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, k, lo, hi):
+@functools.lru_cache(maxsize=1)
+def _popcount_classes(ncols):
+    # For each popcount p in 0..ncols, two bitsets over the masks below
+    # 2**ncols: the masks with exactly p columns and those with more.  Cached
+    # like column_table: only the latest width is kept.  Built one column
+    # at a time: the masks with column c are those below 2**c plus 2**c,
+    # so their bits lie 2**c places higher, one popcount up.
+    exact = [1]
+    for c in range(ncols):
+        shifted = [0] + [bits << (1 << c) for bits in exact]
+        exact = [low | high for low, high in zip(exact + [0], shifted)]
+    above = [0] * (ncols + 1)
+    for p in range(ncols - 1, -1, -1):
+        above[p] = above[p + 1] | exact[p + 1]
+    return tuple(zip(exact, above))
+
+
+def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, floor, n_floor,
+            n_tail, lo, hi):
     # Weighted (checked, mismatches) over the families rows + [mask], mask
-    # in [lo, hi), and all their non-decreasing descendants.  The other
-    # arguments are the state of rows: their masks, each route's state
-    # (an empty product, None for Hall or None for the matching once that
-    # route answers no), the weight, the last mask and the length `run` of
-    # the run of equal masks at the end, all of the k rows after the
-    # walk's start (the rows before it are ordered, counted in the weight
-    # of the start).  A child repeating the last mask has weight
-    # `repeat`, every other child `fresh`.  A child one row short of
-    # max_m keeps only its summaries, all None below a parent on which
-    # every route answers no, and takes every last row at once.
-    fresh = weight * (k + 1)
-    repeat = fresh // (run + 1)
+    # in [lo, hi) with at least `floor` columns, and all their descendants
+    # whose rows after the walk's start are non-decreasing masks of at least
+    # `floor` columns.  The other arguments are the state of rows: their
+    # masks, each route's state (an empty product, None for Hall or None
+    # for the matching once that route answers no), the weight, the last
+    # mask and the length `run` of the run of equal masks at the end of
+    # the rows after the start, and the rows with exactly `floor` columns,
+    # n_floor before the start and n_tail after it.  The rows before the
+    # start have popcounts that never decrease, up to `floor`, and their
+    # orderings are counted in the weight of the start.  A child with more
+    # than `floor` columns has weight `fresh`, one with exactly `floor`
+    # weight `fresh_at`, and either is divided by the length of its run;
+    # every weight counts ordered families, so each division is exact.
+    # A child one row short of max_m keeps only its summaries, all None
+    # below a parent on which every route answers no, and takes every last
+    # row at once.
+    fresh = weight * (len(rows) + 1)
+    fresh_at = fresh * (n_tail + 1) // (n_floor + n_tail + 1)
     end = len(cols_of)
     short = len(rows) == max_m - 2
     if short:
@@ -421,17 +448,25 @@ def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, 
             tight, near, reach = _parent_summaries(masks, hall, match, end - 1)
     checked = mismatches = 0
     for mask in range(lo, hi):
-        if mask == last:
-            child_weight, child_run = repeat, run + 1
+        count = mask.bit_count()
+        if count < floor:
+            continue
+        if count == floor:
+            child_weight, child_tail = fresh_at, n_tail + 1
         else:
-            child_weight, child_run = fresh, 1
+            child_weight, child_tail = fresh, n_tail
+        if mask == last:
+            child_run = run + 1
+            child_weight //= child_run
+        else:
+            child_run = 1
         if short:
             if live:
                 common, child_tight, child_reach = _child_summaries(
                     cols_of, rows, masks, terms, tight, near, match, reach, mask)
             agree = (common is None) == (child_tight is None) == (child_reach is None)
-            below = _last_rows(k + 1, child_weight, mask, child_run, common, child_tight,
-                               child_reach, end - 1, mask, end)
+            below = _last_rows(len(rows) + 1, child_weight, mask, child_run, floor, n_floor,
+                               child_tail, common, child_tight, child_reach, end - 1, mask, end)
         else:
             cols = cols_of[mask]
             rows.append(cols)
@@ -441,7 +476,7 @@ def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, 
             child_match = None if match is None else _match_row(rows, mask, *match)
             agree = bool(child_terms) == (child_hall is not None) == (child_match is not None)
             below = _extend(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                            child_weight, mask, child_run, k + 1, mask, end)
+                            child_weight, mask, child_run, floor, n_floor, child_tail, mask, end)
             rows.pop()
             masks.pop()
         checked += child_weight + below[0]
@@ -545,20 +580,26 @@ def _match_row(rows, mask, row_of, col_of, used):
             return row_of, col_of, used | 1 << c
 
 
-def _last_rows(k, weight, last, run, common, tight, reach, full, lo, hi):
+def _last_rows(k, weight, last, run, floor, n_floor, n_tail, common, tight, reach, full, lo, hi):
     # Weighted (checked, mismatches) over the families rows + [mask], mask
-    # in [lo, hi), where rows is described by weight, last, run and k as
-    # in _extend and by its summaries as in _child_summaries.
-    # Every child has weight `fresh`, except one repeating the last mask.
+    # in [lo, hi) with at least `floor` columns, where rows has k rows and
+    # is described by weight, last, run, floor, n_floor and n_tail as in
+    # _extend and by its summaries as in _child_summaries.  Every child
+    # with more than `floor` columns has weight `fresh`, every one with
+    # exactly `floor` weight `fresh_at`, except one repeating the last mask.
     euler, hall_ok, saturated = _last_row_routes(common, tight, reach, full, lo, hi)
     wrong = (euler ^ hall_ok) | (hall_ok ^ saturated)
+    at, above = _popcount_classes(full.bit_length())[floor]
+    span = (1 << hi) - (1 << lo)
     fresh = weight * (k + 1)
-    checked = fresh * (hi - lo)
-    mismatches = fresh * wrong.bit_count()
+    fresh_at = fresh * (n_tail + 1) // (n_floor + n_tail + 1)
+    checked = fresh * (above & span).bit_count() + fresh_at * (at & span).bit_count()
+    mismatches = fresh * (above & wrong).bit_count() + fresh_at * (at & wrong).bit_count()
     if lo <= last < hi:
-        repeat = fresh // (run + 1)
-        checked += repeat - fresh
-        mismatches += (repeat - fresh) * (wrong >> last & 1)
+        own = fresh_at if at >> last & 1 else fresh
+        repeat = own // (run + 1)
+        checked += repeat - own
+        mismatches += (repeat - own) * (wrong >> last & 1)
     return checked, mismatches
 
 

@@ -7,15 +7,17 @@ that every Euler coefficient equals the matching count onto its support.
 
 The equivalence sweep lets families that share their first rows share
 each route's partial state.  It walks every family in one process, up
-to atom relabeling: ordered first rows, one per orbit under the
-permutations of the atoms that fix the rows before them, weighted by the
-orbit's size, and the remaining rows wherever that is cheaper as
-multisets, the non-decreasing sequences of subset bitmasks, each
-weighted by its number of orderings m!/prod(mult!).  The coefficient
-sweep walks the same multisets with the same weights, one family at a
-time.  Each sweep refuses a request above its own budget of multisets
-(``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``) before any
-work starts.
+to row order and atom relabeling: first rows whose popcounts never
+decrease, one per orbit under the permutations of the atoms that fix
+the rows before them, each weighted by the orbit's size times the
+orderings it stands for, m!/prod(n_q!) with n_q rows of q atoms.  Once
+the first rows tell every atom apart, the remaining rows are walked as
+multisets, the non-decreasing sequences of subset bitmasks, weighted by
+their orderings in the same way.  The coefficient sweep walks the plain
+multisets, each weighted by its number of orderings m!/prod(mult!), one
+family at a time.  Each sweep refuses a request above its own budget of
+multisets (``SWEEP_MULTISET_BUDGET``, ``SWEEP_COEFFICIENT_BUDGET``)
+before any work starts.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from .errors import CapExceeded
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
 # The budget counts the multisets of the multiset walk.  The slowest
-# size within it, 6 sets over 5 atoms (2,324,783 multisets), takes
-# 1.2-1.4 s on a 2-core x86-64 machine with its first rows walked
-# up to atom relabeling (1.4-1.5 s there while orbit nodes one row short
-# of the last built their own states, 2.1-2.4 s as multisets only, 8-9 s
-# before the last row was decided for every mask at once); 5x6
-# (10,424,127) and 4x7 (11,716,639) are the smallest sizes above it.
+# sizes within it, 6 sets over 5 atoms (2,324,783 multisets) and 8 over 4,
+# take 0.2-0.3 s each as a whole process on a 2-core x86-64 machine with
+# their first rows walked in popcount order up to atom relabeling (6x5
+# took 1.1-1.6 s there with ordered first rows, 2.1-2.4 s as multisets
+# only, 8-9 s before the last row was decided for every mask at once);
+# 5x6 (10,424,127) and 4x7 (11,716,639) are the smallest sizes above it.
 SWEEP_MULTISET_BUDGET = 10_000_000
 # The coefficient sweep expands each multiset's Euler product and computes
 # up to C(max_atom, m) permanents for it, 20-150 us per multiset.  The
@@ -64,11 +66,11 @@ def expected_family_count(max_m: int, max_atom: int) -> int:
     return sum(subsets**m for m in range(1, max_m + 1))
 
 
-def multisets_from(smallest: int, max_m: int, max_atom: int) -> int:
-    """Number of multisets the equivalence sweep visits whose masks all lie
-    in [smallest, 2**max_atom): sum over m of C(2**max_atom - 1 - smallest + m, m)."""
-    full = (1 << max_atom) - 1
-    return sum(comb(full - smallest + m, m) for m in range(1, max_m + 1))
+def multisets_from(max_m: int, max_atom: int) -> int:
+    """Number of multisets of m in 1..max_m nonempty subsets of
+    {1..max_atom}: sum over m of C(2**max_atom - 2 + m, m)."""
+    subsets = (1 << max_atom) - 1
+    return sum(comb(subsets - 1 + m, m) for m in range(1, max_m + 1))
 
 
 def _check_caps(max_m: int, max_atom: int) -> None:
@@ -79,7 +81,7 @@ def _check_caps(max_m: int, max_atom: int) -> None:
 
 
 def _check_budget(max_m: int, max_atom: int, budget: int) -> None:
-    total = multisets_from(1, max_m, max_atom)
+    total = multisets_from(max_m, max_atom)
     if total > budget:
         raise CapExceeded(
             f"sweep of {max_m} sets over {max_atom} atoms visits {total} multisets, "
@@ -90,8 +92,9 @@ def sweep_equivalence(max_m: int, max_atom: int) -> SweepResult:
     """Run the three-way equivalence sweep; every family must agree.
 
     Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
-    ``CapExceeded`` before any work starts.  The families are walked up
-    to atom relabeling where that is cheaper.
+    ``CapExceeded`` before any work starts.  The families are walked in
+    popcount order up to atom relabeling, and as multisets once no
+    relabeling is left.
     """
     _check_caps(max_m, max_atom)
     _check_budget(max_m, max_atom, SWEEP_MULTISET_BUDGET)

@@ -1,7 +1,8 @@
 """The sweep walks against a per-family oracle.
 
-``_pyref.sweep_equivalence_range`` walks the full range up to atom
-relabeling, handing nodes to the multiset walk where that is cheaper, and
+``_pyref.sweep_equivalence_range`` walks the full range over row
+sequences whose popcounts never decrease, up to atom relabeling, and hands
+a node to the multiset walk once its rows tell every atom apart; it walks
 every proper sub-range as multisets: the non-decreasing mask sequences,
 each weighted by its number of orderings.  Both extend each route's state
 by one row.  The oracle below is the plain ordered loop: every ordered
@@ -139,7 +140,7 @@ def test_coefficient_sweep_budget_refuses_before_any_work(monkeypatch):
     monkeypatch.setattr(sweep._kernels, "euler_terms", no_work)
     monkeypatch.setattr(sweep._kernels, "permanent", no_work)
     for max_m, max_atom in ((8, 16), (5, 6), (4, 7)):
-        count = sweep.multisets_from(1, max_m, max_atom)
+        count = sweep.multisets_from(max_m, max_atom)
         with pytest.raises(CapExceeded, match=f"{count} multisets"):
             sweep.sweep_coefficient_identity(max_m, max_atom)
 
@@ -156,12 +157,12 @@ def test_coefficient_sweep_has_its_own_budget(monkeypatch):
     budget = sweep.SWEEP_COEFFICIENT_BUDGET
     assert budget < sweep.SWEEP_MULTISET_BUDGET
     for max_m, max_atom in ((6, 5), (2, 9)):
-        count = sweep.multisets_from(1, max_m, max_atom)
+        count = sweep.multisets_from(max_m, max_atom)
         assert budget < count <= sweep.SWEEP_MULTISET_BUDGET
         with pytest.raises(CapExceeded, match=f"{count} multisets, above the budget of {budget}"):
             sweep.sweep_coefficient_identity(max_m, max_atom)
-    assert sweep.multisets_from(1, 2, 9) == 131_327
-    assert sweep.multisets_from(1, 4, 4) <= sweep.multisets_from(1, 3, 6) == 45_759 <= budget
+    assert sweep.multisets_from(2, 9) == 131_327
+    assert sweep.multisets_from(4, 4) <= sweep.multisets_from(3, 6) == 45_759 <= budget
 
 
 def test_range_must_lie_within_the_subsets():
@@ -309,14 +310,13 @@ def test_orbits_are_exact():
         assert covered == set(range(1, 1 << ncols)), cells
 
 
-# what the cost model picks, every node counting one: the root hands off
-# to the multiset walk, a node below the root does, or the walk takes
-# orbits only; a node one row short of the last whose cells are all single
-# columns has as many orbits as masks, and that tie goes to the multiset
-# walk
+# the depths at which the orbit walk hands its rows to the multiset walk:
+# at the root when one atom leaves nothing to relabel, below it once the
+# rows tell every atom apart (one row of one atom does at 2 atoms, two rows
+# at 3), or never when no node two rows short of max_m can tell them apart
 BRANCHES = {
-    (5, 2): {0}, (6, 2): {0},
-    (4, 2): {1, 2}, (5, 3): {1, 3}, (4, 3): {2},
+    (2, 1): {0}, (3, 1): {0},
+    (5, 2): {1}, (6, 2): {1}, (4, 2): {1}, (5, 3): {2, 3}, (4, 3): {2},
     (3, 4): set(), (3, 3): set(), (2, 5): set(), (3, 5): set(),
 }
 
@@ -325,12 +325,16 @@ BRANCHES = {
 def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
     # the lengths of the prefixes that the orbit walk hands to the
     # multiset walk: the _extend calls with no row walked as multisets yet
+    # (no last mask), each on a prefix whose rows tell every atom apart
     depths = set()
     extend = _pyref._extend
 
     def spy(*args):
-        if args[10] == 0:
-            depths.add(len(args[2]))
+        rows, last = args[2], args[8]
+        if last == 0:
+            depths.add(len(rows))
+            signatures = {tuple(c in row for row in rows) for c in range(max_atom)}
+            assert len(signatures) == max_atom, rows
         return extend(*args)
 
     monkeypatch.setattr(_pyref, "_extend", spy)
@@ -338,6 +342,40 @@ def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
     assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
         max_m, max_atom, 1, end)
     assert depths == BRANCHES[max_m, max_atom]
+
+
+def test_orbit_walk_keeps_popcounts_in_order(monkeypatch):
+    # every prefix the orbit walk summarizes has popcounts that never
+    # decrease; at 4x5 that leaves 198 child summaries, all in the orbit
+    # walk, for the 156 classes of 3-row multisets under relabeling
+    built = []
+    own = _pyref._child_summaries
+
+    def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
+        built.append((sys._getframe(1).f_code.co_name, tuple(masks) + (mask,)))
+        return own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
+
+    monkeypatch.setattr(_pyref, "_child_summaries", recording)
+    for max_m, max_atom in ((4, 5), (5, 3), (4, 4), (3, 6)):
+        built.clear()
+        assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
+            sweep.expected_family_count(max_m, max_atom), 0)
+        orbit = [masks for walk, masks in built if walk == "_orbit_walk"]
+        assert orbit, (max_m, max_atom)
+        for masks in orbit:
+            counts = [mask.bit_count() for mask in masks]
+            assert counts == sorted(counts), masks
+        if (max_m, max_atom) == (4, 5):
+            assert len(built) == len(orbit) == 198
+
+
+def test_popcount_classes():
+    for ncols in range(7):
+        classes = _pyref._popcount_classes(ncols)
+        assert len(classes) == ncols + 1
+        for p, (at, above) in enumerate(classes):
+            assert at == sum(1 << s for s in range(1 << ncols) if s.bit_count() == p), (ncols, p)
+            assert above == sum(1 << s for s in range(1 << ncols) if s.bit_count() > p), (ncols, p)
 
 
 def test_child_summaries_match_each_kernel(monkeypatch):
@@ -402,7 +440,8 @@ def test_orbit_walk_builds_no_state_one_row_short(monkeypatch, max_m, max_atom):
 def test_orbit_walk_beyond_the_oracle(max_m, max_atom):
     # the full range against the multiset walk over its two halves, split
     # at the middle mask.  The full range walks orbits only at 4x6, 3x8
-    # and 2x12, and hands the root's rows to the multiset walk at 8x4
+    # and 2x12; at 5x5 and 8x4 nodes below the root, whose rows tell every
+    # atom apart, hand their rows to the multiset walk
     end = 1 << max_atom
     expected = (sweep.expected_family_count(max_m, max_atom), 0)
     assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
