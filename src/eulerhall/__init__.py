@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # its module.  A name's module is imported on its first access (PEP 562),
 # so a command loads only the modules it runs.
 _EXPORTS = {
-    "_kernels": ("backend_name",),
     "bundles": (
         "BundleFamily",
         "dimension",

@@ -1,22 +1,23 @@
 """Kernels over bitmasks: the one implementation behind ``_kernels``.
 
-The sweep of the full range walks row prefixes whose popcounts never
-decrease, up to atom relabeling: one prefix per orbit under the
-permutations of the atoms that fix the rows chosen so far, weighted by
-the orbit's size times the orderings of rows it stands for.  Once those
-permutations are only the identity, the node hands its remaining rows to
-the multiset walk, which visits only the non-decreasing sequences of
-subset bitmasks, each weighted by its number of orderings.  A proper
-sub-range is not closed under relabeling and takes the multiset walk
-from the root.  Both walks extend each route's state by one row, and
-stop extending a route once that route's answer is no for every
-descendant.  A family one row short of the last keeps only one summary
-per route, which both walks derive the same way from its parent's state,
-and its last row is decided for every mask at once: each route turns its
-summary into a bitset over the masks on which it answers yes.  The
-contract is the same (checked, mismatches) as a per-family check over
-every ordered family whose smallest subset lies in a given range.
-Integers are Python ints throughout, so there are no width limits.
+The sweep is one recursive walk with two rules for a node's children.
+Over the full range it starts up to atom relabeling: the row prefixes
+whose popcounts never decrease, one per orbit under the permutations of
+the atoms that fix the rows chosen so far, weighted by the orbit's size
+times the orderings of rows it stands for.  Once those permutations are
+only the identity, the children are the non-decreasing sequences of
+subset bitmasks, each weighted by its number of orderings; a proper
+sub-range is not closed under relabeling and takes this multiset rule
+from the root.  The rules differ only in each child's weight and
+position; every node extends each route's state by one row the same
+way, and stops extending a route once that route's answer is no for
+every descendant.  A family one row short of the last keeps only one
+summary per route, derived from its parent's state, and its last row is
+decided for every mask at once: each route turns its summary into a
+bitset over the masks on which it answers yes.  The contract is the same
+(checked, mismatches) as a per-family check over every ordered family
+whose smallest subset lies in a given range.  Integers are Python ints
+throughout, so there are no width limits.
 
 Conventions:
 
@@ -221,42 +222,44 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     ValueError (mask 0 is the empty set, no subset); an empty range or
     max_m < 1 checks nothing.
 
-    All three routes are invariant under permuting rows and atoms.  The
-    full range is walked (``_orbit_walk``) over the row sequences whose
+    All three routes are invariant under permuting rows and atoms, and
+    one walk (``_walk``) visits the families with two rules for a node's
+    children.  The full range is walked over the row sequences whose
     popcounts (columns per row) never decrease: a sequence of L rows, n_q
     of them with q columns, stands for the L!/prod(n_q!) ordered families
     that interleave its popcount classes, each class's rows in their order.
-    Relabeling keeps each row's popcount, so these sequences are also
-    walked up to relabeling: a node is such a prefix standing for its orbit
-    under the permutations of the atoms, weighted by the orbit's size times
-    its orderings.  The atoms that no row chosen so far tells apart form
-    the cells of the prefix's stabilizer; the masks taking t atoms from a
-    cell of c atoms, for every cell, form one orbit of C(c, t) choices per
-    cell, represented by the first t atoms of each cell.  A child takes
-    only the orbits with at least as many columns as the last row, and has
-    its parent's weight times the orbit's size times (L+1)/n_q, n_q now
-    counting the child's rows with the child's popcount.  Every ordered
-    family is thus counted exactly once, with no canonical-form test.  A
-    node whose cells are all single columns has no relabeling left, and
-    hands its remaining rows to the multiset walk.
+    Relabeling keeps each row's popcount, so the walk starts up to
+    relabeling: a node is such a prefix standing for its orbit under the
+    permutations of the atoms, weighted by the orbit's size times its
+    orderings.  The atoms that no row chosen so far tells apart form the
+    cells of the prefix's stabilizer; the masks taking t atoms from a cell
+    of c atoms, for every cell, form one orbit of C(c, t) choices per
+    cell, represented by the first t atoms of each cell.  Under this orbit
+    rule a child takes only the orbits with at least as many columns as
+    the last row, and has its parent's weight times the orbit's size times
+    (L+1)/n_q, n_q now counting the child's rows with the child's
+    popcount.  Every ordered family is thus counted exactly once, with no
+    canonical-form test.  A node whose cells are all single columns has no
+    relabeling left, and its descendants take the multiset rule.
 
-    The multiset walk (``_extend``) visits only the non-decreasing mask
-    sequences of the rows after its start, each row with at least p
-    columns, p the popcount of the start's last row: the children of a
-    node whose last mask is s run over s..2**max_atom - 1.  A visited
-    family of L rows, the start's L0 among them, stands for the start's
-    weight times L!/L0! * n! j!/(n+j)! / prod(mult!) ordered families,
-    where n and j count the rows with p columns in the start and after it,
-    and mult are the mask multiplicities after the start; it adds that to
-    both counts.  The weight is kept along the walk: a child of a family of
-    L rows has its parent's weight times (L+1)/r if it has more than p
-    columns, and times (L+1)(j+1)/((n+j+1) r) if it has exactly p, where r
-    is the multiplicity of its last mask after the start (the length of
-    the run of equal masks at its end) and j counts the parent's.  A
-    proper sub-range is not closed under relabeling, so its walk is the
-    multiset walk from the root, where p = 0: every child takes the first
-    factor, and a family with mask multiplicities mult stands for its
-    L!/prod(mult!) orderings.
+    Under the multiset rule, the rows after the prefix walked up to
+    relabeling are the non-decreasing masks with at least p columns, p the
+    popcount of the prefix's last row: the children of a node whose last
+    mask is s run over s..2**max_atom - 1.  A family of L rows whose prefix
+    of L0 rows has weight w stands for w * L!/L0! * n! j!/(n+j)! /
+    prod(mult!) ordered families, where n and j count the rows with p
+    columns in the prefix and after it, and mult are the mask
+    multiplicities after it; it adds that to both counts.  The weight is
+    kept along the walk: a child of a family of L rows has its parent's
+    weight times (L+1)/r if it has more than p columns, and times
+    (L+1)(j+1)/((n+j+1) r) if it has exactly p, where r is the
+    multiplicity of its last mask after the prefix (the length of the run
+    of equal masks at its end) and j counts the parent's.  With j = 0 and
+    r = 1 these are the orbit rule's factors without the orbit's size, so
+    the walk computes both weights the same way.  A proper sub-range takes
+    the multiset rule from the root, where p = 0: every child takes the
+    first factor, and a family with mask multiplicities mult stands for
+    its L!/prod(mult!) orderings.
 
     Each visited family extends its parent's state, one independent
     piece per route, by its last row:
@@ -273,8 +276,9 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     product times a row is empty, a violating subset stays in the family,
     and a row raises the maximum matching by at most one), so its state
     stops changing there.  Families one row short of max_m keep only a
-    summary per route, read off their parent's state in either walk
-    (``_child_summaries``), and the families of length max_m are decided
+    summary per route, read off their parent's state under either rule
+    (``_child_summaries``), all None below a parent on which every route
+    answers no, and the families of length max_m are decided
     from it, every mask at once, as bitsets over the masks
     (``_last_row_routes``).  With max_m = 1 that family is the empty one,
     whose summaries are fixed.  Each summary is invariant under row order,
@@ -295,50 +299,93 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
         return _last_rows(0, 1, 0, 0, 0, 0, 0, 0, [0], end - 1, end - 1, lo, hi)
     cols_of = column_table(max_atom)
     # the root is the empty family: product 1, only the empty subset (no
-    # rows, no columns), empty matching, weight 1; no row tells two atoms
-    # apart, so its stabilizer has one cell
+    # rows, no columns), empty matching, weight 1, no last mask (0 is no
+    # subset's mask) and no floor (every mask has more than 0 columns).  No
+    # row tells two atoms apart, so over the full range its stabilizer has
+    # one cell; a proper sub-range is not closed under relabeling and
+    # starts with no cells
     terms, hall, match = {0: 1}, {0: 0}, ([-1] * max_atom, [], 0)
-    if lo == 1 and hi == end:
-        return _orbit_walk(max_m, cols_of, [], [], terms, hall, match, 1,
-                           (tuple(range(max_atom)),), 0, 0)
-    # no last mask (0 is no subset's mask), and no floor: every mask has
-    # more than 0 columns
-    return _extend(max_m, cols_of, [], [], terms, hall, match, 1, 0, 0, 0, 0, 0, lo, hi)
+    cells = (tuple(range(max_atom)),) if lo == 1 and hi == end else None
+    return _walk(max_m, cols_of, [], [], terms, hall, match, 1, cells, 0, 0, 0, 0, 0, lo, hi)
 
 
-def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells, floor, n_floor):
+def _walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells, last, run, floor,
+          n_floor, n_tail, lo, hi):
     # Weighted (checked, mismatches) over the families that extend rows by
-    # 1..max_m - len(rows) rows, popcounts never decreasing, for all
-    # `weight` ordered families that rows stands for (its orbit's size
-    # times its orderings); rows is at least two rows short of max_m.  The
-    # arguments after rows are as in _extend; `cells` are the cells of the
-    # stabilizer of rows, as tuples of columns, `floor` is the popcount of
-    # the last row (0 at the root) and n_floor counts the rows with it.
-    # Once every cell is a single column no relabeling is left, and the
-    # remaining rows go to the multiset walk, none walked yet.
-    full = len(cols_of) - 1
-    if len(cells) == full.bit_length():
-        return _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, 0, 0, floor,
-                       n_floor, 0, 1, full + 1)
-    left = max_m - len(rows)
-    if left == 2:
-        tight, near, reach = _parent_summaries(masks, hall, match, full)
-    grown = len(rows) + 1
+    # 1..max_m - len(rows) rows, for all `weight` ordered families that
+    # rows stands for; rows is at least two rows short of max_m.  The
+    # other arguments are the state of rows: their masks, each route's
+    # state (an empty product, None for Hall or None for the matching once
+    # that route answers no), the cells of the stabilizer of rows as
+    # tuples of columns, the last mask and the length `run` of the run of
+    # equal masks at the end of the rows walked as multisets, `floor`, the
+    # popcount of the last row walked up to relabeling (0 at the root),
+    # and the rows with exactly `floor` columns, n_floor of them walked up
+    # to relabeling and n_tail as multisets.
+    #
+    # Up to relabeling, the children are the orbits of _orbits(cells) with
+    # at least `floor` columns.  Once every cell is a single column no
+    # relabeling is left, and `cells` is None from there on, as it is from
+    # the root of a proper sub-range: the children are the masks in
+    # [lo, hi) with at least `floor` columns, and the rows they add are
+    # non-decreasing masks.  A child with more than
+    # `floor` columns has weight `fresh`, one with exactly `floor` weight
+    # `fresh_at`; an orbit's weight is that times the orbit's size, and a
+    # multiset's is divided by the length of its run.  Every weight counts
+    # ordered families, so each division is exact.  A child one row short
+    # of max_m keeps only its summaries, all None below a parent on which
+    # every route answers no, and takes every last row at once.
+    end = len(cols_of)
+    if cells is not None and len(cells) == end.bit_length() - 1:
+        cells = None
+    fresh = weight * (len(rows) + 1)
+    fresh_at = fresh * (n_tail + 1) // (n_floor + n_tail + 1)
+    short = len(rows) == max_m - 2
+    if short:
+        common = child_tight = child_reach = None
+        live = terms or hall is not None or match is not None
+        if live:
+            tight, near, reach = _parent_summaries(masks, hall, match, end - 1)
     checked = mismatches = 0
-    for mask, size, child_cells in _orbits(cells):
-        count = mask.bit_count()
-        if count < floor:
-            continue
-        # L rows, n_q of them with q columns, stand for L!/prod(n_q!)
-        # orderings; the child's new row is its n-th with `count` columns
-        n = n_floor + 1 if count == floor else 1
-        child_weight = weight * size * grown // n
-        if left == 2:
-            common, child_tight, child_reach = _child_summaries(cols_of, rows, masks, terms, tight,
-                                                                near, match, reach, mask)
+    for child in range(lo, hi) if cells is None else _orbits(cells):
+        if cells is None:
+            mask = child
+            count = mask.bit_count()
+            if count < floor:
+                continue
+            if count == floor:
+                child_weight, child_tail = fresh_at, n_tail + 1
+            else:
+                child_weight, child_tail = fresh, n_tail
+            if mask == last:
+                child_run = run + 1
+                child_weight //= child_run
+            else:
+                child_run = 1
+            child_cells = None
+            child_last = child_lo = mask
+            child_floor, child_n_floor = floor, n_floor
+        else:
+            mask, size, child_cells = child
+            count = mask.bit_count()
+            if count < floor:
+                continue
+            # n_tail is 0 here, so fresh_at divides by the child's rows with
+            # `count` columns when that is the parent's floor
+            if count == floor:
+                child_weight, child_n_floor = fresh_at * size, n_floor + 1
+            else:
+                child_weight, child_n_floor = fresh * size, 1
+            child_last = child_run = child_tail = 0
+            child_floor, child_lo = count, 1
+        if short:
+            if live:
+                common, child_tight, child_reach = _child_summaries(
+                    cols_of, rows, masks, terms, tight, near, match, reach, mask)
             agree = (common is None) == (child_tight is None) == (child_reach is None)
-            below = _last_rows(grown, child_weight, 0, 0, count, n, 0, common, child_tight,
-                               child_reach, full, 1, full + 1)
+            below = _last_rows(len(rows) + 1, child_weight, child_last, child_run, child_floor,
+                               child_n_floor, child_tail, common, child_tight, child_reach,
+                               end - 1, child_lo, end)
         else:
             cols = cols_of[mask]
             rows.append(cols)
@@ -347,8 +394,9 @@ def _orbit_walk(max_m, cols_of, rows, masks, terms, hall, match, weight, cells, 
             child_hall = None if hall is None else _hall_row(hall, mask)
             child_match = None if match is None else _match_row(rows, mask, *match)
             agree = bool(child_terms) == (child_hall is not None) == (child_match is not None)
-            below = _orbit_walk(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                                child_weight, child_cells, count, n)
+            below = _walk(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
+                          child_weight, child_cells, child_last, child_run, child_floor,
+                          child_n_floor, child_tail, child_lo, end)
             rows.pop()
             masks.pop()
         checked += child_weight + below[0]
@@ -416,72 +464,6 @@ def _popcount_classes(ncols):
     for p in range(ncols - 1, -1, -1):
         above[p] = above[p + 1] | exact[p + 1]
     return tuple(zip(exact, above))
-
-
-def _extend(max_m, cols_of, rows, masks, terms, hall, match, weight, last, run, floor, n_floor,
-            n_tail, lo, hi):
-    # Weighted (checked, mismatches) over the families rows + [mask], mask
-    # in [lo, hi) with at least `floor` columns, and all their descendants
-    # whose rows after the walk's start are non-decreasing masks of at least
-    # `floor` columns.  The other arguments are the state of rows: their
-    # masks, each route's state (an empty product, None for Hall or None
-    # for the matching once that route answers no), the weight, the last
-    # mask and the length `run` of the run of equal masks at the end of
-    # the rows after the start, and the rows with exactly `floor` columns,
-    # n_floor before the start and n_tail after it.  The rows before the
-    # start have popcounts that never decrease, up to `floor`, and their
-    # orderings are counted in the weight of the start.  A child with more
-    # than `floor` columns has weight `fresh`, one with exactly `floor`
-    # weight `fresh_at`, and either is divided by the length of its run;
-    # every weight counts ordered families, so each division is exact.
-    # A child one row short of max_m keeps only its summaries, all None
-    # below a parent on which every route answers no, and takes every last
-    # row at once.
-    fresh = weight * (len(rows) + 1)
-    fresh_at = fresh * (n_tail + 1) // (n_floor + n_tail + 1)
-    end = len(cols_of)
-    short = len(rows) == max_m - 2
-    if short:
-        common = child_tight = child_reach = None
-        live = terms or hall is not None or match is not None
-        if live:
-            tight, near, reach = _parent_summaries(masks, hall, match, end - 1)
-    checked = mismatches = 0
-    for mask in range(lo, hi):
-        count = mask.bit_count()
-        if count < floor:
-            continue
-        if count == floor:
-            child_weight, child_tail = fresh_at, n_tail + 1
-        else:
-            child_weight, child_tail = fresh, n_tail
-        if mask == last:
-            child_run = run + 1
-            child_weight //= child_run
-        else:
-            child_run = 1
-        if short:
-            if live:
-                common, child_tight, child_reach = _child_summaries(
-                    cols_of, rows, masks, terms, tight, near, match, reach, mask)
-            agree = (common is None) == (child_tight is None) == (child_reach is None)
-            below = _last_rows(len(rows) + 1, child_weight, mask, child_run, floor, n_floor,
-                               child_tail, common, child_tight, child_reach, end - 1, mask, end)
-        else:
-            cols = cols_of[mask]
-            rows.append(cols)
-            masks.append(mask)
-            child_terms = _euler_step(terms, cols) if terms else terms
-            child_hall = None if hall is None else _hall_row(hall, mask)
-            child_match = None if match is None else _match_row(rows, mask, *match)
-            agree = bool(child_terms) == (child_hall is not None) == (child_match is not None)
-            below = _extend(max_m, cols_of, rows, masks, child_terms, child_hall, child_match,
-                            child_weight, mask, child_run, floor, n_floor, child_tail, mask, end)
-            rows.pop()
-            masks.pop()
-        checked += child_weight + below[0]
-        mismatches += below[1] if agree else child_weight + below[1]
-    return checked, mismatches
 
 
 def _hall_row(hall, mask):
@@ -584,7 +566,7 @@ def _last_rows(k, weight, last, run, floor, n_floor, n_tail, common, tight, reac
     # Weighted (checked, mismatches) over the families rows + [mask], mask
     # in [lo, hi) with at least `floor` columns, where rows has k rows and
     # is described by weight, last, run, floor, n_floor and n_tail as in
-    # _extend and by its summaries as in _child_summaries.  Every child
+    # _walk and by its summaries as in _child_summaries.  Every child
     # with more than `floor` columns has weight `fresh`, every one with
     # exactly `floor` weight `fresh_at`, except one repeating the last mask.
     euler, hall_ok, saturated = _last_row_routes(common, tight, reach, full, lo, hi)

@@ -49,8 +49,6 @@ from .errors import EulerHallError, InvalidInput, TheoremViolation
 
 _int_repr = int.__repr__
 
-SWEEP_DEFAULT_M_CAP = 4
-SWEEP_DEFAULT_ATOM_CAP = 5
 DYNAMICS_WINDOW_CAP = 4
 DYNAMICS_DEPTH_CAP = 5
 
@@ -117,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="accepted for compatibility and ignored (N >= 1): "
                         "the sweep runs in one process")
-    p.add_argument("--force", action="store_true",
-                   help=f"allow sizes beyond the default caps "
-                        f"(m <= {SWEEP_DEFAULT_M_CAP}, atoms <= {SWEEP_DEFAULT_ATOM_CAP})")
 
     p = sub.add_parser("dynamics", parents=[common],
                        help="generate labeled generations and verify their certificates")
@@ -277,15 +272,6 @@ def cmd_euler(args) -> int:
 def cmd_sweep(args) -> int:
     from . import sweep
 
-    if not args.force:
-        if args.max_m > SWEEP_DEFAULT_M_CAP:
-            raise InvalidInput(
-                f"--max-m {args.max_m} exceeds the default cap "
-                f"{SWEEP_DEFAULT_M_CAP} (pass --force to raise it)")
-        if args.max_atom > SWEEP_DEFAULT_ATOM_CAP:
-            raise InvalidInput(
-                f"--max-atom {args.max_atom} exceeds the default cap "
-                f"{SWEEP_DEFAULT_ATOM_CAP} (pass --force to raise it)")
     if args.jobs < 1:
         raise InvalidInput(f"jobs must be at least 1, got {args.jobs}")
     result = sweep.sweep_equivalence(args.max_m, args.max_atom)

@@ -6,12 +6,13 @@ conditions (nonzero Euler class, Hall, matching saturation) agree, or
 that every Euler coefficient equals the matching count onto its support.
 
 The equivalence sweep lets families that share their first rows share
-each route's partial state.  It walks every family in one process, up
-to row order and atom relabeling: first rows whose popcounts never
+each route's partial state.  It is one walk over every family in one
+process, up to row order and atom relabeling, with two rules for a
+node's children.  First rows are taken with popcounts that never
 decrease, one per orbit under the permutations of the atoms that fix
 the rows before them, each weighted by the orbit's size times the
-orderings it stands for, m!/prod(n_q!) with n_q rows of q atoms.  Once
-the first rows tell every atom apart, the remaining rows are walked as
+orderings it stands for, m!/prod(n_q!) with n_q rows of q atoms.  Below
+first rows that tell every atom apart, the remaining rows are taken as
 multisets, the non-decreasing sequences of subset bitmasks, weighted by
 their orderings in the same way.  The coefficient sweep walks the plain
 multisets, each weighted by its number of orderings m!/prod(mult!), one
@@ -33,7 +34,8 @@ from .errors import CapExceeded
 
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
-# The budget counts the multisets of the multiset walk.  The slowest
+# The budget counts the multisets of a walk by the multiset rule alone,
+# and is the CLI's only size limit within the caps above.  The slowest
 # sizes within it, 6 sets over 5 atoms (2,324,783 multisets) and 8 over 4,
 # take 0.2-0.3 s each as a whole process on a 2-core x86-64 machine with
 # their first rows walked in popcount order up to atom relabeling (6x5

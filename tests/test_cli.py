@@ -93,8 +93,8 @@ DISPATCH_ARGVS = [
     ("euler", "family.json", "--text"),
     ("euler", "--text", "family.json"),
     ("euler", "--json", "family.json"),
-    ("sweep", "--max-m", "2", "--max-atom", "3", "--jobs", "2", "--force"),
-    ("sweep", "--force", "--jobs", "2", "--max-atom", "3", "--max-m", "2"),
+    ("sweep", "--max-m", "2", "--max-atom", "3", "--jobs", "2"),
+    ("sweep", "--jobs", "2", "--max-atom", "3", "--max-m", "2"),
     ("sweep", "--max-m=2", "--text"),
     ("dynamics", "--window", "1", "--depth", "2", "--text"),
     ("dynamics", "--text", "--depth", "2", "--window", "1"),
@@ -298,17 +298,23 @@ class TestSweep:
         report = json.loads(out)
         assert code == 0 and report["families"] == 56 and report["ok"] is True
 
-    def test_cap_requires_force(self, capsys):
-        code, _, err = run_main(capsys, "sweep", "--max-m", "5")
-        assert code == 1 and "--force" in err
+    def test_budget_is_the_only_size_rule(self, capsys):
+        # 5 sets over 5 atoms lies within the budget and runs with no flag;
+        # there is no flag to raise a size rule, so --force is unknown
+        code, out, _ = run_main(capsys, "sweep", "--max-m", "5", "--max-atom", "5")
+        report = json.loads(out)
+        assert code == 0 and report["families"] == sum(31**m for m in range(1, 6))
+        assert report["mismatches"] == 0
+        code, out, err = run_main(capsys, "sweep", "--force", "--max-m", "2")
+        assert code == 1 and out == "" and "unrecognized arguments: --force" in err
 
     def test_jobs_flag(self, capsys):
         code, out, _ = run_main(capsys, "sweep", "--max-m", "2", "--max-atom", "3",
                                 "--jobs", "2")
         assert code == 0 and json.loads(out)["families"] == 56
         # any N >= 1 is accepted and ignored, also at the widest atom cap
-        code, out, _ = run_main(capsys, "sweep", "--force", "--max-m", "1",
-                                "--max-atom", "16", "--jobs", "100000")
+        code, out, _ = run_main(capsys, "sweep", "--max-m", "1", "--max-atom", "16",
+                                "--jobs", "100000")
         assert code == 0 and json.loads(out)["families"] == 2**16 - 1
 
     def test_jobs_below_one_rejected(self, capsys):
@@ -326,15 +332,15 @@ class TestSweep:
         monkeypatch.setattr(sweep._kernels, "sweep_equivalence_range", no_work)
         count = sum(comb(2**16 - 2 + m, m) for m in range(1, 9))
         for jobs in ("1", "2"):
-            code, out, err = run_main(capsys, "sweep", "--force", "--max-m", "8",
-                                      "--max-atom", "16", "--jobs", jobs)
+            code, out, err = run_main(capsys, "sweep", "--max-m", "8", "--max-atom", "16",
+                                      "--jobs", jobs)
             assert code == 1 and out == ""
             assert str(count) in err and str(sweep.SWEEP_MULTISET_BUDGET) in err
         # the budget admits 6 sets over 5 atoms and refuses 5x6 and 4x7
         assert sweep.multisets_from(6, 5) == 2_324_783 <= sweep.SWEEP_MULTISET_BUDGET
         assert sweep.SWEEP_MULTISET_BUDGET < sweep.multisets_from(5, 6) == 10_424_127
         assert sweep.multisets_from(4, 7) == 11_716_639
-        code, _, err = run_main(capsys, "sweep", "--force", "--max-m", "5", "--max-atom", "6")
+        code, _, err = run_main(capsys, "sweep", "--max-m", "5", "--max-atom", "6")
         assert code == 1 and "10424127" in err
 
 

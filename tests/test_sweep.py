@@ -1,13 +1,15 @@
-"""The sweep walks against a per-family oracle.
+"""The sweep walk against a per-family oracle.
 
-``_pyref.sweep_equivalence_range`` walks the full range over row
-sequences whose popcounts never decrease, up to atom relabeling, and hands
-a node to the multiset walk once its rows tell every atom apart; it walks
-every proper sub-range as multisets: the non-decreasing mask sequences,
-each weighted by its number of orderings.  Both extend each route's state
-by one row.  The oracle below is the plain ordered loop: every ordered
-family is built from scratch and handed to the three kernels.  All must
-report the same (checked, mismatches) on every range of smallest subsets.
+``_pyref.sweep_equivalence_range`` is one walk with two rules for a
+node's children.  Over the full range it takes row sequences whose
+popcounts never decrease, up to atom relabeling, and switches to the
+multiset rule below a node whose rows tell every atom apart; a proper
+sub-range takes the multiset rule from the root: the non-decreasing mask
+sequences, each weighted by its number of orderings.  Either rule extends
+each route's state by one row the same way.  The oracle below is the
+plain ordered loop: every ordered family is built from scratch and handed
+to the three kernels.  All must report the same (checked, mismatches) on
+every range of smallest subsets.
 """
 
 import random
@@ -310,7 +312,7 @@ def test_orbits_are_exact():
         assert covered == set(range(1, 1 << ncols)), cells
 
 
-# the depths at which the orbit walk hands its rows to the multiset walk:
+# the depths at which the walk leaves the orbit rule for the multiset rule:
 # at the root when one atom leaves nothing to relabel, below it once the
 # rows tell every atom apart (one row of one atom does at 2 atoms, two rows
 # at 3), or never when no node two rows short of max_m can tell them apart
@@ -323,21 +325,21 @@ BRANCHES = {
 
 @pytest.mark.parametrize("max_m,max_atom", BRANCHES)
 def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
-    # the lengths of the prefixes that the orbit walk hands to the
-    # multiset walk: the _extend calls with no row walked as multisets yet
-    # (no last mask), each on a prefix whose rows tell every atom apart
+    # the lengths of the prefixes at which the walk leaves the orbit rule:
+    # the _walk calls whose stabilizer has one cell per atom, each on a
+    # prefix whose rows tell every atom apart
     depths = set()
-    extend = _pyref._extend
+    walk = _pyref._walk
 
     def spy(*args):
-        rows, last = args[2], args[8]
-        if last == 0:
+        rows, cells = args[2], args[8]
+        if cells is not None and len(cells) == max_atom:
             depths.add(len(rows))
             signatures = {tuple(c in row for row in rows) for c in range(max_atom)}
             assert len(signatures) == max_atom, rows
-        return extend(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(_pyref, "_extend", spy)
+    monkeypatch.setattr(_pyref, "_walk", spy)
     end = 1 << max_atom
     assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
         max_m, max_atom, 1, end)
@@ -345,14 +347,17 @@ def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
 
 
 def test_orbit_walk_keeps_popcounts_in_order(monkeypatch):
-    # every prefix the orbit walk summarizes has popcounts that never
-    # decrease; at 4x5 that leaves 198 child summaries, all in the orbit
-    # walk, for the 156 classes of 3-row multisets under relabeling
+    # every prefix summarized under the orbit rule (the calling node's
+    # `cells` are not None) has popcounts that never decrease; at 4x5 that
+    # leaves 189 child summaries, all under the orbit rule, for the 156
+    # classes of 3-row multisets under relabeling.  No summary is derived
+    # below a parent on which every route answers no, which at 4x5 skips 9
     built = []
     own = _pyref._child_summaries
 
     def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
-        built.append((sys._getframe(1).f_code.co_name, tuple(masks) + (mask,)))
+        cells = sys._getframe(1).f_locals["cells"]
+        built.append((cells is not None, tuple(masks) + (mask,)))
         return own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
 
     monkeypatch.setattr(_pyref, "_child_summaries", recording)
@@ -360,13 +365,39 @@ def test_orbit_walk_keeps_popcounts_in_order(monkeypatch):
         built.clear()
         assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
             sweep.expected_family_count(max_m, max_atom), 0)
-        orbit = [masks for walk, masks in built if walk == "_orbit_walk"]
+        orbit = [masks for by_orbit, masks in built if by_orbit]
         assert orbit, (max_m, max_atom)
         for masks in orbit:
             counts = [mask.bit_count() for mask in masks]
             assert counts == sorted(counts), masks
         if (max_m, max_atom) == (4, 5):
-            assert len(built) == len(orbit) == 198
+            assert len(built) == len(orbit) == 189
+
+
+@pytest.mark.parametrize("max_m,max_atom,lo,hi", [
+    (8, 4, 1, 16), (5, 3, 1, 8), (4, 5, 1, 32), (5, 3, 2, 6), (4, 4, 3, 11)])
+def test_no_summary_below_a_dead_parent(monkeypatch, max_m, max_atom, lo, hi):
+    # every child of a parent on which all three routes answer no answers
+    # no too, so under either rule no summary is derived below one.  At
+    # 8x4 each parent one row short of max_m has 6 rows over 4 atoms and
+    # fails Hall, so no summary is derived at all; the orbit rule derived
+    # 5,014 there before it skipped dead parents
+    built = []
+    own = _pyref._child_summaries
+
+    def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
+        built.append(not terms and near is None and match is None)
+        return own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
+
+    monkeypatch.setattr(_pyref, "_child_summaries", recording)
+    if (lo, hi) == (1, 1 << max_atom):
+        expected = (sweep.expected_family_count(max_m, max_atom), 0)
+    else:
+        expected = oracle_range(max_m, max_atom, lo, hi)
+    assert _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi) == expected
+    assert not any(built)
+    if (max_m, max_atom) == (8, 4):
+        assert built == []
 
 
 def test_popcount_classes():
@@ -380,16 +411,17 @@ def test_popcount_classes():
 
 def test_child_summaries_match_each_kernel(monkeypatch):
     # the summaries of the families one row short of max_m, read off their
-    # parent's state in both walks, against each route computed directly
-    # on their rows; an error shared by all three routes leaves the
-    # mismatch count at 0
-    seen = {"_orbit_walk": [], "_extend": []}
+    # parent's state under both rules (the calling node's `cells` are None
+    # under the multiset rule), against each route computed directly on
+    # their rows; an error shared by all three routes leaves the mismatch
+    # count at 0
+    seen = {"orbit": [], "multiset": []}
     own = _pyref._child_summaries
 
     def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
         result = own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
-        walk = sys._getframe(1).f_code.co_name
-        seen[walk].append((tuple(masks) + (mask,), len(cols_of).bit_length() - 1, result))
+        rule = "multiset" if sys._getframe(1).f_locals["cells"] is None else "orbit"
+        seen[rule].append((tuple(masks) + (mask,), len(cols_of).bit_length() - 1, result))
         return result
 
     monkeypatch.setattr(_pyref, "_child_summaries", recording)
@@ -400,7 +432,7 @@ def test_child_summaries_match_each_kernel(monkeypatch):
         for lo, hi in ((1, end), (1, b), (b, end)):
             assert _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)[1] == 0
     rng = random.Random(13)
-    sample = rng.sample(seen["_orbit_walk"], 150) + rng.sample(seen["_extend"], 150)
+    sample = rng.sample(seen["orbit"], 150) + rng.sample(seen["multiset"], 150)
     routes = set()
     for masks, ncols, (common, tight, reach) in sample:
         rows = [_pyref.column_table(ncols)[mask] for mask in masks]
