@@ -452,10 +452,11 @@ def column_table(ncols):
 @functools.lru_cache(maxsize=1)
 def _popcount_classes(ncols):
     # For each popcount p in 0..ncols, two bitsets over the masks below
-    # 2**ncols: the masks with exactly p columns and those with more.  Cached
-    # like column_table: only the latest width is kept.  Built one column
-    # at a time: the masks with column c are those below 2**c plus 2**c,
-    # so their bits lie 2**c places higher, one popcount up.
+    # 2**ncols, the masks with exactly p columns and those with more, and
+    # how many nonzero masks each holds.  Cached like column_table: only
+    # the latest width is kept.  Built one column at a time: the masks
+    # with column c are those below 2**c plus 2**c, so their bits lie 2**c
+    # places higher, one popcount up.
     exact = [1]
     for c in range(ncols):
         shifted = [0] + [bits << (1 << c) for bits in exact]
@@ -463,7 +464,8 @@ def _popcount_classes(ncols):
     above = [0] * (ncols + 1)
     for p in range(ncols - 1, -1, -1):
         above[p] = above[p + 1] | exact[p + 1]
-    return tuple(zip(exact, above))
+    return tuple((at, over, (at >> 1).bit_count(), (over >> 1).bit_count())
+                 for at, over in zip(exact, above))
 
 
 def _hall_row(hall, mask):
@@ -571,11 +573,15 @@ def _last_rows(k, weight, last, run, floor, n_floor, n_tail, common, tight, reac
     # exactly `floor` weight `fresh_at`, except one repeating the last mask.
     euler, hall_ok, saturated = _last_row_routes(common, tight, reach, full, lo, hi)
     wrong = (euler ^ hall_ok) | (hall_ok ^ saturated)
-    at, above = _popcount_classes(full.bit_length())[floor]
-    span = (1 << hi) - (1 << lo)
+    at, above, n_at, n_above = _popcount_classes(full.bit_length())[floor]
     fresh = weight * (k + 1)
     fresh_at = fresh * (n_tail + 1) // (n_floor + n_tail + 1)
-    checked = fresh * (above & span).bit_count() + fresh_at * (at & span).bit_count()
+    if lo > 1 or hi <= full:
+        # a proper part of the nonzero masks: count the children in it;
+        # over all of them, the classes' own counts are the children's
+        span = (1 << hi) - (1 << lo)
+        n_above, n_at = (above & span).bit_count(), (at & span).bit_count()
+    checked = fresh * n_above + fresh_at * n_at
     mismatches = fresh * (above & wrong).bit_count() + fresh_at * (at & wrong).bit_count()
     if lo <= last < hi:
         own = fresh_at if at >> last & 1 else fresh

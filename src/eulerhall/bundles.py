@@ -127,12 +127,13 @@ def euler_class(f: BundleFamily) -> RingElement:
     A trivial summand has Euler class zero and kills the product.  The
     empty family gives the unit.  The product of the members' classes is
     expanded over column bitmasks by ``_kernels.euler_terms`` and kept
-    over ``f.columns``; the atoms are read back only when needed.
+    over ``f.columns``; the atoms are read back only when needed.  Every
+    term takes one column per row, so the element records that degree.
     """
     if f.trivial_lines > 0:
         return ring.zero()
     rows, atoms = f.columns
-    return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms)
+    return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms, len(rows))
 
 
 def dimension(f: BundleFamily) -> int:

@@ -10,7 +10,12 @@ and an analysis never loads the sweep.
 JSON reports are written by ``_json``, whose text equals
 ``json.dumps(report, indent=2)`` byte for byte for the types reports
 hold (dicts with str keys, lists, str, int, bool and None); it raises
-TypeError on any other type and leaves no cyclic garbage behind.
+TypeError on any other type and leaves no cyclic garbage behind.  One
+private str subclass, ``_Verbatim``, marks text that needs no escape:
+``_json`` writes it between quotes as it is.  ``analyze`` and ``euler``
+hand it the rendered Euler class, tens of kilobytes of digits, ``x``,
+``*``, ``+``, ``-`` and spaces, which the escape would only copy.  Any
+other str subclass is still refused.
 
 ``main`` pauses the cyclic garbage collector while a command runs and
 restores the state it found on every exit, an escaping exception
@@ -179,6 +184,12 @@ def _header(command: str) -> dict:
     return {"tool": "eulerhall", "version": __version__, "command": command}
 
 
+class _Verbatim(str):
+    # Text that JSON writes as it is: no quote, backslash, control or
+    # non-ASCII character, as RingElement.render guarantees.
+    __slots__ = ()
+
+
 def _json(value, indent: str) -> str:
     # The text of json.dumps(value, indent=2) for the types reports hold,
     # written without the stdlib's encoder: Python 3.10 and 3.11 always
@@ -186,6 +197,8 @@ def _json(value, indent: str) -> str:
     # cyclic garbage on every call.
     if type(value) is str:
         return _encode_str(value)
+    if type(value) is _Verbatim:
+        return '"' + value + '"'
     if value is True:
         return "true"
     if value is False:
@@ -243,7 +256,7 @@ def cmd_analyze(args) -> int:
     report["family"] = family.to_json_dict()
     analysis = obstruction.analyze(family)
     eq, verdict = analysis.equivalence, analysis.verdict
-    report["euler_class"] = analysis.euler_class.render()
+    report["euler_class"] = _Verbatim(analysis.euler_class.render())
     report["euler_nonzero"] = eq.euler_nonzero
     report["euler_class_degree"] = eq.euler_class_degree
     report["hall"] = eq.hall
@@ -262,7 +275,7 @@ def cmd_euler(args) -> int:
     e = bundles.euler_class(family)
     report = _header("euler")
     report["family"] = family.to_json_dict()
-    report["euler_class"] = e.render()
+    report["euler_class"] = _Verbatim(e.render())
     report["euler_nonzero"] = not e.is_zero
     report["euler_class_degree"] = e.homogeneous_degree()
     _emit(report, args.fmt)

@@ -22,7 +22,16 @@ arithmetic, equality).  The atoms descend so that the highest column is
 the smallest atom: of two monomials of one degree, the lower ascending
 atom tuple holds the smallest atom in which they differ, which is the
 highest column in which their masks differ, so it is the larger mask.
-Rendering therefore sorts the masks themselves.
+Rendering therefore sorts the masks themselves.  The Euler kernel's
+product takes one column per row in every term, so an element built from
+it records that degree: ``homogeneous_degree`` returns it without a scan
+of the masks, and ``render`` needs no sort by degree.  Elements built by
+arithmetic record none, and scan and sort.
+
+``render`` writes each term as one sign-and-magnitude text, such as
+``" + 3"``, followed by its atoms' texts; the sign-and-magnitude texts
+are built once per distinct coefficient, since a class has far fewer
+distinct coefficients than terms.
 """
 
 from __future__ import annotations
@@ -53,8 +62,9 @@ class RingElement:
 
     # Either form may be missing until first needed, never both:
     # _mono is {frozenset of atoms: coeff}, _cols is ({column bitmask:
-    # coeff}, descending atoms).
-    __slots__ = ("_mono", "_cols")
+    # coeff}, descending atoms).  _degree is the degree of every term of
+    # a nonzero element whose maker knows it, else None.
+    __slots__ = ("_mono", "_cols", "_degree")
 
     def __init__(self, terms: Mapping[Iterable[int], int] | None = None):
         normalized: dict[frozenset, int] = {}
@@ -70,6 +80,7 @@ class RingElement:
                     del normalized[key]
         self._mono = normalized
         self._cols = None
+        self._degree = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "RingElement":
@@ -78,17 +89,20 @@ class RingElement:
         elem = cls.__new__(cls)
         elem._mono = terms
         elem._cols = None
+        elem._degree = None
         return elem
 
     @classmethod
-    def _from_columns(cls, masks: dict, atoms) -> "RingElement":
+    def _from_columns(cls, masks: dict, atoms, degree: int) -> "RingElement":
         # Trusted constructor over columns: `atoms` descending, `masks`
-        # {column bitmask: nonzero coeff}, column c standing for atoms[c].
+        # {column bitmask: nonzero coeff}, column c standing for atoms[c],
+        # and `degree` the popcount of every mask.
         # Descending atoms make mask order the reverse of atom tuple order
         # within a degree, which render relies on.
         elem = cls.__new__(cls)
         elem._mono = None
         elem._cols = (masks, atoms)
+        elem._degree = degree if masks else None
         return elem
 
     @property
@@ -126,6 +140,8 @@ class RingElement:
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all monomials, or None if zero or mixed."""
+        if self._degree is not None:
+            return self._degree
         degrees = {mask.bit_count() for mask in self._columns()[0]}
         if len(degrees) == 1:
             return degrees.pop()
@@ -195,27 +211,27 @@ class RingElement:
         if not masks:
             return "0"
         # Over descending atoms, descending masks of one degree are
-        # ascending atom tuples (see the module docstring).
+        # ascending atom tuples (see the module docstring).  An element
+        # that records its degree has no other, so needs no sort by degree.
         order = sorted(masks, reverse=True)
-        order.sort(key=int.bit_count)
+        if self._degree is None:
+            order.sort(key=int.bit_count)
         texts = _byte_tables([f"*x{a}" for a in atoms], "")
-        # The text is one join over slots [sign, magnitude, byte pieces...]
-        # per term, filled one byte table at a time for all terms.  Each
-        # magnitude of a term with atoms is followed by "*", so " + 1*" and
-        # " - 1*" mark exactly the magnitudes of 1 to leave out; that of the
-        # constant term, which has no atoms, is always written.
-        stride = len(texts) + 2
-        out = [" + "] * (stride * len(order))
-        coeffs = list(map(masks.__getitem__, order))
-        signed = min(coeffs) < 0
-        if signed:
-            out[0::stride] = [" - " if c < 0 else " + " for c in coeffs]
-            coeffs = map(abs, coeffs)
-        out[1::stride] = map(str, coeffs)
-        for slot, (shift, table) in enumerate(texts, 2):
+        # The text is one join over slots [sign and magnitude, byte
+        # pieces...] per term, filled one byte table at a time for all
+        # terms; the first slot is " + c" or " - c", one text per distinct
+        # coefficient c.  Each magnitude of a term with atoms is followed by
+        # "*", so " + 1*" and " - 1*" mark exactly the magnitudes of 1 to
+        # leave out; that of the constant term, which has no atoms, is
+        # always written.
+        stride = len(texts) + 1
+        out = [""] * (stride * len(order))
+        heads = {c: " + " + str(c) if c > 0 else " - " + str(-c) for c in set(masks.values())}
+        out[0::stride] = [heads[masks[mask]] for mask in order]
+        for slot, (shift, table) in enumerate(texts, 1):
             out[slot::stride] = [table[mask >> shift & 255] for mask in order]
         text = "".join(out).replace(" + 1*", " + ")
-        if signed:
+        if min(heads) < 0:
             text = text.replace(" - 1*", " - ")
             if text.startswith(" - "):
                 return "-" + text[3:]

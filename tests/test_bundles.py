@@ -59,11 +59,33 @@ class TestEulerClass:
             assert euler_class(direct_sum(f, g)) == ring.mul(euler_class(f), euler_class(g))
 
     def test_homogeneous_of_family_size(self):
+        # the class records its degree; the ring fold's degree comes from
+        # a scan of its monomials, and both must agree
         rng = random.Random(11)
         for _ in range(200):
             f = random_family(rng)
             e = euler_class(f)
-            assert e.is_zero or e.homogeneous_degree() == len(f.sets)
+            fold = reduce(ring.mul, map(euler_line, f.sets), one())
+            assert e.homogeneous_degree() == (None if e.is_zero else len(f.sets))
+            assert e.homogeneous_degree() == fold.homogeneous_degree()
+
+    def test_zero_class_has_no_degree(self):
+        for f in (BundleFamily.of({4}, {4}), BundleFamily.of({1}, trivial_lines=1),
+                  BundleFamily.of({1, 2}, {1, 2}, {2, 1})):
+            assert euler_class(f).homogeneous_degree() is None
+
+    def test_arithmetic_on_the_class_scans_again(self):
+        # an element built by arithmetic from the class records no degree:
+        # a mixed one reads None and renders in degree order
+        f = BundleFamily.of({1, 2}, {2, 3})
+        e = euler_class(f)
+        assert e.homogeneous_degree() == 2
+        mixed = ring.add(e, generator(9))
+        assert mixed.homogeneous_degree() is None
+        assert mixed.render() == "x9 + x1*x2 + x1*x3 + x2*x3"
+        assert ring.add(one(), e).render() == "1 + x1*x2 + x1*x3 + x2*x3"
+        assert (-e).homogeneous_degree() == 2
+        assert (-e).render() == "-x1*x2 - x1*x3 - x2*x3"
 
     def test_permutation_invariant(self):
         rng = random.Random(12)

@@ -20,6 +20,14 @@ from eulerhall.errors import InvalidInput
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+class _OtherText(str):
+    pass
+
+
+class _VerbatimChild(cli._Verbatim):
+    pass
+
+
 # Size in bytes and sha256 of `dynamics --window W --depth D` stdout
 # (default JSON), keyed by (W, D).  The header carries __version__, so a
 # version bump changes these bytes and must re-pin them.
@@ -562,13 +570,35 @@ class TestUsageAndDeterminism:
 
     @pytest.mark.parametrize("value", [
         1.5, (1,), {1}, {1: "a"}, [1, 2.0], {"k": [None, (1,)]}, {"k": {"j": {2}}},
+        _OtherText("x1 + x2"), {"k": _OtherText("a")}, [_VerbatimChild("x1")],
     ], ids=repr)
     def test_writer_rejects_other_types(self, value):
-        # the JSON writer covers the types reports hold and writes nothing else
+        # the JSON writer covers the types reports hold and writes nothing
+        # else; of the str subclasses, it writes only cli._Verbatim itself
         out = io.StringIO()
         with contextlib.redirect_stdout(out), pytest.raises(TypeError):
             _emit(value, "json")
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "euler"])
+    def test_class_reaches_writer_verbatim(self, monkeypatch, capsys, command):
+        # analyze and euler hand the rendered class to the writer as
+        # cli._Verbatim, which it writes as the stdlib would, in both formats
+        reports = []
+        monkeypatch.setattr(cli, "_emit", lambda report, fmt: reports.append((report, fmt)))
+        for path in sorted(FIXTURES.glob("*.json")):
+            for fmt in ("--json", "--text"):
+                assert run_main(capsys, command, fmt, str(path))[0] == 0
+        monkeypatch.undo()
+        assert len(reports) == 2 * len(list(FIXTURES.glob("*.json")))
+        for report, fmt in reports:
+            assert type(report["euler_class"]) is cli._Verbatim
+            _emit(report, fmt)
+            out = capsys.readouterr().out
+            if fmt == "json":
+                assert out == json.dumps(report, indent=2) + "\n"
+            else:
+                assert f"euler_class: {report['euler_class']}\n" in out
 
     def test_round_trip_canonicalizes(self, tmp_path, capsys):
         path = tmp_path / "f.json"

@@ -1,5 +1,6 @@
 """Property tests: the Euler kernel route against the ring-product fold,
-and the CLI's JSON writer against the stdlib's encoder."""
+the alphabet of rendered elements, and the CLI's JSON writer against the
+stdlib's encoder."""
 
 import contextlib
 import io
@@ -12,8 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerhall import BundleFamily, euler_class, euler_line, ring
-from eulerhall.cli import _emit
+from eulerhall import BundleFamily, euler_class, euler_line, obstruction, ring
+from eulerhall.cli import _emit, _Verbatim
 
 # Up to 7 sets over atoms 1..40: sparse, large atom ids exercise the
 # column compression in front of the bitmask kernel.
@@ -30,6 +31,68 @@ def test_euler_class_equals_ring_fold(f):
     e = euler_class(f)
     assert e == fold
     assert e.render() == fold.render()
+
+
+# Signed coefficients past 64 bits, mixed degrees and the constant term,
+# over atoms up to 200.
+elements = st.dictionaries(
+    st.frozensets(st.integers(min_value=1, max_value=200), max_size=5),
+    st.integers(min_value=-(2**70), max_value=2**70).filter(bool),
+    max_size=8,
+).map(ring.RingElement)
+
+# Families over 17 to 24 sparse columns, so a class's text runs through
+# three byte tables: one set holds every atom, the others overlap it.
+wide_families = st.lists(
+    st.integers(min_value=1, max_value=200), min_size=17, max_size=24, unique=True,
+).flatmap(lambda atoms: st.lists(
+    st.frozensets(st.sampled_from(atoms), min_size=1, max_size=4), max_size=4,
+).map(lambda sets: BundleFamily.of(atoms, *sets)))
+
+# What RingElement.render writes, and so all that cli._Verbatim may hold:
+# JSON writes each of these characters as it is.
+RENDER_ALPHABET = set("0123456789x*+- ")
+
+
+@settings(deadline=None, database=None)
+@given(elements)
+def test_render_alphabet(e):
+    assert set(e.render()) <= RENDER_ALPHABET
+
+
+@settings(deadline=None, database=None)
+@given(wide_families)
+def test_render_alphabet_of_wide_classes(f):
+    e = euler_class(f)
+    assert len(f.columns[1]) > 16
+    assert set(e.render()) <= RENDER_ALPHABET
+    assert e.homogeneous_degree() == (None if e.is_zero else len(f.sets))
+
+
+@settings(deadline=None, database=None)
+@given(st.one_of(families, wide_families))
+def test_analyze_report_with_verbatim_class_equals_stdlib(f):
+    # an analyze-shaped report, the rendered class held as cli._Verbatim,
+    # which the writer copies between quotes without the escape
+    analysis = obstruction.analyze(f)
+    eq, verdict = analysis.equivalence, analysis.verdict
+    report = {
+        "tool": "eulerhall",
+        "command": "analyze",
+        "family": f.to_json_dict(),
+        "euler_class": _Verbatim(analysis.euler_class.render()),
+        "euler_nonzero": eq.euler_nonzero,
+        "euler_class_degree": eq.euler_class_degree,
+        "hall": eq.hall,
+        "matching": list(eq.matching.assignment) if eq.matching.saturates else None,
+        "verdict": verdict.tag.value,
+        "witness": verdict.witness,
+        "violation": list(verdict.violation.indices) if verdict.violation else None,
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, "json")
+    assert out.getvalue() == json.dumps(report, indent=2) + "\n"
 
 
 # Report values: text with quotes, backslashes, control and non-ASCII

@@ -16,6 +16,7 @@ import random
 import sys
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement, permutations, product
+from math import comb
 from operator import and_
 
 import pytest
@@ -401,12 +402,16 @@ def test_no_summary_below_a_dead_parent(monkeypatch, max_m, max_atom, lo, hi):
 
 
 def test_popcount_classes():
+    # the two bitsets, and the counts of nonzero masks in each, which
+    # _last_rows reads in place of the bitsets over the full range
     for ncols in range(7):
         classes = _pyref._popcount_classes(ncols)
         assert len(classes) == ncols + 1
-        for p, (at, above) in enumerate(classes):
+        for p, (at, above, n_at, n_above) in enumerate(classes):
             assert at == sum(1 << s for s in range(1 << ncols) if s.bit_count() == p), (ncols, p)
             assert above == sum(1 << s for s in range(1 << ncols) if s.bit_count() > p), (ncols, p)
+            assert n_at == (comb(ncols, p) if p else 0), (ncols, p)
+            assert n_above == sum(comb(ncols, q) for q in range(p + 1, ncols + 1)), (ncols, p)
 
 
 def test_child_summaries_match_each_kernel(monkeypatch):
