@@ -54,9 +54,6 @@ from .errors import EulerHallError, InvalidInput, TheoremViolation
 
 _int_repr = int.__repr__
 
-DYNAMICS_WINDOW_CAP = 4
-DYNAMICS_DEPTH_CAP = 5
-
 
 class _Formatter(argparse.HelpFormatter):
     # The formatter holds its root section, every section points back at
@@ -174,8 +171,10 @@ def _load_family(path: str):
             data = json.load(fh)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # not UTF-8, or arrays nested past the decoder's depth limit
+    except (ValueError, RecursionError) as exc:
+        # not JSON (JSONDecodeError), not UTF-8 (UnicodeDecodeError), an
+        # integer past the int-to-str digit limit, or arrays nested past
+        # the decoder's depth limit
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     return bundles.BundleFamily.from_json_dict(data)
 
@@ -304,10 +303,6 @@ def cmd_sweep(args) -> int:
 def cmd_dynamics(args) -> int:
     from . import dynamics
 
-    if args.window > DYNAMICS_WINDOW_CAP:
-        raise InvalidInput(f"--window capped at {DYNAMICS_WINDOW_CAP}")
-    if args.depth > DYNAMICS_DEPTH_CAP:
-        raise InvalidInput(f"--depth capped at {DYNAMICS_DEPTH_CAP}")
     cfg = dynamics.DynamicsConfig(window=args.window, depth=args.depth)
     fam = dynamics.gamma_generations(cfg)
     labeling = dynamics.verify_labeling(fam)

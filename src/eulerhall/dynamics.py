@@ -32,8 +32,12 @@ fabricates them.  Duplicate sets produced by different provenances are
 kept as distinct indexed members, and all checks are stated for the
 indexed family.
 
-A run computes each image nu(j, t) once: it keeps one table of images
-per index j.  Each generation is built one index at a time: the index's
+A run first bounds its cost from W and D alone, the atom slots its
+generations hold plus its label digits over 16, and refuses a size above
+``DYNAMICS_BUDGET`` before computing any image.  It computes each image
+nu(j, t) once: it keeps one table of images per index j, and the table
+of an index j >= 1 computes the images of the atoms 1..j, the block, in
+one batch.  Each generation is built one index at a time: the index's
 table first computes, in one arithmetic pass, the images of the atoms
 that the generation's parents hold and the table lacks, then makes all
 the parents' children and labels by lookups, and the per-index lists are
@@ -63,8 +67,19 @@ from typing import Iterable
 
 from . import _kernels, certificates, matching, ring
 from .bundles import BundleFamily, index_set
-from .errors import InvalidInput, TheoremViolation, is_integer
+from .errors import CapExceeded, InvalidInput, TheoremViolation, is_integer
 from .matching import MatchingResult
+
+# The cost of a run bounds, from W and D alone, the atom slots its
+# generations hold (|set| summed over every member) plus the decimal
+# digits of its labels divided by 16: building, matching and checking an
+# atom slot takes some 16 times as long as decoding and writing a digit.
+# As whole processes on a 2-core x86-64 machine, W4/D5 (cost 613,827)
+# takes 0.6 s, and the costliest sizes within the budget at each depth,
+# W1261/D1, W71/D2, W17/D3, W7/D4, W2/D6 and W1/D9 (796,507), 0.2-0.6 s.
+# The smallest sizes above it are W1262/D1, W72/D2, W18/D3, W8/D4, W5/D5
+# (2.5 s), W3/D6, W2/D7 and W1/D10 (1.7 s, 30 MB of output).
+DYNAMICS_BUDGET = 800_000
 
 
 def nu(j: int, t: int) -> int:
@@ -169,7 +184,9 @@ class _Images(dict):
             j = self.j
             if not is_integer(j) or j < 1:
                 raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
-            self._block = frozenset(map(self.__getitem__, range(1, j + 1)))
+            atoms = range(1, j + 1)
+            self.fill(set(atoms))
+            self._block = frozenset(map(self.__getitem__, atoms))
         return self._block
 
 
@@ -242,6 +259,36 @@ def _parent_major(per_index) -> tuple:
     return tuple(chain.from_iterable(zip(*per_index)))
 
 
+def _check_budget(window: int, depth: int) -> int:
+    # The cost of generations 0..depth (see DYNAMICS_BUDGET), or
+    # CapExceeded as soon as the running cost passes the budget.  Each
+    # generation multiplies the sets by 2W+1, and a child holds at most
+    # |I| + max(j, 0) atoms, so the atom slots grow as
+    # A' = (2W+1)A + N * W(W+1)/2.  An image nu(j, t) = s(s+1)/2 + t + 1
+    # has s < 2W + t, so it is below 2**(2m + 1) when t and 2W are below
+    # 2**m: a bound b on the labels' bit length becomes
+    # 2 * max(b, bitlen(2W)) + 1, and b bits hold at most
+    # floor(b * 0.30103) + 1 digits.  No label is built.
+    spread = 2 * window + 1
+    block = window * (window + 1) // 2
+    least_bits = (2 * window).bit_length()
+    sets = slots = bits = 1
+    total_slots = total_digits = cost = 1
+    for k in range(1, depth + 1):
+        slots = spread * slots + sets * block
+        sets *= spread
+        bits = 2 * max(bits, least_bits) + 1
+        total_slots += slots
+        total_digits += sets * (bits * 30103 // 100000 + 1)
+        cost = total_slots + total_digits // 16
+        if cost > DYNAMICS_BUDGET:
+            at_least = "" if k == depth else "at least "
+            raise CapExceeded(
+                f"dynamics at window {window}, depth {depth} costs {at_least}{cost} "
+                f"(atom slots + label digits / 16), above the budget of {DYNAMICS_BUDGET}")
+    return cost
+
+
 def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     """Expand the seed {1} through all window indices, depth times.
 
@@ -250,8 +297,11 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     recursion label(alpha_j(I)) = nu(j, label(I)).  It is built one index
     at a time: the index's table first gains the images of every atom the
     parents hold, then gives all the parents' children and labels, and
-    the per-index lists are interleaved back into that order.
+    the per-index lists are interleaved back into that order.  A size
+    whose cost is above ``DYNAMICS_BUDGET`` raises ``CapExceeded``
+    before any image is computed.
     """
+    _check_budget(cfg.window, cfg.depth)
     w = cfg.window
     tables = [_Images(j) for j in range(-w, w + 1)]
     sets: list[tuple[frozenset, ...]] = [(frozenset((1,)),)]

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from functools import cached_property
 from math import comb
 from pathlib import Path
@@ -56,6 +57,12 @@ DYNAMICS_STDOUT = {
     (4, 3): (17113, "3ec1384d63f80ab2ecc17d6e9fdf4c481cc6f6badb0a25507d444114ba184471"),
     (4, 4): (202056, "d7ed4c676b06ec18eb249454536aa56b4fd86f6cb942f45c36f91bec63ef211f"),
     (4, 5): (2729080, "5f4486522ad07e0096d6cefd9c076b7723b2d4517809e448ec4afdb5be536fe4"),
+    # outside W1-4 at D0-5, within dynamics.DYNAMICS_BUDGET
+    (5, 1): (504, "28f03a6c87890749e971efbb1c664dfcf69c8766e8c2fd209a81923628a432e5"),
+    (1, 6): (37604, "513a762536fafa7c8b93ad422f722552b22da86778c2be98ed029226c78b49d7"),
+    (2, 6): (933649, "d3efcb246b5a7e4cfe7c6ad02e835fe271b656b717f90e6b5afbf0779ed6ec0b"),
+    (10, 3): (244234, "7ebfd78e8204724b87f40bb91267b6b44330591fdbd6a44b83276a0f999a6f16"),
+    (1, 9): (5246224, "7c2896eba75a5ac04e9898e3886c2469823e3483ac5e40498b8517e78be418dc"),
 }
 
 # Size in bytes and sha256 of the stdout of analyze and euler on each
@@ -238,6 +245,17 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path} is not valid JSON: ")
 
+    @pytest.mark.parametrize("command", ["analyze", "euler"])
+    def test_integer_past_digit_limit(self, tmp_path, command):
+        # the decoder refuses an integer literal longer than
+        # sys.get_int_max_str_digits() (4,300 by default) with a ValueError
+        path = tmp_path / "f.json"
+        path.write_text('{"sets": [[1, ' + "7" * 5000 + "]]}")
+        proc = run_proc(command, str(path))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: {path} is not valid JSON: ")
+        assert "Traceback" not in proc.stderr
+
     def test_one_pass_per_kernel(self, monkeypatch, capsys):
         # analyze compresses the family to columns once, expands the Euler
         # product once and runs one matching, from which both the SDR and
@@ -371,7 +389,7 @@ class TestDynamics:
         assert report["prefix_sdr_size"] == 156
 
     def test_window_three_depth_five(self, capsys):
-        # inside the documented caps; labels outgrow 64 bits at this depth
+        # labels outgrow 64 bits at this depth
         code, out, _ = run_main(capsys, "dynamics", "--window", "3", "--depth", "5")
         report = json.loads(out)
         assert code == 0
@@ -385,9 +403,14 @@ class TestDynamics:
         code, out, _ = run_main(capsys, "dynamics", "--window", str(window), "--depth", str(depth))
         assert code == 0
         assert stdout_digest(out) == DYNAMICS_STDOUT[window, depth]
+        report = json.loads(out)
+        assert report["generation_sizes"] == [(2 * window + 1) ** k for k in range(depth + 1)]
+        assert report["labeling"] == {"membership": True, "injective": True, "level": True}
+        assert report["hall_confirmed"] is True
+        assert report["prefix_sdr"] == report["labels"]
 
     def test_window_four_depth_five(self, capsys):
-        # the largest documented size
+        # the most sets of any pinned size
         code, out, _ = run_main(capsys, "dynamics", "--window", "4", "--depth", "5")
         report = json.loads(out)
         assert code == 0
@@ -396,11 +419,25 @@ class TestDynamics:
         assert report["hall_confirmed"] is True
         assert stdout_digest(out) == DYNAMICS_STDOUT[4, 5]
 
-    def test_caps(self, capsys):
-        code, _, err = run_main(capsys, "dynamics", "--window", "5", "--depth", "1")
-        assert code == 1 and "--window" in err
-        code, _, err = run_main(capsys, "dynamics", "--window", "1", "--depth", "6")
-        assert code == 1 and "--depth" in err
+    @pytest.mark.parametrize("window,depth,cost", [
+        (72, 2, "800428"),  # the smallest W above the budget at depth 2
+        (1, 1_000_000_000, "at least 4466156"),
+        (10**18, 1, "500000000000000007250000000000000004"),
+    ], ids=["W72-D2", "D1e9", "W1e18"])
+    def test_budget_refuses_before_any_work(self, capsys, monkeypatch, window, depth, cost):
+        from eulerhall import dynamics
+
+        def no_images(j, atoms):
+            raise AssertionError("an image was computed")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        start = time.perf_counter()
+        code, out, err = run_main(capsys, "dynamics", "--window", str(window),
+                                  "--depth", str(depth))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == (f"error: dynamics at window {window}, depth {depth} costs {cost} "
+                       f"(atom slots + label digits / 16), above the budget of 800000\n")
 
     def test_labeling_failure_exits_two(self, capsys, monkeypatch):
         from eulerhall import dynamics
@@ -533,7 +570,7 @@ class TestUsageAndDeterminism:
         pytest.param(("selftest",), 0, id="selftest"),
         pytest.param(("analyze", "malformed.json"), 1, id="malformed file"),
         pytest.param(("analyze", str(FIXTURES / "missing.json")), 1, id="missing file"),
-        pytest.param(("dynamics", "--window", "9"), 1, id="dynamics cap"),
+        pytest.param(("dynamics", "--window", "18"), 1, id="dynamics cap"),
         pytest.param(("sweep", "--max-m", "9"), 1, id="sweep cap"),
         pytest.param(("frobnicate",), 1, id="unknown command"),
         pytest.param(("analyze",), 1, id="no family file"),

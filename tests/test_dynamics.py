@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+import sys
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -10,11 +12,13 @@ import pytest
 from conftest import random_hall_family, valid_sdr
 from eulerhall import (
     BundleFamily,
+    CapExceeded,
     DynamicsConfig,
     InvalidInput,
     TheoremViolation,
     _kernels,
     alpha,
+    dynamics,
     gamma_generations,
     hall_certificate_for_prefix,
     hall_persistence_check,
@@ -225,6 +229,72 @@ class TestGenerationsOracle:
         gamma_generations(DynamicsConfig(window=2, depth=3))
         assert len(calls) == len(set(calls)) < len(oracle_calls)
         assert set(calls) == set(oracle_calls)
+
+
+class TestBudget:
+    @staticmethod
+    def largest_label(window, depth):
+        # nu(-W, t) is the largest image of t in the window
+        label = 1
+        for _ in range(depth):
+            label = nu(-window, label)
+        return label
+
+    @pytest.mark.parametrize("window,depth", [
+        (w, d) for w in (1, 2, 3, 4) for d in range(5)] + [(5, 1), (1, 6), (12, 2), (40, 1)])
+    def test_cost_bounds_the_run(self, window, depth):
+        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        slots = sum(len(atoms) for generation in fam.sets for atoms in generation)
+        digits = sum(len(str(label)) for generation in fam.labels for label in generation)
+        assert slots + digits // 16 <= dynamics._check_budget(window, depth)
+        assert max(fam.labels[-1]) == self.largest_label(window, depth)
+
+    def test_costs_in_the_docs(self):
+        assert dynamics.DYNAMICS_BUDGET == 800_000
+        assert dynamics._check_budget(4, 5) == 613_827
+        assert dynamics._check_budget(1, 9) == 796_507
+        for window, depth in ((1262, 1), (72, 2), (18, 3), (8, 4), (5, 5), (3, 6), (2, 7), (1, 10)):
+            with pytest.raises(CapExceeded):
+                dynamics._check_budget(window, depth)
+            dynamics._check_budget(window - 1, depth)
+
+    @pytest.mark.parametrize("window,depth", [(5, 5), (10**18, 10**18)])
+    def test_refused_before_any_image(self, monkeypatch, window, depth):
+        # library callers share the CLI's size rule
+        def no_images(*args):
+            raise AssertionError("an image table was touched")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        monkeypatch.setattr(dynamics, "_Images", no_images)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=rf"^dynamics at window {window}, depth {depth} "
+                                              r"costs (at least )?\d+ \(atom slots \+ label "
+                                              r"digits / 16\), above the budget of 800000$"):
+            gamma_generations(DynamicsConfig(window=window, depth=depth))
+        assert time.perf_counter() - start < 1
+
+    def test_admitted_labels_stay_below_the_digit_limit(self):
+        # cli._json writes each label with int.__repr__, which refuses an
+        # int of more digits than sys.get_int_max_str_digits(), 4,300 by
+        # default; the largest label first passes 4,300 digits at W1/D14
+        # and W4/D13.  Walks every admitted size, W upward and D upward
+        # at each W, until only depth 0 is left.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        window, widest = 1, {}  # depth -> largest admitted window
+        while True:
+            depth = 0
+            while True:
+                try:
+                    dynamics._check_budget(window, depth)
+                except CapExceeded:
+                    break
+                assert self.largest_label(window, depth) < 10 ** (limit - 1), (window, depth)
+                widest[depth] = window
+                depth += 1
+            if depth == 1:
+                break
+            window += 1
+        assert widest == {0: 1262, 1: 1261, 2: 71, 3: 17, 4: 7, 5: 4, 6: 2, 7: 1, 8: 1, 9: 1}
 
 
 def oracle_nu(j, t):
