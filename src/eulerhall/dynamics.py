@@ -78,7 +78,9 @@ from .matching import MatchingResult
 # takes 0.6 s, and the costliest sizes within the budget at each depth,
 # W1261/D1, W71/D2, W17/D3, W7/D4, W2/D6 and W1/D9 (796,507), 0.2-0.6 s.
 # The smallest sizes above it are W1262/D1, W72/D2, W18/D3, W8/D4, W5/D5
-# (2.5 s), W3/D6, W2/D7 and W1/D10 (1.7 s, 30 MB of output).
+# (2.5 s), W3/D6, W2/D7 and W1/D10 (1.7 s, 30 MB of output).  Depth 0
+# holds the seed alone and builds no image table, so it costs 1 at every
+# window.
 DYNAMICS_BUDGET = 800_000
 
 
@@ -303,7 +305,8 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     """
     _check_budget(cfg.window, cfg.depth)
     w = cfg.window
-    tables = [_Images(j) for j in range(-w, w + 1)]
+    # depth 0 is the seed alone and costs 1 at any window: no table
+    tables = [_Images(j) for j in range(-w, w + 1)] if cfg.depth else []
     sets: list[tuple[frozenset, ...]] = [(frozenset((1,)),)]
     labels: list[tuple[int, ...]] = [(1,)]
     for _ in range(cfg.depth):

@@ -245,6 +245,8 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path} is not valid JSON: ")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the decoder has no int digit limit before Python 3.10.7")
     @pytest.mark.parametrize("command", ["analyze", "euler"])
     def test_integer_past_digit_limit(self, tmp_path, command):
         # the decoder refuses an integer literal longer than
@@ -438,6 +440,24 @@ class TestDynamics:
         assert (code, out) == (1, "")
         assert err == (f"error: dynamics at window {window}, depth {depth} costs {cost} "
                        f"(atom slots + label digits / 16), above the budget of 800000\n")
+
+    def test_depth_zero_at_any_window(self, capsys, monkeypatch):
+        # the seed alone costs 1 under the budget, and no image table is built
+        from eulerhall import dynamics
+
+        def no_images(*args):
+            raise AssertionError("an image table was touched")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        monkeypatch.setattr(dynamics, "_Images", no_images)
+        start = time.perf_counter()
+        code, out, _ = run_main(capsys, "dynamics", "--window", str(10**18), "--depth", "0")
+        assert time.perf_counter() - start < 1
+        report = json.loads(out)
+        assert code == 0
+        assert report["generation_sizes"] == [1]
+        assert report["labels"] == report["prefix_sdr"] == [1]
+        assert report["hall_confirmed"] is True
 
     def test_labeling_failure_exits_two(self, capsys, monkeypatch):
         from eulerhall import dynamics

@@ -273,16 +273,30 @@ class TestBudget:
             gamma_generations(DynamicsConfig(window=window, depth=depth))
         assert time.perf_counter() - start < 1
 
+    def test_depth_zero_builds_no_table(self, monkeypatch):
+        # the seed alone costs 1 whatever the window, and the run touches
+        # no image table
+        def no_images(*args):
+            raise AssertionError("an image table was touched")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        monkeypatch.setattr(dynamics, "_Images", no_images)
+        start = time.perf_counter()
+        fam = gamma_generations(DynamicsConfig(window=10**18, depth=0))
+        assert time.perf_counter() - start < 1
+        assert (fam.sets, fam.labels) == (((frozenset((1,)),),), ((1,),))
+
     def test_admitted_labels_stay_below_the_digit_limit(self):
         # cli._json writes each label with int.__repr__, which refuses an
         # int of more digits than sys.get_int_max_str_digits(), 4,300 by
         # default; the largest label first passes 4,300 digits at W1/D14
-        # and W4/D13.  Walks every admitted size, W upward and D upward
-        # at each W, until only depth 0 is left.
+        # and W4/D13.  Walks every admitted size of depth >= 1, W upward
+        # and D upward at each W, until depth 1 is refused; depth 0 holds
+        # only the label 1 and is admitted at every window.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         window, widest = 1, {}  # depth -> largest admitted window
         while True:
-            depth = 0
+            depth = 1
             while True:
                 try:
                     dynamics._check_budget(window, depth)
@@ -294,7 +308,8 @@ class TestBudget:
             if depth == 1:
                 break
             window += 1
-        assert widest == {0: 1262, 1: 1261, 2: 71, 3: 17, 4: 7, 5: 4, 6: 2, 7: 1, 8: 1, 9: 1}
+        assert widest == {1: 1261, 2: 71, 3: 17, 4: 7, 5: 4, 6: 2, 7: 1, 8: 1, 9: 1}
+        assert dynamics._check_budget(10**18, 0) == 1
 
 
 def oracle_nu(j, t):
