@@ -30,7 +30,6 @@ _EXPORTS = {
     "dynamics": (
         "DynamicsConfig",
         "GammaFamily",
-        "LabeledSet",
         "alpha",
         "gamma_generations",
         "hall_certificate_for_prefix",
@@ -54,7 +53,6 @@ _EXPORTS = {
         "hall_exhaustive",
         "max_matching",
         "sdr_count",
-        "sdr_count_naive",
     ),
     "obstruction": (
         "Analysis",

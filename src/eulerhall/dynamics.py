@@ -32,36 +32,36 @@ fabricates them.  Duplicate sets produced by different provenances are
 kept as distinct indexed members, and all checks are stated for the
 indexed family.
 
-A run first bounds its cost from W and D alone, the atom slots its
+A run first bounds its cost from W, D and its seed, the atom slots its
 generations hold plus its label digits over 16, and refuses a size above
-``DYNAMICS_BUDGET`` before computing any image.  It computes each image
-nu(j, t) once: it keeps one table of images per index j, and the table
-of an index j >= 1 computes the images of the atoms 1..j, the block, in
-one batch.  Each generation is built one index at a time: the index's
-table first computes, in one arithmetic pass, the images of the atoms
-that the generation's parents hold and the table lacks, then makes all
-the parents' children and labels by lookups, and the per-index lists are
-interleaved back into parent order.  Each generation is held as two
-parallel tuples, its sets and their labels; a ``LabeledSet`` record
-with its provenance is built only when ``GammaFamily.generations`` is
-read.  Validation stays at the boundary: ``nu`` checks both of its
-arguments, and a table checks its index once per batch, whose atoms are
-generated or already checked, so no image of a non-integer index is
-ever made.  The label laws are checked by passes over whole
-generations, the level law decoding each generation's labels in one
-pass, and only a failure walks the members one by one to name it;
-membership and distinctness are the SDR predicate of ``certificates``.
-The prefix certificate is checked by that module, then hands its sets
-to the matching kernel as they are, the atoms themselves being the
-columns, without numbering them or revalidating them as a
+``DYNAMICS_BUDGET`` before computing any image.  One generator builds
+every image family: the generations of the seed {1}, and the images of
+a Hall family, labeled by the images of its checked SDR.  It computes
+each image nu(j, t) once: it keeps one table of images per index j, and
+the table of an index j >= 1 computes the images of the atoms 1..j, the
+block, in one batch.  Each generation is built one index at a time: the
+index's table first computes, in one arithmetic pass, the images of the
+atoms that the generation's parents hold and the table lacks, then makes
+all the parents' children and labels by lookups, and the per-index lists
+are interleaved back into parent order.  Each generation is held as two
+parallel tuples, its sets and their labels.  Validation stays at the
+boundary: ``nu`` checks both of its arguments, and a table checks its
+index once per batch, whose atoms are generated or already checked, so
+no image of a non-integer index is ever made.  The label laws are
+checked by passes over whole generations, the level law decoding each
+generation's labels in one pass, and only a failure walks the members
+one by one to name it; membership and distinctness are the SDR
+predicate of ``certificates``.  A labeled family, a prefix of
+generations or a generation of images, is checked by that module, then
+hands its sets to the matching kernel as they are, the atoms themselves
+being the columns, without numbering them or revalidating them as a
 ``BundleFamily``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from math import isqrt
 from typing import Iterable
 
@@ -70,7 +70,7 @@ from .bundles import BundleFamily, index_set
 from .errors import CapExceeded, InvalidInput, TheoremViolation, is_integer
 from .matching import MatchingResult
 
-# The cost of a run bounds, from W and D alone, the atom slots its
+# The cost of a run bounds, from W, D and its seed, the atom slots its
 # generations hold (|set| summed over every member) plus the decimal
 # digits of its labels divided by 16: building, matching and checking an
 # atom slot takes some 16 times as long as decoding and writing a digit.
@@ -79,9 +79,10 @@ from .matching import MatchingResult
 # W1261/D1, W71/D2, W17/D3, W7/D4, W2/D6 and W1/D9 (796,507), 0.2-0.6 s.
 # The smallest sizes above it are W1262/D1, W72/D2, W18/D3, W8/D4, W5/D5
 # (2.5 s), W3/D6, W2/D7 and W1/D10 (1.7 s, 30 MB of output).  Depth 0
-# holds the seed alone and builds no image table, so it costs 1 at every
-# window.
+# holds the seed {1} alone and builds no image table, so it costs 1 at
+# every window.  A persistence check costs its input and one generation.
 DYNAMICS_BUDGET = 800_000
+_SEED = (frozenset((1,)),)
 
 
 def nu(j: int, t: int) -> int:
@@ -204,36 +205,15 @@ class DynamicsConfig:
             raise InvalidInput("depth must be a nonnegative integer")
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledSet:
-    atoms: frozenset
-    provenance: tuple[int, ...]  # indices j applied, outermost last
-    label: int
-
-
 @dataclass(frozen=True)
 class GammaFamily:
     """Generations as parallel tuples: ``sets[k][i]`` has label
-    ``labels[k][i]``."""
+    ``labels[k][i]``, and was made by the indices whose k digits in base
+    2W+1, most significant first, spell i (each digit minus W)."""
 
     sets: tuple[tuple[frozenset, ...], ...]
     labels: tuple[tuple[int, ...], ...]
     config: DynamicsConfig
-
-    @cached_property
-    def generations(self) -> tuple[tuple[LabeledSet, ...], ...]:
-        """The generations as ``LabeledSet`` records, built on first read.
-
-        Member i of generation k was made by the indices whose k digits in
-        base 2W+1, most significant first, spell i (each digit minus W):
-        the generator lists a parent's images together, in index order.
-        """
-        w = self.config.window
-        indices = range(-w, w + 1)
-        return tuple(
-            tuple(map(LabeledSet, sets, product(indices, repeat=k), labels))
-            for k, (sets, labels) in enumerate(zip(self.sets, self.labels))
-        )
 
     @property
     def depth(self) -> int:
@@ -242,18 +222,6 @@ class GammaFamily:
     def sizes(self) -> list[int]:
         return [len(g) for g in self.sets]
 
-    def prefix(self, m: int) -> list[LabeledSet]:
-        """All labeled sets of generations 0..m, in generation order."""
-        self._check_prefix(m)
-        out: list[LabeledSet] = []
-        for k in range(m + 1):
-            out.extend(self.generations[k])
-        return out
-
-    def _check_prefix(self, m: int) -> None:
-        if not is_integer(m) or m < 0 or m > self.depth:
-            raise InvalidInput(f"prefix depth must lie in 0..{self.depth}, got {m!r}")
-
 
 def _parent_major(per_index) -> tuple:
     # One list per index, each over the same parents, as one tuple listing
@@ -261,21 +229,24 @@ def _parent_major(per_index) -> tuple:
     return tuple(chain.from_iterable(zip(*per_index)))
 
 
-def _check_budget(window: int, depth: int) -> int:
-    # The cost of generations 0..depth (see DYNAMICS_BUDGET), or
-    # CapExceeded as soon as the running cost passes the budget.  Each
-    # generation multiplies the sets by 2W+1, and a child holds at most
-    # |I| + max(j, 0) atoms, so the atom slots grow as
-    # A' = (2W+1)A + N * W(W+1)/2.  An image nu(j, t) = s(s+1)/2 + t + 1
-    # has s < 2W + t, so it is below 2**(2m + 1) when t and 2W are below
-    # 2**m: a bound b on the labels' bit length becomes
+def _check_budget(window: int, depth: int, seed=_SEED, run=None) -> int:
+    # The cost of generations 0..depth from the seed sets (see
+    # DYNAMICS_BUDGET), or CapExceeded, naming the run, as soon as the
+    # running cost passes the budget.  Each generation multiplies the sets
+    # by 2W+1, and a child holds at most |I| + max(j, 0) atoms, so the atom
+    # slots grow as A' = (2W+1)A + N * W(W+1)/2.  An image
+    # nu(j, t) = s(s+1)/2 + t + 1 has s < 2W + t, so it is below
+    # 2**(2m + 1) when t and 2W are below 2**m: a bound b on the labels'
+    # bit length, the seed's largest atom's at first, becomes
     # 2 * max(b, bitlen(2W)) + 1, and b bits hold at most
     # floor(b * 0.30103) + 1 digits.  No label is built.
     spread = 2 * window + 1
     block = window * (window + 1) // 2
     least_bits = (2 * window).bit_length()
-    sets = slots = bits = 1
-    total_slots = total_digits = cost = 1
+    sets, slots = len(seed), sum(map(len, seed))
+    bits = max(map(max, seed), default=1).bit_length()
+    total_slots, total_digits = slots, sets * (bits * 30103 // 100000 + 1)
+    cost = total_slots + total_digits // 16
     for k in range(1, depth + 1):
         slots = spread * slots + sets * block
         sets *= spread
@@ -284,11 +255,31 @@ def _check_budget(window: int, depth: int) -> int:
         total_digits += sets * (bits * 30103 // 100000 + 1)
         cost = total_slots + total_digits // 16
         if cost > DYNAMICS_BUDGET:
+            run = run or f"dynamics at window {window}, depth {depth}"
             at_least = "" if k == depth else "at least "
-            raise CapExceeded(
-                f"dynamics at window {window}, depth {depth} costs {at_least}{cost} "
-                f"(atom slots + label digits / 16), above the budget of {DYNAMICS_BUDGET}")
+            raise CapExceeded(f"{run} costs {at_least}{cost} (atom slots + label digits / 16), "
+                              f"above the budget of {DYNAMICS_BUDGET}")
     return cost
+
+
+def _generate(window: int, depth: int, seed_sets, seed_labels) -> tuple[list, list]:
+    # The sets and the labels of generations 0..depth from the seed, as
+    # two lists of tuples (see gamma_generations); depth 0 is the seed
+    # alone and builds no table
+    tables = [_Images(j) for j in range(-window, window + 1)] if depth else []
+    sets, labels = [tuple(seed_sets)], [tuple(seed_labels)]
+    for _ in range(depth):
+        parents, parent_labels = sets[-1], labels[-1]
+        # each label is an atom of its set, so its image is filled too
+        held = set().union(*parents)
+        children, child_labels = [], []
+        for images in tables:
+            images.fill(held)
+            children.append(images.alpha(parents))
+            child_labels.append(map(images.__getitem__, parent_labels))
+        sets.append(_parent_major(children))
+        labels.append(_parent_major(child_labels))
+    return sets, labels
 
 
 def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
@@ -304,22 +295,7 @@ def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
     before any image is computed.
     """
     _check_budget(cfg.window, cfg.depth)
-    w = cfg.window
-    # depth 0 is the seed alone and costs 1 at any window: no table
-    tables = [_Images(j) for j in range(-w, w + 1)] if cfg.depth else []
-    sets: list[tuple[frozenset, ...]] = [(frozenset((1,)),)]
-    labels: list[tuple[int, ...]] = [(1,)]
-    for _ in range(cfg.depth):
-        parents, parent_labels = sets[-1], labels[-1]
-        # each label is an atom of its set, so its image is filled too
-        held = set().union(*parents)
-        children, child_labels = [], []
-        for images in tables:
-            images.fill(held)
-            children.append(images.alpha(parents))
-            child_labels.append(map(images.__getitem__, parent_labels))
-        sets.append(_parent_major(children))
-        labels.append(_parent_major(child_labels))
+    sets, labels = _generate(cfg.window, cfg.depth, _SEED, (1,))
     return GammaFamily(sets=tuple(sets), labels=tuple(labels), config=cfg)
 
 
@@ -420,35 +396,43 @@ def _levels_hold(labels) -> bool:
     return True
 
 
-def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
-    """The labels of generations 0..m as an explicit SDR, cross-checked.
-
-    ``certificates.check_sdr`` confirms that the labels are distinct
-    members of their sets, hence a saturating system of distinct
-    representatives for the indexed prefix family; saturation is confirmed
-    independently by one maximum matching whose columns are the atoms
-    themselves.
-    """
-    g._check_prefix(m)
-    labels = list(chain.from_iterable(g.labels[:m + 1]))
-    sets = list(chain.from_iterable(g.sets[:m + 1]))
+def _check_labels(sets, labels) -> None:
+    # certificates.check_sdr confirms that the labels are distinct members
+    # of their sets; saturation is confirmed independently by one maximum
+    # matching whose columns are the atoms themselves
     certificates.check_sdr(sets, labels)
     if -1 in _kernels.max_matching(sets, None):
-        raise TheoremViolation("matching failed to saturate a labeled prefix family")
+        raise TheoremViolation("matching failed to saturate a labeled family")
+
+
+def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
+    """The labels of generations 0..m as an explicit SDR of the indexed
+    prefix family, checked by ``certificates`` and confirmed by one
+    maximum matching."""
+    if not is_integer(m) or m < 0 or m > g.depth:
+        raise InvalidInput(f"prefix depth must lie in 0..{g.depth}, got {m!r}")
+    labels = list(chain.from_iterable(g.labels[:m + 1]))
+    _check_labels(list(chain.from_iterable(g.sets[:m + 1])), labels)
     return MatchingResult(assignment=tuple(labels))
 
 
 def hall_persistence_check(f: BundleFamily, cfg: DynamicsConfig) -> bool:
     """Whether the image family {alpha(j, I)} keeps Hall's condition.
 
-    The input must itself satisfy Hall's condition.  A False return is a
-    theorem violation to be surfaced loudly by callers, never silently
-    accepted.
+    The input must itself satisfy Hall's condition; its checked SDR,
+    mapped by the label recursion, is an SDR of the image family, since
+    nu is injective and nu(j, t) lies in alpha(j, I) for every t in I.
+    That SDR is checked as the prefix certificate is, so the answer is
+    True or a ``TheoremViolation``.  A window whose one generation of
+    images costs more than ``DYNAMICS_BUDGET`` raises ``CapExceeded``
+    before any image is computed; ``cfg.depth`` is not read.
     """
     if f.trivial_lines > 0:
         raise InvalidInput("hall_persistence_check requires trivial_lines = 0")
-    if not matching.certify(f)[0].saturates:
+    sdr = matching.certify(f)[0].assignment
+    if sdr is None:
         raise InvalidInput("input family must satisfy Hall's condition")
-    w = cfg.window
-    image = _parent_major([_Images(j).alpha(f.sets) for j in range(-w, w + 1)])
-    return matching.certify(BundleFamily(sets=image))[0].saturates
+    _check_budget(cfg.window, 1, f.sets, f"Hall persistence at window {cfg.window}")
+    sets, labels = _generate(cfg.window, 1, f.sets, sdr)
+    _check_labels(sets[1], labels[1])
+    return True

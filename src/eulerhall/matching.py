@@ -24,7 +24,6 @@ verdicts hand out only checked certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable
 
 from . import _kernels, certificates
@@ -33,7 +32,6 @@ from .errors import CapExceeded, DimensionMismatch
 
 EXHAUSTIVE_CAP = 16  # 2^m subsets scanned
 PERMANENT_CAP = 20  # 2^m Ryser terms, exact big-int accumulation
-NAIVE_CAP = 8  # m! permutations
 
 
 @dataclass(frozen=True)
@@ -145,18 +143,3 @@ def sdr_count(f: BundleFamily, atoms: Iterable[int]) -> int:
     index = {a: i for i, a in enumerate(target)}
     rows = tuple(tuple(index[a] for a in sorted(s & frozenset(target))) for s in f.sets)
     return _kernels.permanent(rows, m)
-
-
-def sdr_count_naive(f: BundleFamily, atoms: Iterable[int]) -> int:
-    """Same count by brute force over all m! permutations (oracle)."""
-    target = sorted(set(atoms))
-    m = len(f.sets)
-    if len(target) != m:
-        raise DimensionMismatch(f"need exactly {m} atoms, got {len(target)}")
-    if m > NAIVE_CAP:
-        raise CapExceeded(f"naive SDR count capped at {NAIVE_CAP} sets, got {m}")
-    count = 0
-    for perm in permutations(target):
-        if all(t in s for t, s in zip(perm, f.sets)):
-            count += 1
-    return count

@@ -1,8 +1,11 @@
 """Shared randomized-input helpers (seeded; tests stay deterministic)."""
 
 import random
+from itertools import permutations
 
-from eulerhall import BundleFamily, ring
+from eulerhall import BundleFamily, CapExceeded, DimensionMismatch, ring
+
+NAIVE_CAP = 8  # m! permutations
 
 
 def random_element(rng: random.Random, max_atom: int = 6, max_terms: int = 4,
@@ -43,3 +46,15 @@ def valid_sdr(family: BundleFamily, assignment) -> bool:
     if len(set(assignment)) != len(assignment):
         return False
     return all(t in s for t, s in zip(assignment, family.sets))
+
+
+def sdr_count_naive(family: BundleFamily, atoms) -> int:
+    """SDRs onto a fixed atom set, by brute force over all m! permutations
+    (the oracle of ``matching.sdr_count``)."""
+    target = sorted(set(atoms))
+    m = len(family.sets)
+    if len(target) != m:
+        raise DimensionMismatch(f"need exactly {m} atoms, got {len(target)}")
+    if m > NAIVE_CAP:
+        raise CapExceeded(f"naive SDR count capped at {NAIVE_CAP} sets, got {m}")
+    return sum(all(t in s for t, s in zip(perm, family.sets)) for perm in permutations(target))

@@ -10,10 +10,10 @@ import random
 import subprocess
 import sys
 import time
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
-from conftest import random_element, random_hall_family, valid_sdr
+from conftest import random_element, random_hall_family, sdr_count_naive, valid_sdr
 from eulerhall import (
     BundleFamily,
     DynamicsConfig,
@@ -32,7 +32,6 @@ from eulerhall import (
     nu,
     ring,
     sdr_count,
-    sdr_count_naive,
     subordination_verdict,
     sweep_equivalence,
     verify_coefficient_identity,
@@ -235,8 +234,7 @@ def test_criterion_5_dynamics():
             labeling_ok = False
         for m in range(0, 5):
             cert = hall_certificate_for_prefix(fam, m)
-            labeled = fam.prefix(m)
-            family = BundleFamily(sets=tuple(ls.atoms for ls in labeled))
+            family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:m + 1])))
             if not valid_sdr(family, cert.assignment):
                 prefix_ok = False
             if not max_matching(family).saturates:
@@ -269,7 +267,7 @@ def test_criterion_6_first_generation_closed_form():
     ok = True
     for window in (1, 2, 3, 4):
         fam = gamma_generations(DynamicsConfig(window=window, depth=1))
-        got = [ls.atoms for ls in fam.generations[1]]
+        got = list(fam.sets[1])
         expected = [frozenset({nu(j, 1)}) for j in range(-window, 1)]
         expected += [i_set(j) for j in range(1, window + 1)]
         if got != expected:

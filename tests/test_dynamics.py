@@ -1,11 +1,10 @@
 """Index map, levels, set dynamics, generations, labels, persistence."""
 
-import copy
-import pickle
 import random
 import sys
 import time
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
+from itertools import chain, product
 
 import pytest
 
@@ -29,7 +28,6 @@ from eulerhall import (
     verify_labeling,
 )
 from eulerhall.cli import main
-from eulerhall.dynamics import LabeledSet
 
 
 class TestNu:
@@ -152,41 +150,40 @@ class TestISetAlpha:
 class TestGenerations:
     def test_root_generation(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=0))
-        (root,) = fam.generations[0]
-        assert root.atoms == frozenset({1}) and root.label == 1 and root.provenance == ()
+        assert fam.sets == ((frozenset({1}),),) and fam.labels == ((1,),)
 
     def test_first_generation_window_one(self):
         fam = gamma_generations(DynamicsConfig(window=1, depth=1))
-        members = fam.generations[1]
-        assert [sorted(ls.atoms) for ls in members] == [[5], [2], [3]]
-        assert [ls.label for ls in members] == [5, 2, 3]
+        assert [sorted(atoms) for atoms in fam.sets[1]] == [[5], [2], [3]]
+        assert fam.labels[1] == (5, 2, 3)
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_first_generation_closed_form(self, window):
         fam = gamma_generations(DynamicsConfig(window=window, depth=1))
-        got = [ls.atoms for ls in fam.generations[1]]
+        got = list(fam.sets[1])
         expected = [frozenset({nu(j, 1)}) for j in range(-window, 1)]
         expected += [i_set(j) for j in range(1, window + 1)]
         assert got == expected
 
     def test_sizes_and_provenance(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=3))
+        # member i of generation k was made by the k indices in the
+        # window that spell i, one member and one label for each
         assert fam.sizes() == [1, 5, 25, 125]
-        for k, generation in enumerate(fam.generations):
-            for ls in generation:
-                assert len(ls.provenance) == k
-                assert all(-2 <= j <= 2 for j in ls.provenance)
+        for k, (sets, labels) in enumerate(zip(fam.sets, fam.labels, strict=True)):
+            assert len(sets) == len(labels) == len(list(product(range(-2, 3), repeat=k)))
 
     def test_provenance_reconstructs_sets(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        for generation in fam.generations:
-            for ls in generation:
+        for k, (sets, labels) in enumerate(zip(fam.sets, fam.labels, strict=True)):
+            provenances = product(range(-2, 3), repeat=k)
+            for provenance, member, member_label in zip(provenances, sets, labels, strict=True):
                 atoms = frozenset({1})
                 label = 1
-                for j in ls.provenance:
+                for j in provenance:
                     atoms = alpha(j, atoms)
                     label = nu(j, label)
-                assert atoms == ls.atoms and label == ls.label
+                assert atoms == member and label == member_label
 
 
 def oracle_generations(window, depth):
@@ -208,7 +205,9 @@ class TestGenerationsOracle:
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_members_match_oracle(self, window, depth):
         fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
-        got = [[(ls.atoms, ls.provenance, ls.label) for ls in gen] for gen in fam.generations]
+        indices = range(-window, window + 1)
+        got = [list(zip(sets, product(indices, repeat=k), labels, strict=True))
+               for k, (sets, labels) in enumerate(zip(fam.sets, fam.labels, strict=True))]
         assert got == oracle_generations(window, depth)
 
     def test_each_image_computed_once(self, monkeypatch):
@@ -285,6 +284,43 @@ class TestBudget:
         fam = gamma_generations(DynamicsConfig(window=10**18, depth=0))
         assert time.perf_counter() - start < 1
         assert (fam.sets, fam.labels) == (((frozenset((1,)),),), ((1,),))
+
+    @pytest.mark.parametrize("window", [1262, 10**18])
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_persistence_refused_before_any_image(self, monkeypatch, window, depth):
+        # one generation of images of {1}: the cost of gamma_generations at
+        # depth 1, whatever depth the config holds, which no message names
+        def no_images(*args):
+            raise AssertionError("an image table was touched")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        monkeypatch.setattr(dynamics, "_Images", no_images)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=rf"^Hall persistence at window {window} costs "
+                                              r"\d+ \(atom slots \+ label digits / 16\), "
+                                              r"above the budget of 800000$"):
+            hall_persistence_check(BundleFamily.of({1}), DynamicsConfig(window=window, depth=depth))
+        assert time.perf_counter() - start < 1
+
+    def test_persistence_admits_the_largest_window(self):
+        seed = BundleFamily.of({1})
+        assert dynamics._check_budget(1261, 1, seed.sets) == 799_476
+        assert hall_persistence_check(seed, DynamicsConfig(window=1261, depth=0))
+
+    def test_persistence_cost_bounds_the_images(self):
+        # the input and its images, with the images of the input's SDR as
+        # their labels, by the public alpha and nu
+        rng = random.Random(44)
+        for _ in range(60):
+            f = random_hall_family(rng, max_m=5, max_atom=2**rng.randint(3, 40))
+            window = rng.randint(1, 12)
+            sdr = max_matching(f).assignment
+            indices = range(-window, window + 1)
+            images = [alpha(j, atoms) for atoms in f.sets for j in indices]
+            labels = [nu(j, t) for t in sdr for j in indices]
+            slots = sum(map(len, f.sets)) + sum(map(len, images))
+            digits = sum(len(str(label)) for label in (*sdr, *labels))
+            assert slots + digits // 16 <= dynamics._check_budget(window, 1, f.sets)
 
     def test_admitted_labels_stay_below_the_digit_limit(self):
         # cli._json writes each label with int.__repr__, which refuses an
@@ -430,39 +466,37 @@ class TestLabeling:
 
     def test_corrupted_label_breaks_injectivity(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        other = fam.generations[2][1].label
+        other = fam.labels[2][1]
         bad = self._corrupt(fam, 2, 0, label=other)
         report = verify_labeling(bad)
         assert not report.injective_ok and report.injective_failure
 
     def test_corrupted_membership(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        ls = fam.generations[2][0]
-        foreign = max(ls.atoms) + 1
+        foreign = max(fam.sets[2][0]) + 1
         bad = self._corrupt(fam, 2, 0, label=foreign)
         report = verify_labeling(bad)
         assert not report.membership_ok and report.membership_failure
 
     def test_corrupted_level(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        ls = fam.generations[2][0]
-        bad = self._corrupt(fam, 2, 0, atoms=ls.atoms | {1}, label=1)
+        bad = self._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {1}, label=1)
         report = verify_labeling(bad)
         assert not report.level_ok and report.level_failure
 
     def test_failure_messages(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        first, second = fam.generations[2][0], fam.generations[2][1]
+        first = fam.labels[2][0]
         # a label from deeper down: no earlier label is its predecessor
-        deep = nu(1, nu(2, second.label))
-        bad = self._corrupt(fam, 2, 1, atoms=second.atoms | {deep}, label=deep)
-        bad = self._corrupt(bad, 2, 3, label=first.label)
+        deep = nu(1, nu(2, fam.labels[2][1]))
+        bad = self._corrupt(fam, 2, 1, atoms=fam.sets[2][1] | {deep}, label=deep)
+        bad = self._corrupt(bad, 2, 3, label=first)
         bad = self._corrupt(bad, 2, 4, label=1)
         report = verify_labeling(bad)
         assert report.membership_failure == (
-            f"label {first.label} not in set at generation 2, member 3")
+            f"label {first} not in set at generation 2, member 3")
         assert report.injective_failure == (
-            f"label {first.label} at generation 2, member 3 repeats generation 2, member 0")
+            f"label {first} at generation 2, member 3 repeats generation 2, member 0")
         assert report.level_failure == f"label {deep} at generation 2, member 1 has level 4"
 
     @pytest.mark.parametrize("window,depth", [
@@ -489,17 +523,17 @@ class TestLabeling:
         from eulerhall import dynamics
 
         fam = gamma_generations(DynamicsConfig(window=2, depth=3))
-        ls, first = fam.generations[3][-1], fam.generations[3][0]
+        atoms, label, first = fam.sets[3][-1], fam.labels[3][-1], fam.labels[3][0]
         if kind == "membership":
-            bad = self._corrupt(fam, 3, 124, atoms=ls.atoms - {ls.label})
-            message = f"label {ls.label} not in set at generation 3, member 124"
+            bad = self._corrupt(fam, 3, 124, atoms=atoms - {label})
+            message = f"label {label} not in set at generation 3, member 124"
         elif kind == "injective":
-            bad = self._corrupt(fam, 3, 124, atoms=ls.atoms | {first.label}, label=first.label)
-            message = (f"label {first.label} at generation 3, member 124 "
+            bad = self._corrupt(fam, 3, 124, atoms=atoms | {first}, label=first)
+            message = (f"label {first} at generation 3, member 124 "
                        "repeats generation 3, member 0")
         else:
-            deep = nu(1, ls.label)
-            bad = self._corrupt(fam, 3, 124, atoms=ls.atoms | {deep}, label=deep)
+            deep = nu(1, label)
+            bad = self._corrupt(fam, 3, 124, atoms=atoms | {deep}, label=deep)
             message = f"label {deep} at generation 3, member 124 has level 4"
         report = verify_labeling(bad)
         assert report == dynamics._labeling_walk(bad)
@@ -544,8 +578,7 @@ class TestPrefixCertificate:
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
         cert = hall_certificate_for_prefix(fam, 2)
         assert len(cert.assignment) == 31
-        labeled = fam.prefix(2)
-        family = BundleFamily(sets=tuple(ls.atoms for ls in labeled))
+        family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:3])))
         assert valid_sdr(family, cert.assignment)
         assert max_matching(family).saturates
 
@@ -565,15 +598,14 @@ class TestPrefixCertificate:
 
     def test_label_outside_its_set_is_a_violation(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        ls = fam.generations[2][0]
-        bad = TestLabeling._corrupt(fam, 2, 0, label=max(ls.atoms) + 1)
+        bad = TestLabeling._corrupt(fam, 2, 0, label=max(fam.sets[2][0]) + 1)
         with pytest.raises(TheoremViolation, match=r"^label \d+ escaped its set \["):
             hall_certificate_for_prefix(bad, 2)
 
     def test_duplicated_label_is_a_violation(self):
         fam = gamma_generations(DynamicsConfig(window=2, depth=2))
-        ls, other = fam.generations[2][0], fam.generations[2][1]
-        bad = TestLabeling._corrupt(fam, 2, 0, atoms=ls.atoms | {other.label}, label=other.label)
+        other = fam.labels[2][1]
+        bad = TestLabeling._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {other}, label=other)
         with pytest.raises(TheoremViolation, match="^generated labels are not pairwise distinct$"):
             hall_certificate_for_prefix(bad, 2)
 
@@ -621,19 +653,19 @@ class TestPersistence:
                 BundleFamily.of({1}, trivial_lines=1), DynamicsConfig(window=1, depth=0)
             )
 
-
     def test_checks_every_image(self, monkeypatch):
-        # the image family is alpha(j, I) for every member I and every j
-        # in the window, each member's images together
-        from eulerhall import matching
-
+        # the input's matching numbers its atoms; the image family, alpha(j,
+        # I) for every member I and every j in the window, each member's
+        # images together, is matched over the atoms themselves
         checked = []
-        certify = matching.certify
-        monkeypatch.setattr(matching, "certify", lambda f: checked.append(f.sets) or certify(f))
+        real = _kernels.max_matching
+        monkeypatch.setattr(_kernels, "max_matching",
+                            lambda rows, ncols: checked.append((rows, ncols)) or real(rows, ncols))
         f = BundleFamily.of({1, 2}, {2, 7}, {3})
         assert hall_persistence_check(f, DynamicsConfig(window=2, depth=0))
-        assert checked[0] == f.sets
-        assert list(checked[1]) == [
+        rows, columns = f.columns
+        assert len(checked) == 2 and checked[0] == (rows, len(columns)) and checked[1][1] is None
+        assert list(checked[1][0]) == [
             frozenset({oracle_nu(j, t) for t in atoms if t > j}
                       | {oracle_nu(j, t) for t in range(1, j + 1)})
             for atoms in f.sets for j in range(-2, 3)]
@@ -645,23 +677,18 @@ class TestPersistence:
         with pytest.raises(TheoremViolation, match="^generated labels are not pairwise distinct$"):
             hall_persistence_check(BundleFamily.of({1}, {1}), DynamicsConfig(window=1, depth=0))
 
+    def test_unsaturated_image_matching_is_a_violation(self, monkeypatch):
+        # the images of a checked SDR are an SDR of the image family, so a
+        # kernel that leaves the last image unmatched is a fault, not a
+        # family that loses Hall's condition
+        real = _kernels.max_matching
 
-class TestConfig:
-    def test_labeled_set_is_frozen(self):
-        ls = LabeledSet(atoms=frozenset({1}), provenance=(), label=1)
-        with pytest.raises(Exception):
-            ls.label = 2
+        def short(rows, ncols):
+            col_of = real(rows, ncols)
+            if ncols is None:
+                col_of[-1] = -1
+            return col_of
 
-    def test_labeled_set_is_slotted(self):
-        ls = LabeledSet(frozenset({2, 13}), (0, 2), 13)
-        assert not hasattr(ls, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            ls.atoms = frozenset({1})
-        # a name that is not a field has no slot; which error refuses it
-        # depends on the Python version
-        with pytest.raises((AttributeError, TypeError)):
-            ls.extra = 1
-        assert replace(ls) == ls
-        assert replace(ls, label=2) == LabeledSet(frozenset({2, 13}), (0, 2), 2)
-        assert copy.copy(ls) == ls
-        assert pickle.loads(pickle.dumps(ls)) == ls
+        monkeypatch.setattr(_kernels, "max_matching", short)
+        with pytest.raises(TheoremViolation, match="^matching failed to saturate a labeled family$"):
+            hall_persistence_check(BundleFamily.of({1, 2}, {2}), DynamicsConfig(window=1, depth=0))

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_family, random_hall_family, valid_sdr
+from conftest import random_family, random_hall_family, sdr_count_naive, valid_sdr
 from eulerhall import _kernels
 from eulerhall import (
     BundleFamily,
@@ -15,7 +15,6 @@ from eulerhall import (
     hall_exhaustive,
     max_matching,
     sdr_count,
-    sdr_count_naive,
 )
 
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_family, random_hall_family, valid_sdr
+from conftest import random_family, random_hall_family, sdr_count_naive, valid_sdr
 from eulerhall import (
     BundleFamily,
     CapExceeded,
@@ -18,7 +18,6 @@ from eulerhall import (
     euler_class,
     has_duplicate_singleton,
     max_matching,
-    sdr_count_naive,
     subordination_verdict,
     verify_coefficient_identity,
 )

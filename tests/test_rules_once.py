@@ -1,5 +1,6 @@
-"""Each input rule, the column numbering, each certificate check and
-nu's formula and decode are written once in the package."""
+"""Each input rule, the column numbering, each certificate check, the
+generator of images and nu's formula and decode are written once in the
+package."""
 
 import ast
 from pathlib import Path
@@ -125,7 +126,16 @@ def test_certificates_are_checked_in_one_module():
     # between two routes
     assert found(is_theorem_violation) == (
         [("certificates.py", "check_sdr")] * 3 + [("certificates.py", "check_violator")] * 2
-        + [("dynamics.py", "hall_certificate_for_prefix"), ("obstruction.py", "analyze")])
+        + [("dynamics.py", "_check_labels"), ("obstruction.py", "analyze")])
+
+
+def test_images_are_generated_in_one_function():
+    # the generations of the seed {1} and the images of a persistence
+    # check are interleaved into parent order by one generator
+    found = {(name, scope) for name, source in sources().items()
+             for scope in calls(source, lambda call: getattr(call.func, "id", None)
+                                == "_parent_major")}
+    assert found == {("dynamics.py", "_generate")}
 
 
 def test_nu_is_computed_and_decoded_in_one_place():

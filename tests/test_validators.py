@@ -61,7 +61,8 @@ VALIDATORS = {
                               lambda x: "window must be an integer >= 1", (0, None, -1), 1),
     "DynamicsConfig.depth": (lambda x: DynamicsConfig(window=1, depth=x),
                              lambda x: "depth must be a nonnegative integer", (-1, None, 1.5), 1),
-    "GammaFamily.prefix": (FAMILY.prefix,
+    # the prefix depth of a GammaFamily, checked by the prefix certificate
+    "GammaFamily.prefix": (lambda x: dynamics.hall_certificate_for_prefix(FAMILY, x),
                            lambda x: f"prefix depth must lie in 0..1, got {x!r}",
                            (-1, 2, None, 1.5), 1),
     "bundles.index_set": (lambda x: bundles.index_set([x]), atom_message, (0,), 2),
