@@ -28,7 +28,6 @@ _EXPORTS = {
         "index_set",
     ),
     "dynamics": (
-        "DynamicsConfig",
         "GammaFamily",
         "alpha",
         "gamma_generations",

@@ -303,12 +303,11 @@ def cmd_sweep(args) -> int:
 def cmd_dynamics(args) -> int:
     from . import dynamics
 
-    cfg = dynamics.DynamicsConfig(window=args.window, depth=args.depth)
-    fam = dynamics.gamma_generations(cfg)
+    fam = dynamics.gamma_generations(args.window, args.depth)
     labeling = dynamics.verify_labeling(fam)
     report = _header("dynamics")
-    report["window"] = cfg.window
-    report["depth"] = cfg.depth
+    report["window"] = args.window
+    report["depth"] = args.depth
     report["generation_sizes"] = fam.sizes()
     report["labels"] = [label for generation in fam.labels for label in generation]
     report["labeling"] = {
@@ -327,7 +326,7 @@ def cmd_dynamics(args) -> int:
         _emit(report, args.fmt)
         print("error: labeling invariants failed", file=sys.stderr)
         return 2
-    certificate = dynamics.hall_certificate_for_prefix(fam, cfg.depth)
+    certificate = dynamics.hall_certificate_for_prefix(fam, args.depth)
     report["prefix_sdr"] = list(certificate.assignment)
     report["prefix_sdr_size"] = len(certificate.assignment)
     report["hall_confirmed"] = True

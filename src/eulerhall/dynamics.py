@@ -35,27 +35,28 @@ indexed family.
 A run first bounds its cost from W, D and its seed, the atom slots its
 generations hold plus its label digits over 16, and refuses a size above
 ``DYNAMICS_BUDGET`` before computing any image.  One generator builds
-every image family: the generations of the seed {1}, and the images of
-a Hall family, labeled by the images of its checked SDR.  It computes
-each image nu(j, t) once: it keeps one table of images per index j, and
-the table of an index j >= 1 computes the images of the atoms 1..j, the
-block, in one batch.  Each generation is built one index at a time: the
-index's table first computes, in one arithmetic pass, the images of the
-atoms that the generation's parents hold and the table lacks, then makes
-all the parents' children and labels by lookups, and the per-index lists
-are interleaved back into parent order.  Each generation is held as two
-parallel tuples, its sets and their labels.  Validation stays at the
-boundary: ``nu`` checks both of its arguments, and a table checks its
-index once per batch, whose atoms are generated or already checked, so
-no image of a non-integer index is ever made.  The label laws are
-checked by passes over whole generations, the level law decoding each
-generation's labels in one pass, and only a failure walks the members
-one by one to name it; membership and distinctness are the SDR
-predicate of ``certificates``.  A labeled family, a prefix of
-generations or a generation of images, is checked by that module, then
-hands its sets to the matching kernel as they are, the atoms themselves
-being the columns, without numbering them or revalidating them as a
-``BundleFamily``.
+every image family: the generations of the seed {1}, and the images of a
+Hall family, labeled by the images of its checked SDR.  It computes each
+image nu(j, t) once: it keeps one plain dict of images per index j,
+which for j >= 1 starts holding the images of the atoms 1..j, the block,
+computed in one batch.  Each generation is built one index at a time:
+the index's dict first gains, in one arithmetic pass, the images of the
+atoms that the generation's parents hold and the dict lacks, then all
+the parents' children and labels are made by lookups, and the per-index
+lists are interleaved back into parent order.  Each generation is held
+as two parallel tuples, its sets and their labels.  Validation stays at
+the boundary: a run checks its window and depth before its budget, so
+the generator's indices are integers and its atoms generated or already
+checked, and ``nu``, ``i_set`` and ``alpha`` check their arguments
+before their one batch of images, so no image of a non-integer index is
+ever made.  The label laws are checked by passes over whole generations,
+the level law decoding each generation's labels in one pass, and only a
+failure walks the members one by one to name it; membership and
+distinctness are the SDR predicate of ``certificates``.  A labeled
+family, a prefix of generations or a generation of images, is checked by
+that module, then hands its sets to the matching kernel as they are, the
+atoms themselves being the columns, without numbering them or
+revalidating them as a ``BundleFamily``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .matching import MatchingResult
 # W1261/D1, W71/D2, W17/D3, W7/D4, W2/D6 and W1/D9 (796,507), 0.2-0.6 s.
 # The smallest sizes above it are W1262/D1, W72/D2, W18/D3, W8/D4, W5/D5
 # (2.5 s), W3/D6, W2/D7 and W1/D10 (1.7 s, 30 MB of output).  Depth 0
-# holds the seed {1} alone and builds no image table, so it costs 1 at
+# holds the seed {1} alone and computes no image, so it costs 1 at
 # every window.  A persistence check costs its input and one generation.
 DYNAMICS_BUDGET = 800_000
 _SEED = (frozenset((1,)),)
@@ -127,7 +128,9 @@ def level(a: int) -> int:
 
 def i_set(j: int) -> frozenset:
     """The j-element block {nu(j, 1), ..., nu(j, j)} for j >= 1."""
-    return _Images(j).block()
+    if not is_integer(j) or j < 1:
+        raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
+    return frozenset(_images(j, range(1, j + 1)))
 
 
 def alpha(j: int, atoms: Iterable[int]) -> frozenset:
@@ -135,74 +138,28 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
 
     For j <= 0 this is nu(j, -) pointwise; for j >= 1 the atoms 1..j are
     removed first and the block i_set(j) is adjoined, so the result is
-    never empty.  An index >= 1 is checked by the block, so a non-integer
-    one such as 2.5 or True is refused as a block index; any other int or
-    float is checked by ``nu`` on the first image.  An index of another
-    type, such as "1" or None, is refused as ``nu`` refuses it, before it
-    is compared with 1.
+    never empty.  The block is the image of the atoms 1..j, so mapping
+    those atoms instead of removing them changes nothing: for j >= 1,
+    alpha(j, I) = i_set(j) | nu(j, I).  The atoms are checked first.  An
+    index >= 1 is then checked by the block, so a non-integer one such as
+    2.5 or True is refused as a block index; any other index, such as
+    -0.5, "1" or None, is refused as ``nu`` refuses it, and one of
+    another type is not compared with 1.
     """
-    if not isinstance(j, (int, float)):
-        _check_index(j)
-    return _Images(j).alpha([index_set(atoms)])[0]
+    atoms = index_set(atoms)
+    if isinstance(j, (int, float)) and j >= 1:
+        return i_set(j).union(_images(j, atoms))
+    _check_index(j)
+    return frozenset(_images(j, atoms))
 
 
-class _Images(dict):
-    """The images nu(j, t) of one index j, each computed once: on first
-    lookup, or by ``fill`` for many atoms at a time."""
-
-    def __init__(self, j: int):
-        super().__init__()
-        self.j = j
-        self._block: frozenset | None = None
-
-    def __missing__(self, t: int) -> int:
-        value = self[t] = nu(self.j, t)
-        return value
-
-    def fill(self, atoms: set) -> None:
-        """Compute the images of the atoms the table lacks, in one batch.
-
-        The atoms are generated or ``index_set``-checked, so only the
-        index is checked, once per batch."""
-        missing = atoms - self.keys()
-        if missing:
-            _check_index(self.j)
-            self.update(zip(missing, _images(self.j, missing)))
-
-    def alpha(self, sources) -> list[frozenset]:
-        """alpha(j, I) for each set I of atoms in ``sources``.
-
-        For j >= 1, alpha(j, I) = i_set(j) | nu(j, I): the images of the
-        atoms 1..j make up the block, so mapping those atoms instead of
-        removing them changes nothing.
-        """
-        union = self.block().union if self.j >= 1 else frozenset().union
-        image = self.__getitem__
-        return [union(map(image, source)) for source in sources]
-
-    def block(self) -> frozenset:
-        """i_set(j), built from the table on first use; refuses any j but
-        an integer >= 1."""
-        if self._block is None:
-            j = self.j
-            if not is_integer(j) or j < 1:
-                raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
-            atoms = range(1, j + 1)
-            self.fill(set(atoms))
-            self._block = frozenset(map(self.__getitem__, atoms))
-        return self._block
-
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    window: int
-    depth: int
-
-    def __post_init__(self):
-        if not is_integer(self.window) or self.window < 1:
-            raise InvalidInput("window must be an integer >= 1")
-        if not is_integer(self.depth) or self.depth < 0:
-            raise InvalidInput("depth must be a nonnegative integer")
+def _check_size(window, depth) -> None:
+    # The window and depth of a run, checked before its budget and before
+    # any image
+    if not is_integer(window) or window < 1:
+        raise InvalidInput("window must be an integer >= 1")
+    if not is_integer(depth) or depth < 0:
+        raise InvalidInput("depth must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -213,7 +170,6 @@ class GammaFamily:
 
     sets: tuple[tuple[frozenset, ...], ...]
     labels: tuple[tuple[int, ...], ...]
-    config: DynamicsConfig
 
     @property
     def depth(self) -> int:
@@ -264,39 +220,50 @@ def _check_budget(window: int, depth: int, seed=_SEED, run=None) -> int:
 
 def _generate(window: int, depth: int, seed_sets, seed_labels) -> tuple[list, list]:
     # The sets and the labels of generations 0..depth from the seed, as
-    # two lists of tuples (see gamma_generations); depth 0 is the seed
-    # alone and builds no table
-    tables = [_Images(j) for j in range(-window, window + 1)] if depth else []
+    # two lists of tuples (see gamma_generations).  Each index j keeps a
+    # dict of the images nu(j, t) computed so far, holding the block's
+    # atoms 1..j from the start; depth 0 is the seed alone and computes
+    # no image
+    tables = []  # (j, its images, its block, empty for j <= 0)
+    for j in range(-window, window + 1) if depth else ():
+        atoms = range(1, j + 1)
+        images = dict(zip(atoms, _images(j, atoms)))
+        tables.append((j, images, frozenset(images.values())))
     sets, labels = [tuple(seed_sets)], [tuple(seed_labels)]
     for _ in range(depth):
         parents, parent_labels = sets[-1], labels[-1]
-        # each label is an atom of its set, so its image is filled too
+        # each label is an atom of its set, so its image is computed too
         held = set().union(*parents)
         children, child_labels = [], []
-        for images in tables:
-            images.fill(held)
-            children.append(images.alpha(parents))
-            child_labels.append(map(images.__getitem__, parent_labels))
+        for j, images, block in tables:
+            missing = held - images.keys()
+            images.update(zip(missing, _images(j, missing)))
+            image = images.__getitem__
+            children.append([block.union(map(image, parent)) for parent in parents])
+            child_labels.append(map(image, parent_labels))
         sets.append(_parent_major(children))
         labels.append(_parent_major(child_labels))
     return sets, labels
 
 
-def gamma_generations(cfg: DynamicsConfig) -> GammaFamily:
+def gamma_generations(window: int, depth: int) -> GammaFamily:
     """Expand the seed {1} through all window indices, depth times.
 
     Generation k+1 lists alpha(j, I) for every member I of generation k
     (in order) and every j from -window to window, with the label
     recursion label(alpha_j(I)) = nu(j, label(I)).  It is built one index
-    at a time: the index's table first gains the images of every atom the
-    parents hold, then gives all the parents' children and labels, and
-    the per-index lists are interleaved back into that order.  A size
-    whose cost is above ``DYNAMICS_BUDGET`` raises ``CapExceeded``
-    before any image is computed.
+    at a time: the index's dict of images first gains the images of
+    every atom the parents hold, then gives all the parents' children
+    and labels, and the per-index lists are interleaved back into that
+    order.  A window that is not an integer >= 1 or a depth that is not
+    a nonnegative integer raises ``InvalidInput``, and a size whose cost
+    is above ``DYNAMICS_BUDGET`` raises ``CapExceeded``, before any image
+    is computed.
     """
-    _check_budget(cfg.window, cfg.depth)
-    sets, labels = _generate(cfg.window, cfg.depth, _SEED, (1,))
-    return GammaFamily(sets=tuple(sets), labels=tuple(labels), config=cfg)
+    _check_size(window, depth)
+    _check_budget(window, depth)
+    sets, labels = _generate(window, depth, _SEED, (1,))
+    return GammaFamily(sets=tuple(sets), labels=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -416,23 +383,25 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     return MatchingResult(assignment=tuple(labels))
 
 
-def hall_persistence_check(f: BundleFamily, cfg: DynamicsConfig) -> bool:
+def hall_persistence_check(f: BundleFamily, window: int) -> bool:
     """Whether the image family {alpha(j, I)} keeps Hall's condition.
 
     The input must itself satisfy Hall's condition; its checked SDR,
     mapped by the label recursion, is an SDR of the image family, since
     nu is injective and nu(j, t) lies in alpha(j, I) for every t in I.
     That SDR is checked as the prefix certificate is, so the answer is
-    True or a ``TheoremViolation``.  A window whose one generation of
+    True or a ``TheoremViolation``.  A window that is not an integer
+    >= 1 raises ``InvalidInput`` first, and one whose one generation of
     images costs more than ``DYNAMICS_BUDGET`` raises ``CapExceeded``
-    before any image is computed; ``cfg.depth`` is not read.
+    before any image is computed.
     """
+    _check_size(window, 1)
     if f.trivial_lines > 0:
         raise InvalidInput("hall_persistence_check requires trivial_lines = 0")
     sdr = matching.certify(f)[0].assignment
     if sdr is None:
         raise InvalidInput("input family must satisfy Hall's condition")
-    _check_budget(cfg.window, 1, f.sets, f"Hall persistence at window {cfg.window}")
-    sets, labels = _generate(cfg.window, 1, f.sets, sdr)
+    _check_budget(window, 1, f.sets, f"Hall persistence at window {window}")
+    sets, labels = _generate(window, 1, f.sets, sdr)
     _check_labels(sets[1], labels[1])
     return True

@@ -11,7 +11,7 @@ nonzero int coefficient}``.  The empty frozenset is the constant monomial
 (so ``{frozenset(): 1}`` is the unit) and the empty map is zero.
 Coefficients are Python ints; matching counts grow factorially, so
 fixed-width integers would overflow.  Elements are immutable after
-construction and safe to share between workers.
+construction.
 
 An element can also be held over columns: a map ``{column bitmask ->
 coefficient}`` plus the descending atom list of ``descending_columns``,

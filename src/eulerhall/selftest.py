@@ -100,8 +100,7 @@ def check_verdicts() -> bool:
 
 
 def check_dynamics(window: int = 2, depth: int = 2) -> bool:
-    cfg = dynamics.DynamicsConfig(window=window, depth=depth)
-    fam = dynamics.gamma_generations(cfg)
+    fam = dynamics.gamma_generations(window, depth)
     if fam.sizes() != [(2 * window + 1) ** k for k in range(depth + 1)]:
         return False
     if not dynamics.verify_labeling(fam).ok:

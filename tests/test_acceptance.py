@@ -16,7 +16,6 @@ from pathlib import Path
 from conftest import random_element, random_hall_family, sdr_count_naive, valid_sdr
 from eulerhall import (
     BundleFamily,
-    DynamicsConfig,
     VerdictTag,
     doubled_verdict,
     equivalence_report,
@@ -229,7 +228,7 @@ def test_criterion_5_dynamics():
     labeling_ok = True
     prefix_ok = True
     for window in (1, 2, 3):
-        fam = gamma_generations(DynamicsConfig(window=window, depth=4))
+        fam = gamma_generations(window, 4)
         if not verify_labeling(fam).ok:
             labeling_ok = False
         for m in range(0, 5):
@@ -243,8 +242,8 @@ def test_criterion_5_dynamics():
     persistence_ok = True
     for _ in range(500):
         f = random_hall_family(rng, max_m=5, max_atom=10)
-        cfg = DynamicsConfig(window=rng.randint(1, 2), depth=0)
-        if not hall_persistence_check(f, cfg):
+        window = rng.randint(1, 2)
+        if not hall_persistence_check(f, window):
             persistence_ok = False
             break
     elapsed = time.perf_counter() - t0
@@ -266,7 +265,7 @@ def test_criterion_5_dynamics():
 def test_criterion_6_first_generation_closed_form():
     ok = True
     for window in (1, 2, 3, 4):
-        fam = gamma_generations(DynamicsConfig(window=window, depth=1))
+        fam = gamma_generations(window, 1)
         got = list(fam.sets[1])
         expected = [frozenset({nu(j, 1)}) for j in range(-window, 1)]
         expected += [i_set(j) for j in range(1, window + 1)]

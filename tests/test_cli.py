@@ -449,7 +449,6 @@ class TestDynamics:
             raise AssertionError("an image table was touched")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
-        monkeypatch.setattr(dynamics, "_Images", no_images)
         start = time.perf_counter()
         code, out, _ = run_main(capsys, "dynamics", "--window", str(10**18), "--depth", "0")
         assert time.perf_counter() - start < 1

@@ -12,7 +12,6 @@ from conftest import random_hall_family, valid_sdr
 from eulerhall import (
     BundleFamily,
     CapExceeded,
-    DynamicsConfig,
     InvalidInput,
     TheoremViolation,
     _kernels,
@@ -149,24 +148,24 @@ class TestISetAlpha:
 
 class TestGenerations:
     def test_root_generation(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=0))
+        fam = gamma_generations(2, 0)
         assert fam.sets == ((frozenset({1}),),) and fam.labels == ((1,),)
 
     def test_first_generation_window_one(self):
-        fam = gamma_generations(DynamicsConfig(window=1, depth=1))
+        fam = gamma_generations(1, 1)
         assert [sorted(atoms) for atoms in fam.sets[1]] == [[5], [2], [3]]
         assert fam.labels[1] == (5, 2, 3)
 
     @pytest.mark.parametrize("window", [1, 2, 3])
     def test_first_generation_closed_form(self, window):
-        fam = gamma_generations(DynamicsConfig(window=window, depth=1))
+        fam = gamma_generations(window, 1)
         got = list(fam.sets[1])
         expected = [frozenset({nu(j, 1)}) for j in range(-window, 1)]
         expected += [i_set(j) for j in range(1, window + 1)]
         assert got == expected
 
     def test_sizes_and_provenance(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=3))
+        fam = gamma_generations(2, 3)
         # member i of generation k was made by the k indices in the
         # window that spell i, one member and one label for each
         assert fam.sizes() == [1, 5, 25, 125]
@@ -174,7 +173,7 @@ class TestGenerations:
             assert len(sets) == len(labels) == len(list(product(range(-2, 3), repeat=k)))
 
     def test_provenance_reconstructs_sets(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         for k, (sets, labels) in enumerate(zip(fam.sets, fam.labels, strict=True)):
             provenances = product(range(-2, 3), repeat=k)
             for provenance, member, member_label in zip(provenances, sets, labels, strict=True):
@@ -204,7 +203,7 @@ class TestGenerationsOracle:
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     def test_members_match_oracle(self, window, depth):
-        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        fam = gamma_generations(window, depth)
         indices = range(-window, window + 1)
         got = [list(zip(sets, product(indices, repeat=k), labels, strict=True))
                for k, (sets, labels) in enumerate(zip(fam.sets, fam.labels, strict=True))]
@@ -225,7 +224,7 @@ class TestGenerationsOracle:
         oracle_generations(2, 3)
         oracle_calls = calls[:]
         calls.clear()
-        gamma_generations(DynamicsConfig(window=2, depth=3))
+        gamma_generations(2, 3)
         assert len(calls) == len(set(calls)) < len(oracle_calls)
         assert set(calls) == set(oracle_calls)
 
@@ -242,7 +241,7 @@ class TestBudget:
     @pytest.mark.parametrize("window,depth", [
         (w, d) for w in (1, 2, 3, 4) for d in range(5)] + [(5, 1), (1, 6), (12, 2), (40, 1)])
     def test_cost_bounds_the_run(self, window, depth):
-        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        fam = gamma_generations(window, depth)
         slots = sum(len(atoms) for generation in fam.sets for atoms in generation)
         digits = sum(len(str(label)) for generation in fam.labels for label in generation)
         assert slots + digits // 16 <= dynamics._check_budget(window, depth)
@@ -264,13 +263,25 @@ class TestBudget:
             raise AssertionError("an image table was touched")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
-        monkeypatch.setattr(dynamics, "_Images", no_images)
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match=rf"^dynamics at window {window}, depth {depth} "
                                               r"costs (at least )?\d+ \(atom slots \+ label "
                                               r"digits / 16\), above the budget of 800000$"):
-            gamma_generations(DynamicsConfig(window=window, depth=depth))
+            gamma_generations(window, depth)
         assert time.perf_counter() - start < 1
+
+    def test_bad_size_refused_before_the_budget(self, monkeypatch):
+        # the window and the depth are checked first: a depth of None is no
+        # TypeError in the budget's loop, and a window of 10**18 beside it
+        # no CapExceeded
+        def no_images(*args):
+            raise AssertionError("an image was computed")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        with pytest.raises(InvalidInput, match=r"^window must be an integer >= 1$"):
+            gamma_generations(None, 10**9)
+        with pytest.raises(InvalidInput, match=r"^depth must be a nonnegative integer$"):
+            gamma_generations(10**18, None)
 
     def test_depth_zero_builds_no_table(self, monkeypatch):
         # the seed alone costs 1 whatever the window, and the run touches
@@ -279,9 +290,8 @@ class TestBudget:
             raise AssertionError("an image table was touched")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
-        monkeypatch.setattr(dynamics, "_Images", no_images)
         start = time.perf_counter()
-        fam = gamma_generations(DynamicsConfig(window=10**18, depth=0))
+        fam = gamma_generations(10**18, 0)
         assert time.perf_counter() - start < 1
         assert (fam.sets, fam.labels) == (((frozenset((1,)),),), ((1,),))
 
@@ -289,23 +299,23 @@ class TestBudget:
     @pytest.mark.parametrize("depth", [0, 3])
     def test_persistence_refused_before_any_image(self, monkeypatch, window, depth):
         # one generation of images of {1}: the cost of gamma_generations at
-        # depth 1, whatever depth the config holds, which no message names
+        # depth 1; the check takes a window alone, so no message names a
+        # depth and each depth here makes the same call
         def no_images(*args):
             raise AssertionError("an image table was touched")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
-        monkeypatch.setattr(dynamics, "_Images", no_images)
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match=rf"^Hall persistence at window {window} costs "
                                               r"\d+ \(atom slots \+ label digits / 16\), "
                                               r"above the budget of 800000$"):
-            hall_persistence_check(BundleFamily.of({1}), DynamicsConfig(window=window, depth=depth))
+            hall_persistence_check(BundleFamily.of({1}), window)
         assert time.perf_counter() - start < 1
 
     def test_persistence_admits_the_largest_window(self):
         seed = BundleFamily.of({1})
         assert dynamics._check_budget(1261, 1, seed.sets) == 799_476
-        assert hall_persistence_check(seed, DynamicsConfig(window=1261, depth=0))
+        assert hall_persistence_check(seed, 1261)
 
     def test_persistence_cost_bounds_the_images(self):
         # the input and its images, with the images of the input's SDR as
@@ -386,9 +396,7 @@ class TestBatchForms:
 
     def test_alpha_matches_definition(self):
         # drop the atoms 1..j, map the survivors, adjoin nu(j, 1..j); the
-        # sets hold atoms <= j, and the table path fills in one batch
-        from eulerhall import dynamics
-
+        # sets hold atoms <= j
         rng = random.Random(43)
         for j in range(-6, 7):
             sources = [frozenset(rng.sample(range(1, 12), rng.randint(1, 5))
@@ -398,9 +406,6 @@ class TestBatchForms:
             expected = [frozenset({oracle_nu(j, t) for t in atoms if t > j} | block)
                         for atoms in sources]
             assert [alpha(j, atoms) for atoms in sources] == expected
-            table = dynamics._Images(j)
-            table.fill(set().union(*sources))
-            assert table.alpha(sources) == expected
 
     @staticmethod
     def _tampered(labels):
@@ -426,7 +431,7 @@ class TestBatchForms:
         # that follows then clears it
         from eulerhall import dynamics
 
-        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        fam = gamma_generations(window, depth)
         cases = [("untouched", depth, fam.labels), ("empty", depth, (*fam.labels[:-1], ())),
                  *self._tampered(fam.labels)]
         for description, k, tampered in cases:
@@ -444,7 +449,7 @@ class TestBatchForms:
 class TestLabeling:
     @pytest.mark.parametrize("window,depth", [(1, 3), (2, 3), (3, 2)])
     def test_verified_labeling(self, window, depth):
-        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        fam = gamma_generations(window, depth)
         report = verify_labeling(fam)
         assert report.ok
         assert report.membership_failure is None
@@ -452,7 +457,7 @@ class TestLabeling:
         assert report.level_failure is None
 
     def test_depth_zero_passes(self):
-        assert verify_labeling(gamma_generations(DynamicsConfig(window=1, depth=0))).ok
+        assert verify_labeling(gamma_generations(1, 0)).ok
 
     @staticmethod
     def _corrupt(fam, gen, pos, atoms=None, label=None):
@@ -465,27 +470,27 @@ class TestLabeling:
         return replace(fam, sets=tuple(map(tuple, sets)), labels=tuple(map(tuple, labels)))
 
     def test_corrupted_label_breaks_injectivity(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         other = fam.labels[2][1]
         bad = self._corrupt(fam, 2, 0, label=other)
         report = verify_labeling(bad)
         assert not report.injective_ok and report.injective_failure
 
     def test_corrupted_membership(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         foreign = max(fam.sets[2][0]) + 1
         bad = self._corrupt(fam, 2, 0, label=foreign)
         report = verify_labeling(bad)
         assert not report.membership_ok and report.membership_failure
 
     def test_corrupted_level(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         bad = self._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {1}, label=1)
         report = verify_labeling(bad)
         assert not report.level_ok and report.level_failure
 
     def test_failure_messages(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         first = fam.labels[2][0]
         # a label from deeper down: no earlier label is its predecessor
         deep = nu(1, nu(2, fam.labels[2][1]))
@@ -506,7 +511,7 @@ class TestLabeling:
         # walking
         from eulerhall import dynamics
 
-        fam = gamma_generations(DynamicsConfig(window=window, depth=depth))
+        fam = gamma_generations(window, depth)
         walked = dynamics._labeling_walk(fam)
         assert walked.ok
 
@@ -522,7 +527,7 @@ class TestLabeling:
         # its own pass, and is named as the walk names it
         from eulerhall import dynamics
 
-        fam = gamma_generations(DynamicsConfig(window=2, depth=3))
+        fam = gamma_generations(2, 3)
         atoms, label, first = fam.sets[3][-1], fam.labels[3][-1], fam.labels[3][0]
         if kind == "membership":
             bad = self._corrupt(fam, 3, 124, atoms=atoms - {label})
@@ -544,14 +549,14 @@ class TestLabeling:
     @pytest.mark.parametrize("label", [True, 1.0])
     def test_non_int_seed_label_reaches_level(self, label):
         # equal to the seed label 1, so only its type is at fault
-        fam = gamma_generations(DynamicsConfig(window=1, depth=1))
+        fam = gamma_generations(1, 1)
         bad = self._corrupt(fam, 0, 0, label=label)
         with pytest.raises(InvalidInput, match="^atom ids must be integers >= 1, got "):
             verify_labeling(bad)
 
     def test_seed_label_fault(self):
         # a family of generation 0 alone: its label must be 1
-        fam = gamma_generations(DynamicsConfig(window=1, depth=0))
+        fam = gamma_generations(1, 0)
         bad = self._corrupt(fam, 0, 0, atoms=frozenset({1, 2}), label=2)
         report = verify_labeling(bad)
         assert report.level_failure == "label 2 at generation 0, member 0 has level 1"
@@ -560,14 +565,14 @@ class TestLabeling:
     def test_float_label_reaches_level(self):
         # a float equal to the true label is in its set and repeats no
         # label, so only the level check refuses it
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         bad = self._corrupt(fam, 2, 3, label=float(fam.labels[2][3]))
         with pytest.raises(InvalidInput, match="^atom ids must be integers >= 1, got "):
             verify_labeling(bad)
 
     @pytest.mark.parametrize("label", [0, -3, True, 2.0])
     def test_invalid_label_reaches_level(self, label):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         bad = self._corrupt(fam, 2, 3, label=label)
         with pytest.raises(InvalidInput):
             verify_labeling(bad)
@@ -575,7 +580,7 @@ class TestLabeling:
 
 class TestPrefixCertificate:
     def test_window_two_prefix_two(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         cert = hall_certificate_for_prefix(fam, 2)
         assert len(cert.assignment) == 31
         family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:3])))
@@ -583,27 +588,27 @@ class TestPrefixCertificate:
         assert max_matching(family).saturates
 
     def test_prefix_zero(self):
-        fam = gamma_generations(DynamicsConfig(window=3, depth=1))
+        fam = gamma_generations(3, 1)
         assert hall_certificate_for_prefix(fam, 0).assignment == (1,)
 
     def test_window_one_depth_three(self):
-        fam = gamma_generations(DynamicsConfig(window=1, depth=3))
+        fam = gamma_generations(1, 3)
         cert = hall_certificate_for_prefix(fam, 3)
         assert len(cert.assignment) == 1 + 3 + 9 + 27
 
     def test_prefix_bounds(self):
-        fam = gamma_generations(DynamicsConfig(window=1, depth=1))
+        fam = gamma_generations(1, 1)
         with pytest.raises(InvalidInput):
             hall_certificate_for_prefix(fam, 2)
 
     def test_label_outside_its_set_is_a_violation(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         bad = TestLabeling._corrupt(fam, 2, 0, label=max(fam.sets[2][0]) + 1)
         with pytest.raises(TheoremViolation, match=r"^label \d+ escaped its set \["):
             hall_certificate_for_prefix(bad, 2)
 
     def test_duplicated_label_is_a_violation(self):
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         other = fam.labels[2][1]
         bad = TestLabeling._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {other}, label=other)
         with pytest.raises(TheoremViolation, match="^generated labels are not pairwise distinct$"):
@@ -620,7 +625,7 @@ class TestPrefixCertificate:
             return col_of
 
         monkeypatch.setattr(_kernels, "max_matching", short)
-        fam = gamma_generations(DynamicsConfig(window=2, depth=2))
+        fam = gamma_generations(2, 2)
         with pytest.raises(TheoremViolation):
             hall_certificate_for_prefix(fam, 2)
         assert main(["dynamics", "--window", "2", "--depth", "2"]) == 2
@@ -630,27 +635,27 @@ class TestPrefixCertificate:
 class TestPersistence:
     def test_seed_family(self):
         assert hall_persistence_check(
-            BundleFamily.of({1}), DynamicsConfig(window=2, depth=0)
+            BundleFamily.of({1}), 2
         )
 
     def test_two_set_family(self):
         assert hall_persistence_check(
-            BundleFamily.of({1, 2}, {2}), DynamicsConfig(window=1, depth=0)
+            BundleFamily.of({1, 2}, {2}), 1
         )
 
     def test_random_hall_families(self):
         rng = random.Random(42)
         for _ in range(100):
             f = random_hall_family(rng, max_m=4, max_atom=10)
-            cfg = DynamicsConfig(window=rng.randint(1, 2), depth=0)
-            assert hall_persistence_check(f, cfg)
+            window = rng.randint(1, 2)
+            assert hall_persistence_check(f, window)
 
     def test_rejects_non_hall_input(self):
         with pytest.raises(InvalidInput):
-            hall_persistence_check(BundleFamily.of({1}, {1}), DynamicsConfig(window=1, depth=0))
+            hall_persistence_check(BundleFamily.of({1}, {1}), 1)
         with pytest.raises(InvalidInput):
             hall_persistence_check(
-                BundleFamily.of({1}, trivial_lines=1), DynamicsConfig(window=1, depth=0)
+                BundleFamily.of({1}, trivial_lines=1), 1
             )
 
     def test_checks_every_image(self, monkeypatch):
@@ -662,7 +667,7 @@ class TestPersistence:
         monkeypatch.setattr(_kernels, "max_matching",
                             lambda rows, ncols: checked.append((rows, ncols)) or real(rows, ncols))
         f = BundleFamily.of({1, 2}, {2, 7}, {3})
-        assert hall_persistence_check(f, DynamicsConfig(window=2, depth=0))
+        assert hall_persistence_check(f, 2)
         rows, columns = f.columns
         assert len(checked) == 2 and checked[0] == (rows, len(columns)) and checked[1][1] is None
         assert list(checked[1][0]) == [
@@ -675,7 +680,7 @@ class TestPersistence:
         # matching of {1}, {1}; the checked certificate refuses it
         monkeypatch.setattr(_kernels, "max_matching", lambda rows, ncols: [0] * len(rows))
         with pytest.raises(TheoremViolation, match="^generated labels are not pairwise distinct$"):
-            hall_persistence_check(BundleFamily.of({1}, {1}), DynamicsConfig(window=1, depth=0))
+            hall_persistence_check(BundleFamily.of({1}, {1}), 1)
 
     def test_unsaturated_image_matching_is_a_violation(self, monkeypatch):
         # the images of a checked SDR are an SDR of the image family, so a
@@ -691,4 +696,4 @@ class TestPersistence:
 
         monkeypatch.setattr(_kernels, "max_matching", short)
         with pytest.raises(TheoremViolation, match="^matching failed to saturate a labeled family$"):
-            hall_persistence_check(BundleFamily.of({1, 2}, {2}), DynamicsConfig(window=1, depth=0))
+            hall_persistence_check(BundleFamily.of({1, 2}, {2}), 1)

@@ -12,10 +12,9 @@ import pytest
 
 from eulerhall import InvalidInput, bundles, dynamics, ring
 from eulerhall.bundles import BundleFamily
-from eulerhall.dynamics import DynamicsConfig
 
 # generations 0..1, so a prefix depth lies in 0..1
-FAMILY = dynamics.gamma_generations(DynamicsConfig(window=1, depth=1))
+FAMILY = dynamics.gamma_generations(1, 1)
 
 
 class Int(int):
@@ -57,10 +56,14 @@ VALIDATORS = {
                        lambda x: f"block index must be an integer >= 1, got {x!r}", (0,), 2),
     "dynamics.alpha.index": (lambda x: dynamics.alpha(x, {1, 5}), alpha_index_message,
                              (None, -0.5, 2.5), -1),
-    "DynamicsConfig.window": (lambda x: DynamicsConfig(window=x, depth=0),
-                              lambda x: "window must be an integer >= 1", (0, None, -1), 1),
-    "DynamicsConfig.depth": (lambda x: DynamicsConfig(window=1, depth=x),
-                             lambda x: "depth must be a nonnegative integer", (-1, None, 1.5), 1),
+    "gamma_generations.window": (lambda x: dynamics.gamma_generations(x, 0),
+                                 lambda x: "window must be an integer >= 1", (0, None, -1), 1),
+    "gamma_generations.depth": (lambda x: dynamics.gamma_generations(1, x),
+                                lambda x: "depth must be a nonnegative integer",
+                                (-1, None, 1.5), 1),
+    "hall_persistence_check.window": (
+        lambda x: dynamics.hall_persistence_check(BundleFamily.of({1}), x),
+        lambda x: "window must be an integer >= 1", (0, None, -1), 1),
     # the prefix depth of a GammaFamily, checked by the prefix certificate
     "GammaFamily.prefix": (lambda x: dynamics.hall_certificate_for_prefix(FAMILY, x),
                            lambda x: f"prefix depth must lie in 0..1, got {x!r}",
