@@ -48,19 +48,16 @@ _EXPORTS = {
     "matching": (
         "HallViolation",
         "MatchingResult",
-        "find_violation",
+        "certify",
         "hall_exhaustive",
-        "max_matching",
         "sdr_count",
     ),
     "obstruction": (
         "Analysis",
-        "EquivalenceReport",
         "Verdict",
         "VerdictTag",
         "analyze",
         "doubled_verdict",
-        "equivalence_report",
         "subordination_verdict",
         "verify_coefficient_identity",
     ),

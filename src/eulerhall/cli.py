@@ -254,12 +254,12 @@ def cmd_analyze(args) -> int:
     report = _header("analyze")
     report["family"] = family.to_json_dict()
     analysis = obstruction.analyze(family)
-    eq, verdict = analysis.equivalence, analysis.verdict
-    report["euler_class"] = _Verbatim(analysis.euler_class.render())
-    report["euler_nonzero"] = eq.euler_nonzero
-    report["euler_class_degree"] = eq.euler_class_degree
-    report["hall"] = eq.hall
-    report["matching"] = list(eq.matching.assignment) if eq.matching.saturates else None
+    e, verdict = analysis.euler_class, analysis.verdict
+    report["euler_class"] = _Verbatim(e.render())
+    report["euler_nonzero"] = not e.is_zero
+    report["euler_class_degree"] = e.homogeneous_degree()
+    report["hall"] = verdict.matching is not None
+    report["matching"] = list(verdict.matching.assignment) if verdict.matching else None
     report["verdict"] = verdict.tag.value
     report["witness"] = verdict.witness
     report["violation"] = list(verdict.violation.indices) if verdict.violation else None

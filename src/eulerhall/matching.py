@@ -17,8 +17,8 @@ certificate it returns.  One maximum matching yields both certificates
 of the marriage theorem (``certify``): a system of distinct
 representatives when it saturates, else a Hall violator.  ``certify``
 checks whichever it returns with ``certificates``, which shares no code
-with these routes, so ``max_matching``, ``find_violation`` and the
-verdicts hand out only checked certificates.
+with these routes, so ``certify`` and the verdicts built on it hand out
+only checked certificates.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Iterable
 from . import _kernels, certificates
 from .bundles import BundleFamily
 from .errors import CapExceeded, DimensionMismatch
+from .ring import check_atom
 
 EXHAUSTIVE_CAP = 16  # 2^m subsets scanned
 PERMANENT_CAP = 20  # 2^m Ryser terms, exact big-int accumulation
@@ -66,8 +67,13 @@ def certify(f: BundleFamily) -> tuple[MatchingResult, HallViolation | None]:
 
     Returns the matching and, when it leaves a set unmatched, a Hall
     violator derived from that same matching (``None`` when it saturates).
-    Raises TheoremViolation unless ``certificates`` accepts the SDR or the
-    violator returned.
+    The assignment is present exactly when every set is matched; it is
+    deterministic for a given input order (greedy seeding plus
+    augmenting-path search, both scanning atoms in ascending order).  The
+    violator is every set reachable by alternating paths from the first
+    unmatched set; it covers one atom fewer than it has members and need
+    not be minimal.  Raises TheoremViolation unless ``certificates``
+    accepts the SDR or the violator returned.
     """
     rows, atoms = f.columns
     col_of = _kernels.max_matching(rows, len(atoms))
@@ -78,27 +84,6 @@ def certify(f: BundleFamily) -> tuple[MatchingResult, HallViolation | None]:
     violation = _violation(rows, len(atoms), col_of)
     certificates.check_violator(f.sets, violation.indices)
     return MatchingResult(assignment=None), violation
-
-
-def max_matching(f: BundleFamily) -> MatchingResult:
-    """Maximum matching between set positions and atoms.
-
-    The assignment is present exactly when every set is matched; it is
-    deterministic for a given input order (greedy seeding plus
-    augmenting-path search, both scanning atoms in ascending order).
-    """
-    return certify(f)[0]
-
-
-def find_violation(f: BundleFamily) -> HallViolation | None:
-    """A witnessing subfamily when Hall's condition fails, else None.
-
-    Starting from the first unmatched set of a maximum matching, collect
-    every set reachable by alternating paths; that subfamily covers one
-    atom fewer than it has members.  The returned subfamily need not be
-    minimal.
-    """
-    return certify(f)[1]
 
 
 def _violation(rows, ncols: int, col_of) -> HallViolation:
@@ -132,9 +117,9 @@ def sdr_count(f: BundleFamily, atoms: Iterable[int]) -> int:
 
     Equals the permanent of the 0/1 incidence matrix (rows = sets,
     columns = the given atoms in ascending order), computed by Ryser's
-    method.
+    method.  Each atom must be an integer >= 1.
     """
-    target = sorted(set(atoms))
+    target = sorted({check_atom(a) for a in atoms})
     m = len(f.sets)
     if len(target) != m:
         raise DimensionMismatch(f"need exactly {m} atoms, got {len(target)}")

@@ -11,8 +11,9 @@ never an input error.  The pass checks the Euler route against the
 matching route.  ``hall`` is read from that matching and is backed by a
 checked certificate either way: the matching hands out its SDR, or its
 Hall violator, only after ``certificates`` has checked it against the
-sets, by code that shares none with the matching.
-``equivalence_report`` and the CLI's ``analyze`` are views of the pass.
+sets, by code that shares none with the matching.  ``Analysis`` holds
+the two artifacts of the pass, the Euler class and the verdict, and the
+CLI's ``analyze`` reads its report off them.
 
 The verdict engine answers whether one trivial line can split off the
 direct sum.  A nonzero Euler class (equivalently, Hall) obstructs the
@@ -35,15 +36,6 @@ from .matching import HallViolation, MatchingResult
 from .ring import RingElement
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    euler_nonzero: bool
-    hall: bool
-    matching: MatchingResult
-    euler_class_degree: int | None
-    agree: bool
-
-
 class VerdictTag(Enum):
     NOT_SUBORDINATE = "not_subordinate"
     SUBORDINATE = "subordinate"
@@ -63,7 +55,6 @@ class Analysis:
     """Every artifact of one analysis pass, each computed once."""
 
     euler_class: RingElement
-    equivalence: EquivalenceReport
     verdict: Verdict
 
 
@@ -73,45 +64,24 @@ def _require_pure(f: BundleFamily, what: str) -> None:
 
 
 def analyze(f: BundleFamily) -> Analysis:
-    """Euler class, equivalence report and verdict from one pass.
+    """Euler class and verdict from one pass.
 
-    The Euler class is expanded once and the matching runs once; the Hall
-    violator of the verdict comes from that same matching.  ``hall`` is
-    backed by a checked certificate either way: the SDR when it holds,
-    the violator when it fails.  Raises TheoremViolation if the routes
-    disagree or a certificate fails its check; that would mean a bug, not
-    bad input.
+    The Euler class is expanded once and the matching runs once; the
+    verdict's SDR or Hall violator comes from that same matching, so Hall
+    is backed by a checked certificate either way.  Raises
+    TheoremViolation if the Euler class and the matching disagree or a
+    certificate fails its check; that would mean a bug, not bad input.
     """
     _require_pure(f, "analyze")
     # looked up in this module's namespace, so a test can sabotage the route
     e = euler_class(f)
     mm, violation = matching.certify(f)
-    nonzero = not e.is_zero
-    hall = mm.saturates
-    agree = nonzero == hall
-    if not agree:
+    if e.is_zero == mm.saturates:
         raise TheoremViolation(
             f"equivalence broken on {f.to_json_dict()}: "
-            f"euler={nonzero} matching={mm.saturates} (hall is read from the matching)"
+            f"euler={not e.is_zero} matching={mm.saturates} (hall is read from the matching)"
         )
-    report = EquivalenceReport(
-        euler_nonzero=nonzero,
-        hall=hall,
-        matching=mm,
-        euler_class_degree=e.homogeneous_degree(),
-        agree=agree,
-    )
-    return Analysis(euler_class=e, equivalence=report, verdict=_verdict(f, mm, violation))
-
-
-def equivalence_report(f: BundleFamily) -> EquivalenceReport:
-    """Evaluate the three equivalent conditions and record agreement.
-
-    Raises TheoremViolation if they disagree; that would mean a bug, not
-    bad input.
-    """
-    _require_pure(f, "equivalence_report")
-    return analyze(f).equivalence
+    return Analysis(euler_class=e, verdict=_verdict(f, mm, violation))
 
 
 def verify_coefficient_identity(f: BundleFamily) -> bool:

@@ -30,7 +30,7 @@ from math import comb, factorial
 
 from . import _kernels
 from ._kernels import _pyref
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidInput, is_integer
 
 SWEEP_M_CAP = 8
 SWEEP_ATOM_CAP = 16
@@ -76,6 +76,9 @@ def multisets_from(max_m: int, max_atom: int) -> int:
 
 
 def _check_caps(max_m: int, max_atom: int) -> None:
+    for name, value in (("max_m", max_m), ("max_atom", max_atom)):
+        if not is_integer(value):
+            raise InvalidInput(f"sweep {name} must be an integer, got {value!r}")
     if not 1 <= max_m <= SWEEP_M_CAP:
         raise CapExceeded(f"sweep max_m must lie in 1..{SWEEP_M_CAP}, got {max_m}")
     if not 1 <= max_atom <= SWEEP_ATOM_CAP:

@@ -17,8 +17,9 @@ from conftest import random_element, random_hall_family, sdr_count_naive, valid_
 from eulerhall import (
     BundleFamily,
     VerdictTag,
+    analyze,
+    certify,
     doubled_verdict,
-    equivalence_report,
     euler_class,
     gamma_generations,
     hall_certificate_for_prefix,
@@ -27,7 +28,6 @@ from eulerhall import (
     has_duplicate_singleton,
     i_set,
     level,
-    max_matching,
     nu,
     ring,
     sdr_count,
@@ -47,14 +47,17 @@ def _report(n: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def _three_routes_agree(f) -> bool:
+    # analyze returns only when the Euler class and the matching agree
+    a = analyze(f)
+    return hall_exhaustive(f) == (not a.euler_class.is_zero) == (a.verdict.matching is not None)
+
+
 def test_criterion_1_three_way_equivalence():
     t0 = time.perf_counter()
     result = sweep_equivalence(4, 4)
     # object-level re-check of the three routes on the small slice
-    spot_ok = all(
-        equivalence_report(f).agree and hall_exhaustive(f) == equivalence_report(f).hall
-        for f in all_families(2, 4)
-    )
+    spot_ok = all(_three_routes_agree(f) for f in all_families(2, 4))
     elapsed = time.perf_counter() - t0
     ok = (
         result.families == 54240
@@ -157,7 +160,7 @@ def test_criterion_4_verdict_soundness():
     dup_ok = True
     for f in all_families(3, 4):
         v = subordination_verdict(f)
-        if max_matching(f).saturates:
+        if certify(f)[0].saturates:
             if v.tag is not VerdictTag.NOT_SUBORDINATE or not valid_sdr(
                 f, v.matching.assignment
             ):
@@ -236,7 +239,7 @@ def test_criterion_5_dynamics():
             family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:m + 1])))
             if not valid_sdr(family, cert.assignment):
                 prefix_ok = False
-            if not max_matching(family).saturates:
+            if not certify(family)[0].saturates:
                 prefix_ok = False
     rng = random.Random(104)
     persistence_ok = True

@@ -442,11 +442,11 @@ class TestDynamics:
                        f"(atom slots + label digits / 16), above the budget of 800000\n")
 
     def test_depth_zero_at_any_window(self, capsys, monkeypatch):
-        # the seed alone costs 1 under the budget, and no image table is built
+        # the seed alone costs 1 under the budget, and no image is computed
         from eulerhall import dynamics
 
         def no_images(*args):
-            raise AssertionError("an image table was touched")
+            raise AssertionError("an image was computed")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
         start = time.perf_counter()

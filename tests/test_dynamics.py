@@ -16,13 +16,13 @@ from eulerhall import (
     TheoremViolation,
     _kernels,
     alpha,
+    certify,
     dynamics,
     gamma_generations,
     hall_certificate_for_prefix,
     hall_persistence_check,
     i_set,
     level,
-    max_matching,
     nu,
     verify_labeling,
 )
@@ -260,7 +260,7 @@ class TestBudget:
     def test_refused_before_any_image(self, monkeypatch, window, depth):
         # library callers share the CLI's size rule
         def no_images(*args):
-            raise AssertionError("an image table was touched")
+            raise AssertionError("an image was computed")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
         start = time.perf_counter()
@@ -284,10 +284,10 @@ class TestBudget:
             gamma_generations(10**18, None)
 
     def test_depth_zero_builds_no_table(self, monkeypatch):
-        # the seed alone costs 1 whatever the window, and the run touches
-        # no image table
+        # the seed alone costs 1 whatever the window, and the run computes
+        # no image
         def no_images(*args):
-            raise AssertionError("an image table was touched")
+            raise AssertionError("an image was computed")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
         start = time.perf_counter()
@@ -296,13 +296,12 @@ class TestBudget:
         assert (fam.sets, fam.labels) == (((frozenset((1,)),),), ((1,),))
 
     @pytest.mark.parametrize("window", [1262, 10**18])
-    @pytest.mark.parametrize("depth", [0, 3])
-    def test_persistence_refused_before_any_image(self, monkeypatch, window, depth):
+    def test_persistence_refused_before_any_image(self, monkeypatch, window):
         # one generation of images of {1}: the cost of gamma_generations at
         # depth 1; the check takes a window alone, so no message names a
-        # depth and each depth here makes the same call
+        # depth
         def no_images(*args):
-            raise AssertionError("an image table was touched")
+            raise AssertionError("an image was computed")
 
         monkeypatch.setattr(dynamics, "_images", no_images)
         start = time.perf_counter()
@@ -324,7 +323,7 @@ class TestBudget:
         for _ in range(60):
             f = random_hall_family(rng, max_m=5, max_atom=2**rng.randint(3, 40))
             window = rng.randint(1, 12)
-            sdr = max_matching(f).assignment
+            sdr = certify(f)[0].assignment
             indices = range(-window, window + 1)
             images = [alpha(j, atoms) for atoms in f.sets for j in indices]
             labels = [nu(j, t) for t in sdr for j in indices]
@@ -585,7 +584,7 @@ class TestPrefixCertificate:
         assert len(cert.assignment) == 31
         family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:3])))
         assert valid_sdr(family, cert.assignment)
-        assert max_matching(family).saturates
+        assert certify(family)[0].saturates
 
     def test_prefix_zero(self):
         fam = gamma_generations(3, 1)

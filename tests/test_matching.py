@@ -11,9 +11,9 @@ from eulerhall import (
     BundleFamily,
     CapExceeded,
     DimensionMismatch,
-    find_violation,
+    InvalidInput,
+    certify,
     hall_exhaustive,
-    max_matching,
     sdr_count,
 )
 
@@ -46,25 +46,25 @@ class TestHallExhaustive:
 
 class TestMaxMatching:
     def test_saturating_assignment(self):
-        assert max_matching(BundleFamily.of({1, 2}, {2})).assignment == (1, 2)
+        assert certify(BundleFamily.of({1, 2}, {2}))[0].assignment == (1, 2)
 
     def test_unsaturated(self):
-        assert max_matching(BundleFamily.of({1}, {1})).assignment is None
+        assert certify(BundleFamily.of({1}, {1}))[0].assignment is None
 
     def test_single_set(self):
-        assert max_matching(BundleFamily.of({5})).assignment == (5,)
+        assert certify(BundleFamily.of({5}))[0].assignment == (5,)
 
     def test_deterministic(self):
         rng = random.Random(20)
         for _ in range(100):
             f = random_family(rng)
-            assert max_matching(f) == max_matching(f)
+            assert certify(f) == certify(f)
 
     def test_assignment_is_valid_sdr(self):
         rng = random.Random(21)
         for _ in range(300):
             f = random_family(rng)
-            result = max_matching(f)
+            result, _ = certify(f)
             if result.saturates:
                 assert valid_sdr(f, result.assignment)
 
@@ -72,30 +72,30 @@ class TestMaxMatching:
         rng = random.Random(22)
         for _ in range(300):
             f = random_hall_family(rng)
-            assert max_matching(f).saturates
+            assert certify(f)[0].saturates
 
 
 class TestHallViaMatching:
-    # Hall's condition read off a maximum matching: max_matching(f).saturates
+    # Hall's condition read off a maximum matching: certify(f)[0].saturates
 
     def test_examples(self):
-        assert max_matching(BundleFamily.of({1}, {2}, {1, 2})).saturates is False
-        assert max_matching(BundleFamily.of({1}, {2}, {1, 3})).saturates is True
+        assert certify(BundleFamily.of({1}, {2}, {1, 2}))[0].saturates is False
+        assert certify(BundleFamily.of({1}, {2}, {1, 3}))[0].saturates is True
 
     def test_agrees_with_exhaustive(self):
         for f in all_families(3, 3):
-            assert max_matching(f).saturates == hall_exhaustive(f)
+            assert certify(f)[0].saturates == hall_exhaustive(f)
 
     def test_agrees_with_exhaustive_random(self):
         rng = random.Random(23)
         for _ in range(300):
             f = random_family(rng, max_m=6, max_atom=6)
-            assert max_matching(f).saturates == hall_exhaustive(f)
+            assert certify(f)[0].saturates == hall_exhaustive(f)
 
     def test_sparse_atom_ids_agree_with_every_route(self):
         # on sparse atom ids with repeated and shared sets, the matching must
-        # answer as find_violation, which reads the same columns, and as the
-        # subset scan where it runs
+        # saturate exactly when certify returns no violator, and answer as
+        # the subset scan where it runs
         rng = random.Random(29)
         seen = set()
         for _ in range(1000):
@@ -107,8 +107,9 @@ class TestHallViaMatching:
                 else:
                     sets.append(frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool))))))
             f = BundleFamily(sets=tuple(sets))
-            answer = max_matching(f).saturates
-            assert answer == (find_violation(f) is None)
+            mm, v = certify(f)
+            answer = mm.saturates
+            assert answer == (v is None)
             if len(sets) <= 12:
                 assert answer == hall_exhaustive(f)
             seen.add((answer, len(sets) <= 12))
@@ -149,8 +150,8 @@ class TestCertificateOracle:
             ]
             f = BundleFamily(sets=tuple(sets))
             assignment, indices = self.expected(f)
-            assert max_matching(f).assignment == assignment
-            v = find_violation(f)
+            mm, v = certify(f)
+            assert mm.assignment == assignment
             assert (None if v is None else v.indices) == indices
             outcomes.add(indices is None)
         assert outcomes == {True, False}
@@ -158,15 +159,15 @@ class TestCertificateOracle:
 
 class TestFindViolation:
     def test_only_violation(self):
-        v = find_violation(BundleFamily.of({1}, {1}))
+        v = certify(BundleFamily.of({1}, {1}))[1]
         assert v is not None and v.indices == (0, 1)
 
     def test_none_when_hall_holds(self):
-        assert find_violation(BundleFamily.of({1, 2}, {2})) is None
+        assert certify(BundleFamily.of({1, 2}, {2}))[1] is None
 
     def test_witness_satisfies_invariant(self):
         f = BundleFamily.of({1}, {2}, {1, 2}, {1, 2})
-        v = find_violation(f)
+        v = certify(f)[1]
         assert v is not None
         union = set().union(*(f.sets[j] for j in v.indices))
         assert len(union) < len(v.indices)
@@ -175,11 +176,11 @@ class TestFindViolation:
         rng = random.Random(24)
         for _ in range(400):
             f = random_family(rng, max_m=5, max_atom=4)
-            v = find_violation(f)
+            mm, v = certify(f)
             if v is None:
-                assert max_matching(f).saturates
+                assert mm.saturates
             else:
-                assert not max_matching(f).saturates
+                assert not mm.saturates
                 union = set().union(*(f.sets[j] for j in v.indices))
                 assert len(union) < len(v.indices)
 
@@ -205,21 +206,23 @@ class TestSdrCount:
 
     def test_empty_family(self):
         assert sdr_count(BundleFamily(), set()) == 1
-        assert sdr_count_naive(BundleFamily(), set()) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sdr_count(BundleFamily.of({1}), {1, 2})
-        with pytest.raises(DimensionMismatch):
-            sdr_count_naive(BundleFamily.of({1}), {1, 2})
 
     def test_caps(self):
         big = BundleFamily(sets=tuple(frozenset({a}) for a in range(1, 22)))
         with pytest.raises(CapExceeded):
             sdr_count(big, range(1, 22))
-        mid = BundleFamily(sets=tuple(frozenset({a}) for a in range(1, 10)))
-        with pytest.raises(CapExceeded):
-            sdr_count_naive(mid, range(1, 10))
+
+    def test_mixed_atoms_checked_before_the_sort(self):
+        # tests/test_validators.py refuses each bad atom alone; beside an
+        # int, an atom that is no int once made the sort raise TypeError
+        f = BundleFamily.of({1}, {2})
+        for atoms in ([1, "a"], ["a", 1], [2, None]):
+            with pytest.raises(InvalidInput, match=r"^atom ids must be integers >= 1, got "):
+                sdr_count(f, atoms)
 
     def test_ryser_agrees_with_naive(self):
         rng = random.Random(25)
@@ -240,11 +243,11 @@ class TestSdrCount:
             m = len(f.sets)
             union = sorted(f.atoms())
             if len(union) < m:
-                assert not max_matching(f).saturates
+                assert not certify(f)[0].saturates
                 continue
             from itertools import combinations
 
             any_positive = any(
                 sdr_count(f, s) > 0 for s in combinations(union, m)
             )
-            assert any_positive == max_matching(f).saturates
+            assert any_positive == certify(f)[0].saturates

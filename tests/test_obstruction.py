@@ -1,4 +1,4 @@
-"""Equivalence reports, coefficient identity, and verdicts."""
+"""The analysis pass, coefficient identity, and verdicts."""
 
 import random
 from itertools import combinations
@@ -11,13 +11,13 @@ from eulerhall import (
     CapExceeded,
     InvalidInput,
     VerdictTag,
+    analyze,
+    certify,
     ring,
     direct_sum,
     doubled_verdict,
-    equivalence_report,
     euler_class,
     has_duplicate_singleton,
-    max_matching,
     subordination_verdict,
     verify_coefficient_identity,
 )
@@ -25,39 +25,42 @@ from test_matching import all_families
 
 
 class TestEquivalenceReport:
+    # the equivalence as analyze reports it: the Euler class is nonzero
+    # exactly when the verdict holds an SDR
     def test_all_false_case(self):
-        rep = equivalence_report(BundleFamily.of({1}, {1}))
-        assert (rep.euler_nonzero, rep.hall, rep.matching.saturates) == (False, False, False)
-        assert rep.agree and rep.euler_class_degree is None
+        a = analyze(BundleFamily.of({1}, {1}))
+        assert (a.euler_class.is_zero, a.verdict.matching) == (True, None)
+        assert a.euler_class.homogeneous_degree() is None
 
     def test_all_true_case(self):
-        rep = equivalence_report(BundleFamily.of({1, 2}, {2}))
-        assert (rep.euler_nonzero, rep.hall) == (True, True)
-        assert rep.matching.assignment == (1, 2)
-        assert rep.agree and rep.euler_class_degree == 2
+        a = analyze(BundleFamily.of({1, 2}, {2}))
+        assert not a.euler_class.is_zero
+        assert a.verdict.matching.assignment == (1, 2)
+        assert a.euler_class.homogeneous_degree() == 2
 
     def test_empty_family(self):
-        rep = equivalence_report(BundleFamily())
-        assert rep.euler_nonzero and rep.hall and rep.matching.assignment == ()
-        assert rep.agree and rep.euler_class_degree == 0
+        a = analyze(BundleFamily())
+        assert not a.euler_class.is_zero and a.verdict.matching.assignment == ()
+        assert a.euler_class.homogeneous_degree() == 0
 
     def test_rejects_trivial_lines(self):
         with pytest.raises(InvalidInput):
-            equivalence_report(BundleFamily.of({1}, trivial_lines=1))
+            analyze(BundleFamily.of({1}, trivial_lines=1))
 
     def test_exhaustive_small(self):
         for f in all_families(3, 3):
-            assert equivalence_report(f).agree
+            a = analyze(f)
+            assert (not a.euler_class.is_zero) == (a.verdict.matching is not None)
 
     def test_disagreement_raises_theorem_violation(self, monkeypatch):
-        # sabotage one route: the report must refuse to return quietly
+        # sabotage one route: the analysis must refuse to return quietly
         from eulerhall import obstruction
         from eulerhall.errors import TheoremViolation
 
         monkeypatch.setattr(obstruction, "euler_class", lambda f: ring.zero())
         with pytest.raises(TheoremViolation, match=(
                 r": euler=False matching=True \(hall is read from the matching\)$")):
-            obstruction.equivalence_report(BundleFamily.of({1, 2}, {2}))
+            obstruction.analyze(BundleFamily.of({1, 2}, {2}))
 
 
 class TestCoefficientIdentity:
@@ -119,7 +122,7 @@ class TestSubordinationVerdict:
     def test_tags_exclusive_and_sound_exhaustive(self):
         for f in all_families(3, 3):
             v = subordination_verdict(f)
-            hall = max_matching(f).saturates
+            hall = certify(f)[0].saturates
             dup = has_duplicate_singleton(f)
             if v.tag is VerdictTag.NOT_SUBORDINATE:
                 assert hall and valid_sdr(f, v.matching.assignment)

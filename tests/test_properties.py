@@ -75,16 +75,16 @@ def test_analyze_report_with_verbatim_class_equals_stdlib(f):
     # an analyze-shaped report, the rendered class held as cli._Verbatim,
     # which the writer copies between quotes without the escape
     analysis = obstruction.analyze(f)
-    eq, verdict = analysis.equivalence, analysis.verdict
+    e, verdict = analysis.euler_class, analysis.verdict
     report = {
         "tool": "eulerhall",
         "command": "analyze",
         "family": f.to_json_dict(),
-        "euler_class": _Verbatim(analysis.euler_class.render()),
-        "euler_nonzero": eq.euler_nonzero,
-        "euler_class_degree": eq.euler_class_degree,
-        "hall": eq.hall,
-        "matching": list(eq.matching.assignment) if eq.matching.saturates else None,
+        "euler_class": _Verbatim(e.render()),
+        "euler_nonzero": not e.is_zero,
+        "euler_class_degree": e.homogeneous_degree(),
+        "hall": verdict.matching is not None,
+        "matching": list(verdict.matching.assignment) if verdict.matching else None,
         "verdict": verdict.tag.value,
         "witness": verdict.witness,
         "violation": list(verdict.violation.indices) if verdict.violation else None,

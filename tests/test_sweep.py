@@ -13,6 +13,7 @@ every range of smallest subsets.
 """
 
 import random
+import re
 import sys
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement, permutations, product
@@ -21,7 +22,7 @@ from operator import and_
 
 import pytest
 
-from eulerhall import CapExceeded, sweep
+from eulerhall import CapExceeded, InvalidInput, sweep
 from eulerhall._kernels import _pyref
 from eulerhall._kernels._pyref import euler_terms, hall_violation, max_matching
 
@@ -166,6 +167,19 @@ def test_coefficient_sweep_has_its_own_budget(monkeypatch):
             sweep.sweep_coefficient_identity(max_m, max_atom)
     assert sweep.multisets_from(2, 9) == 131_327
     assert sweep.multisets_from(4, 4) <= sweep.multisets_from(3, 6) == 45_759 <= budget
+
+
+def test_coefficient_sweep_sizes_must_be_integers():
+    # tests/test_validators.py checks the equivalence sweep's sizes; the
+    # coefficient sweep shares the check, and an out-of-range int is
+    # still over a cap, not InvalidInput
+    for value in (True, None):
+        for name, args in (("max_m", (value, 1)), ("max_atom", (1, value))):
+            message = f"sweep {name} must be an integer, got {value!r}"
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                sweep.sweep_coefficient_identity(*args)
+    with pytest.raises(CapExceeded, match=r"^sweep max_m must lie in 1\.\.8, got 0$"):
+        sweep.sweep_coefficient_identity(0, 1)
 
 
 def test_range_must_lie_within_the_subsets():

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from eulerhall import InvalidInput, bundles, dynamics, ring
+from eulerhall import InvalidInput, bundles, dynamics, matching, ring, sweep
 from eulerhall.bundles import BundleFamily
 
 # generations 0..1, so a prefix depth lies in 0..1
@@ -78,6 +78,13 @@ VALIDATORS = {
     "from_json_dict.trivial_lines": (
         lambda x: from_json(trivial_lines=x),
         lambda x: "field 'trivial_lines' must be a nonnegative integer", (-1,), 1),
+    "matching.sdr_count.atom": (lambda x: matching.sdr_count(BundleFamily.of({1}), [x]),
+                                atom_message, (0,), 1),
+    # an out-of-range int is CapExceeded, not InvalidInput
+    "sweep.max_m": (lambda x: sweep.sweep_equivalence(x, 1),
+                    lambda x: f"sweep max_m must be an integer, got {x!r}", (), 1),
+    "sweep.max_atom": (lambda x: sweep.sweep_equivalence(1, x),
+                       lambda x: f"sweep max_atom must be an integer, got {x!r}", (), 1),
 }
 
 REFUSALS = [
