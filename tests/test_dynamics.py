@@ -296,10 +296,13 @@ class TestBudget:
         assert (fam.sets, fam.labels) == (((frozenset((1,)),),), ((1,),))
 
     @pytest.mark.parametrize("window", [1262, 10**18])
-    def test_persistence_refused_before_any_image(self, monkeypatch, window):
-        # one generation of images of {1}: the cost of gamma_generations at
-        # depth 1; the check takes a window alone, so no message names a
-        # depth
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_persistence_refused_before_any_image(self, monkeypatch, window, depth):
+        # one generation of images of generation `depth` of the window-1
+        # dynamics (the seed {1} at depth 0, 27 sets at depth 3): the check
+        # takes a window alone, so no message names a depth
+        family = BundleFamily.of(*gamma_generations(1, depth).sets[depth])
+
         def no_images(*args):
             raise AssertionError("an image was computed")
 
@@ -308,7 +311,7 @@ class TestBudget:
         with pytest.raises(CapExceeded, match=rf"^Hall persistence at window {window} costs "
                                               r"\d+ \(atom slots \+ label digits / 16\), "
                                               r"above the budget of 800000$"):
-            hall_persistence_check(BundleFamily.of({1}), window)
+            hall_persistence_check(family, window)
         assert time.perf_counter() - start < 1
 
     def test_persistence_admits_the_largest_window(self):
