@@ -36,7 +36,6 @@ _EXPORTS = {
         "i_set",
         "level",
         "nu",
-        "verify_labeling",
     ),
     "errors": (
         "CapExceeded",

@@ -304,29 +304,14 @@ def cmd_dynamics(args) -> int:
     from . import dynamics
 
     fam = dynamics.gamma_generations(args.window, args.depth)
-    labeling = dynamics.verify_labeling(fam)
+    # raises TheoremViolation, exit 2 with no report, on the first label fault
+    certificate = dynamics.hall_certificate_for_prefix(fam, args.depth)
     report = _header("dynamics")
     report["window"] = args.window
     report["depth"] = args.depth
     report["generation_sizes"] = fam.sizes()
     report["labels"] = [label for generation in fam.labels for label in generation]
-    report["labeling"] = {
-        "membership": labeling.membership_ok,
-        "injective": labeling.injective_ok,
-        "level": labeling.level_ok,
-    }
-    failures = [
-        msg
-        for msg in (labeling.membership_failure, labeling.injective_failure,
-                    labeling.level_failure)
-        if msg
-    ]
-    if failures:
-        report["labeling_failures"] = failures
-        _emit(report, args.fmt)
-        print("error: labeling invariants failed", file=sys.stderr)
-        return 2
-    certificate = dynamics.hall_certificate_for_prefix(fam, args.depth)
+    report["labeling"] = {"membership": True, "injective": True, "level": True}
     report["prefix_sdr"] = list(certificate.assignment)
     report["prefix_sdr_size"] = len(certificate.assignment)
     report["hall_confirmed"] = True

@@ -49,14 +49,16 @@ the boundary: a run checks its window and depth before its budget, so
 the generator's indices are integers and its atoms generated or already
 checked, and ``nu``, ``i_set`` and ``alpha`` check their arguments
 before their one batch of images, so no image of a non-integer index is
-ever made.  The label laws are checked by passes over whole generations,
-the level law decoding each generation's labels in one pass, and only a
-failure walks the members one by one to name it; membership and
-distinctness are the SDR predicate of ``certificates``.  A labeled
-family, a prefix of generations or a generation of images, is checked by
-that module, then hands its sets to the matching kernel as they are, the
-atoms themselves being the columns, without numbering them or
-revalidating them as a ``BundleFamily``.
+ever made; a block, one atom slot per atom, is refused above the budget.
+A labeled family, a prefix of generations or a generation of images, is
+checked by ``certificates`` for membership and distinctness, then hands
+its sets to the matching kernel as they are, the atoms themselves being
+the columns, without numbering them or revalidating them as a
+``BundleFamily``.  A prefix's labels are then checked against the level
+law by one pass per generation, decoding its labels at once, and only a
+failure walks the members one by one to name it.  The prefix certificate
+is the one check of all three label laws, and a broken law raises
+``TheoremViolation``, as every certificate of the package does.
 """
 
 from __future__ import annotations
@@ -127,9 +129,14 @@ def level(a: int) -> int:
 
 
 def i_set(j: int) -> frozenset:
-    """The j-element block {nu(j, 1), ..., nu(j, j)} for j >= 1."""
+    """The j-element block {nu(j, 1), ..., nu(j, j)} for j >= 1.  A block
+    of more than ``DYNAMICS_BUDGET`` atoms raises ``CapExceeded`` before
+    any image is computed."""
     if not is_integer(j) or j < 1:
         raise InvalidInput(f"block index must be an integer >= 1, got {j!r}")
+    if j > DYNAMICS_BUDGET:
+        raise CapExceeded(f"the block of index {j} holds {j} atoms, "
+                          f"above the budget of {DYNAMICS_BUDGET}")
     return frozenset(_images(j, range(1, j + 1)))
 
 
@@ -144,7 +151,8 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
     index >= 1 is then checked by the block, so a non-integer one such as
     2.5 or True is refused as a block index; any other index, such as
     -0.5, "1" or None, is refused as ``nu`` refuses it, and one of
-    another type is not compared with 1.
+    another type is not compared with 1.  An index above
+    ``DYNAMICS_BUDGET`` is refused by the block's size rule.
     """
     atoms = index_set(atoms)
     if isinstance(j, (int, float)) and j >= 1:
@@ -222,10 +230,10 @@ def _generate(window: int, depth: int, seed_sets, seed_labels) -> tuple[list, li
     # The sets and the labels of generations 0..depth from the seed, as
     # two lists of tuples (see gamma_generations).  Each index j keeps a
     # dict of the images nu(j, t) computed so far, holding the block's
-    # atoms 1..j from the start; depth 0 is the seed alone and computes
-    # no image
+    # atoms 1..j from the start; depth 0 is the seed alone, and a seed of
+    # no sets has no children, so neither computes an image
     tables = []  # (j, its images, its block, empty for j <= 0)
-    for j in range(-window, window + 1) if depth else ():
+    for j in range(-window, window + 1) if depth and seed_sets else ():
         atoms = range(1, j + 1)
         images = dict(zip(atoms, _images(j, atoms)))
         tables.append((j, images, frozenset(images.values())))
@@ -266,84 +274,6 @@ def gamma_generations(window: int, depth: int) -> GammaFamily:
     return GammaFamily(sets=tuple(sets), labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class LabelingReport:
-    membership_ok: bool
-    injective_ok: bool
-    level_ok: bool
-    membership_failure: str | None = None
-    injective_failure: str | None = None
-    level_failure: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.membership_ok and self.injective_ok and self.level_ok
-
-
-def verify_labeling(g: GammaFamily) -> LabelingReport:
-    """Check the three label laws over every generated set.
-
-    (a) each label belongs to its set, (b) labels are pairwise distinct
-    across all generations, (c) the level of a label equals its
-    generation index.  The first counterexample of each kind is reported.
-    Whole-generation passes decide first whether all three laws hold, (a)
-    and (b) together being ``certificates.is_sdr``; only when one fails
-    are the members walked one by one for the messages.
-    """
-    sets = list(chain.from_iterable(g.sets))
-    labels = list(chain.from_iterable(g.labels))
-    if certificates.is_sdr(sets, labels) and _levels_hold(g.labels):
-        return LabelingReport(membership_ok=True, injective_ok=True, level_ok=True)
-    return _labeling_walk(g)
-
-
-def _labeling_walk(g: GammaFamily) -> LabelingReport:
-    # verify_labeling member by member, naming the first counterexample
-    # of each law
-    membership_failure = injective_failure = level_failure = None
-    # positions k count members over all generations, in order
-    seen: dict[int, int] = {}  # label -> position of its first member
-    start = 0  # position of the generation's first member
-    for gen_index, (labels, sets) in enumerate(zip(g.labels, g.sets)):
-        for k, label, atoms in zip(range(start, start + len(labels)), labels, sets):
-            if membership_failure is None and label not in atoms:
-                membership_failure = (
-                    f"label {label} not in set at generation {gen_index}, member {k - start}"
-                )
-            if injective_failure is None:
-                first = seen.setdefault(label, k)
-                if first != k:
-                    injective_failure = (
-                        f"label {label} at generation {gen_index}, member {k - start} "
-                        f"repeats {_member(g, first)}"
-                    )
-            if level_failure is None:
-                depth = level(label)
-                if depth != gen_index:
-                    level_failure = (
-                        f"label {label} at generation {gen_index}, member {k - start} "
-                        f"has level {depth}"
-                    )
-        start += len(labels)
-    return LabelingReport(
-        membership_ok=membership_failure is None,
-        injective_ok=injective_failure is None,
-        level_ok=level_failure is None,
-        membership_failure=membership_failure,
-        injective_failure=injective_failure,
-        level_failure=level_failure,
-    )
-
-
-def _member(g: GammaFamily, k: int) -> str:
-    # "generation i, member p" for the member at position k (see _labeling_walk)
-    gen_index = 0
-    while k >= len(g.labels[gen_index]):
-        k -= len(g.labels[gen_index])
-        gen_index += 1
-    return f"generation {gen_index}, member {k}"
-
-
 def _levels_hold(labels) -> bool:
     # Whether the label of each member of generation k has level k, one
     # pass per generation: every label is an int, generation 0 holds only
@@ -372,14 +302,34 @@ def _check_labels(sets, labels) -> None:
         raise TheoremViolation("matching failed to saturate a labeled family")
 
 
+def _check_levels(labels) -> None:
+    # The level law: the whole-generation pass decides, and only when it
+    # fails are the members walked, to name the first label that is not
+    # an int >= 1 or whose level is not its generation.  The pass also
+    # requires each label to decode to a label of the generation before,
+    # which the law alone does not, so a walk may find no fault
+    if _levels_hold(labels):
+        return
+    for k, generation in enumerate(labels):
+        for i, label in enumerate(generation):
+            depth = level(label) if type(label) is int and label >= 1 else None
+            if depth != k:
+                fault = "is not an int >= 1" if depth is None else f"has level {depth}"
+                raise TheoremViolation(f"label {label!r} at generation {k}, member {i} {fault}")
+
+
 def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     """The labels of generations 0..m as an explicit SDR of the indexed
-    prefix family, checked by ``certificates`` and confirmed by one
-    maximum matching."""
+    prefix family, checked by ``certificates``, confirmed by one maximum
+    matching, and each at the level of its generation.  A label that
+    breaks one of these laws is a fault of the package: it raises
+    ``TheoremViolation`` naming the first fault."""
     if not is_integer(m) or m < 0 or m > g.depth:
         raise InvalidInput(f"prefix depth must lie in 0..{g.depth}, got {m!r}")
-    labels = list(chain.from_iterable(g.labels[:m + 1]))
+    prefix = g.labels[:m + 1]
+    labels = list(chain.from_iterable(prefix))
     _check_labels(list(chain.from_iterable(g.sets[:m + 1])), labels)
+    _check_levels(prefix)
     return MatchingResult(assignment=tuple(labels))
 
 

@@ -103,10 +103,8 @@ def check_dynamics(window: int = 2, depth: int = 2) -> bool:
     fam = dynamics.gamma_generations(window, depth)
     if fam.sizes() != [(2 * window + 1) ** k for k in range(depth + 1)]:
         return False
-    if not dynamics.verify_labeling(fam).ok:
-        return False
     sdr = dynamics.hall_certificate_for_prefix(fam, depth)
-    if sdr.assignment is None or len(sdr.assignment) != sum(fam.sizes()):
+    if len(sdr.assignment) != sum(fam.sizes()):
         return False
     first = list(fam.sets[1])
     expected = [frozenset({dynamics.nu(j, 1)}) for j in range(-window, 1)] + [

@@ -16,6 +16,7 @@ from pathlib import Path
 from conftest import random_element, random_hall_family, sdr_count_naive, valid_sdr
 from eulerhall import (
     BundleFamily,
+    TheoremViolation,
     VerdictTag,
     analyze,
     certify,
@@ -34,7 +35,6 @@ from eulerhall import (
     subordination_verdict,
     sweep_equivalence,
     verify_coefficient_identity,
-    verify_labeling,
 )
 from eulerhall.ring import generator, monomial, one, product_of_generators
 from eulerhall.sweep import sweep_coefficient_identity
@@ -232,7 +232,9 @@ def test_criterion_5_dynamics():
     prefix_ok = True
     for window in (1, 2, 3):
         fam = gamma_generations(window, 4)
-        if not verify_labeling(fam).ok:
+        try:
+            hall_certificate_for_prefix(fam, 4)  # all three label laws
+        except TheoremViolation:
             labeling_ok = False
         for m in range(0, 5):
             cert = hall_certificate_for_prefix(fam, m)

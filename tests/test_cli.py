@@ -459,19 +459,41 @@ class TestDynamics:
         assert report["hall_confirmed"] is True
 
     def test_labeling_failure_exits_two(self, capsys, monkeypatch):
+        # a generator that breaks a label law is a fault of the package:
+        # the prefix certificate names the first fault, and no report is
+        # written
         from eulerhall import dynamics
 
-        broken = dynamics.LabelingReport(
-            membership_ok=True,
-            injective_ok=False,
-            level_ok=True,
-            injective_failure="label 9 repeats",
-        )
-        monkeypatch.setattr(dynamics, "verify_labeling", lambda fam: broken)
-        code, out, err = run_main(capsys, "dynamics", "--window", "1", "--depth", "1")
-        assert code == 2
-        assert "labeling" in err
-        assert json.loads(out)["labeling_failures"] == ["label 9 repeats"]
+        real = dynamics._generate
+
+        def membership(sets, labels):  # member 0 of generation 1 takes member 1's label
+            labels[1] = (labels[1][1], *labels[1][1:])
+
+        def level(sets, labels):  # member 0 of generation 1 takes nu(1, 5), of level 2
+            sets[1] = (sets[1][0] | {21}, *sets[1][1:])
+            labels[1] = (21, *labels[1][1:])
+
+        for sabotage, message in [(membership, "label 2 escaped its set [5]"),
+                                  (level, "label 21 at generation 1, member 0 has level 2")]:
+            def broken(*args, sabotage=sabotage):
+                sets, labels = real(*args)
+                sabotage(sets, labels)
+                return sets, labels
+
+            monkeypatch.setattr(dynamics, "_generate", broken)
+            code, out, err = run_main(capsys, "dynamics", "--window", "1", "--depth", "1")
+            assert (code, out, err) == (2, "", f"theorem violation: {message}\n")
+
+    def test_labels_are_checked_once(self, capsys, monkeypatch):
+        # one SDR pass per run: the prefix certificate is the one checker
+        from eulerhall import certificates
+
+        real, calls = certificates.is_sdr, []
+        monkeypatch.setattr(certificates, "is_sdr",
+                            lambda sets, labels: calls.append(len(sets)) or real(sets, labels))
+        code, out, _ = run_main(capsys, "dynamics", "--window", "2", "--depth", "3")
+        assert code == 0 and calls == [156]
+        assert stdout_digest(out) == DYNAMICS_STDOUT[2, 3]
 
 
 class TestSelftest:

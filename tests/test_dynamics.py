@@ -24,7 +24,6 @@ from eulerhall import (
     i_set,
     level,
     nu,
-    verify_labeling,
 )
 from eulerhall.cli import main
 
@@ -248,13 +247,37 @@ class TestBudget:
         assert max(fam.labels[-1]) == self.largest_label(window, depth)
 
     def test_costs_in_the_docs(self):
+        # every cost of README's sizing table
         assert dynamics.DYNAMICS_BUDGET == 800_000
-        assert dynamics._check_budget(4, 5) == 613_827
-        assert dynamics._check_budget(1, 9) == 796_507
+        admitted = {(4, 5): 613_827, (1, 9): 796_507, (1261, 1): 799_476, (71, 2): 768_277,
+                    (17, 3): 663_526, (7, 4): 530_565, (2, 6): 170_555, (2, 3): 500}
+        assert {size: dynamics._check_budget(*size) for size in admitted} == admitted
+        for (window, depth), cost in {(5, 5): 1_867_041, (3, 6): 1_433_778,
+                                      (1, 10): 4_466_156}.items():
+            with pytest.raises(CapExceeded, match=rf" costs {cost} \("):
+                dynamics._check_budget(window, depth)
         for window, depth in ((1262, 1), (72, 2), (18, 3), (8, 4), (5, 5), (3, 6), (2, 7), (1, 10)):
             with pytest.raises(CapExceeded):
                 dynamics._check_budget(window, depth)
             dynamics._check_budget(window - 1, depth)
+
+    def test_cost_at_the_budget_is_admitted(self, monkeypatch):
+        cost = dynamics._check_budget(4, 5)
+        monkeypatch.setattr(dynamics, "DYNAMICS_BUDGET", cost)
+        assert dynamics._check_budget(4, 5) == cost
+        monkeypatch.setattr(dynamics, "DYNAMICS_BUDGET", cost - 1)
+        with pytest.raises(CapExceeded, match=rf" costs {cost} \(.*budget of {cost - 1}$"):
+            dynamics._check_budget(4, 5)
+
+    @pytest.mark.parametrize("bits,depth,cost", [
+        (47, 0, 1), (50, 0, 2), (1166, 0, 23), (242, 1, 36), (340, 1, 50), (970, 1, 132)])
+    def test_digit_bound_of_a_large_seed(self, bits, depth, cost):
+        # one seed set {2**(bits - 1)} at window 1: a b-bit label is given
+        # floor(b * 0.30103) + 1 digits, and these bit lengths, of the seed
+        # or of its images (2 * bits + 1), put b * 0.30103 next to an
+        # integer, or the digits next to a multiple of 16
+        seed = (frozenset({2 ** (bits - 1)}),)
+        assert dynamics._check_budget(1, depth, seed) == cost
 
     @pytest.mark.parametrize("window,depth", [(5, 5), (10**18, 10**18)])
     def test_refused_before_any_image(self, monkeypatch, window, depth):
@@ -312,6 +335,42 @@ class TestBudget:
                                               r"\d+ \(atom slots \+ label digits / 16\), "
                                               r"above the budget of 800000$"):
             hall_persistence_check(family, window)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("call,j", [
+        (i_set, dynamics.DYNAMICS_BUDGET + 1),
+        (i_set, 10**18),
+        (lambda j: alpha(j, {1}), dynamics.DYNAMICS_BUDGET + 1),
+        (lambda j: alpha(j, {1}), 10**18),
+        (lambda j: alpha(j, {1}), 2**80),
+    ], ids=["i_set-budget+1", "i_set-1e18", "alpha-budget+1", "alpha-1e18", "alpha-2**80"])
+    def test_block_refused_before_any_image(self, monkeypatch, call, j):
+        # a block of j atoms takes j atom slots, so an index above the
+        # budget is refused before its images are computed
+        def no_images(*args):
+            raise AssertionError("an image was computed")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=rf"^the block of index {j} holds {j} atoms, "
+                                              r"above the budget of 800000$"):
+            call(j)
+        assert time.perf_counter() - start < 1
+
+    def test_block_admits_the_budget(self):
+        # the largest block within the budget is built
+        assert len(i_set(dynamics.DYNAMICS_BUDGET)) == dynamics.DYNAMICS_BUDGET
+
+    def test_persistence_of_no_sets_computes_no_image(self, monkeypatch):
+        # the empty family costs 0 at every window, and its image family
+        # is empty, so no block is built either
+        def no_images(*args):
+            raise AssertionError("an image was computed")
+
+        monkeypatch.setattr(dynamics, "_images", no_images)
+        start = time.perf_counter()
+        assert dynamics._check_budget(10**18, 1, ()) == 0
+        assert hall_persistence_check(BundleFamily(), 10**18)
         assert time.perf_counter() - start < 1
 
     def test_persistence_admits_the_largest_window(self):
@@ -430,36 +489,43 @@ class TestBatchForms:
         # generation before, which implies the level law; the law alone
         # does not need those links, so a same-level label in an earlier
         # generation (2 or 3 in generation 1) fails the pass, and the walk
-        # that follows then clears it
+        # that follows then clears it.  The level check raises exactly
+        # when the walk finds a fault, naming the first one
         from eulerhall import dynamics
 
         fam = gamma_generations(window, depth)
         cases = [("untouched", depth, fam.labels), ("empty", depth, (*fam.labels[:-1], ())),
                  *self._tampered(fam.labels)]
         for description, k, tampered in cases:
-            walk = all(type(label) is int and label >= 1 and oracle_level(label) == i
-                       for i, generation in enumerate(tampered) for label in generation)
+            faults = [(i, p, label) for i, generation in enumerate(tampered)
+                      for p, label in enumerate(generation)
+                      if not (type(label) is int and label >= 1 and oracle_level(label) == i)]
             held = dynamics._levels_hold(tampered)
-            assert held == walk if k == depth else walk or not held, description
-            if all(type(label) is int and label >= 1
-                   for generation in tampered for label in generation):
-                report = verify_labeling(replace(fam, labels=tampered))
-                assert report.level_ok == walk, description
+            assert held == (not faults) if k == depth else not faults or not held, description
+            if not faults:
+                dynamics._check_levels(tampered)
+                continue
+            i, p, label = faults[0]
+            fault = (f"has level {oracle_level(label)}" if type(label) is int and label >= 1
+                     else "is not an int >= 1")
+            with pytest.raises(TheoremViolation) as raised:
+                dynamics._check_levels(tampered)
+            assert str(raised.value) == f"label {label!r} at generation {i}, member {p} {fault}"
         assert len(cases) > 30 and sum(not dynamics._levels_hold(t) for *_, t in cases) > 20
 
 
 class TestLabeling:
+    # the prefix certificate is the one check of the three label laws:
+    # membership and distinctness (certificates.check_sdr), the matching,
+    # then the level law; a fault raises TheoremViolation naming the first
     @pytest.mark.parametrize("window,depth", [(1, 3), (2, 3), (3, 2)])
     def test_verified_labeling(self, window, depth):
         fam = gamma_generations(window, depth)
-        report = verify_labeling(fam)
-        assert report.ok
-        assert report.membership_failure is None
-        assert report.injective_failure is None
-        assert report.level_failure is None
+        cert = hall_certificate_for_prefix(fam, depth)
+        assert cert.assignment == tuple(chain.from_iterable(fam.labels))
 
     def test_depth_zero_passes(self):
-        assert verify_labeling(gamma_generations(1, 0)).ok
+        assert hall_certificate_for_prefix(gamma_generations(1, 0), 0).assignment == (1,)
 
     @staticmethod
     def _corrupt(fam, gen, pos, atoms=None, label=None):
@@ -471,27 +537,36 @@ class TestLabeling:
             labels[gen][pos] = label
         return replace(fam, sets=tuple(map(tuple, sets)), labels=tuple(map(tuple, labels)))
 
+    @staticmethod
+    def _fault(fam, m=None):
+        with pytest.raises(TheoremViolation) as raised:
+            hall_certificate_for_prefix(fam, fam.depth if m is None else m)
+        return str(raised.value)
+
     def test_corrupted_label_breaks_injectivity(self):
         fam = gamma_generations(2, 2)
         other = fam.labels[2][1]
-        bad = self._corrupt(fam, 2, 0, label=other)
-        report = verify_labeling(bad)
-        assert not report.injective_ok and report.injective_failure
+        bad = self._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {other}, label=other)
+        assert self._fault(bad) == "generated labels are not pairwise distinct"
 
     def test_corrupted_membership(self):
         fam = gamma_generations(2, 2)
         foreign = max(fam.sets[2][0]) + 1
         bad = self._corrupt(fam, 2, 0, label=foreign)
-        report = verify_labeling(bad)
-        assert not report.membership_ok and report.membership_failure
+        assert self._fault(bad) == f"label {foreign} escaped its set {sorted(fam.sets[2][0])}"
 
     def test_corrupted_level(self):
+        # a label one generation too deep, in its set and repeating none
         fam = gamma_generations(2, 2)
-        bad = self._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {1}, label=1)
-        report = verify_labeling(bad)
-        assert not report.level_ok and report.level_failure
+        deep = nu(-2, fam.labels[2][0])
+        bad = self._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {deep}, label=deep)
+        assert self._fault(bad) == f"label {deep} at generation 2, member 0 has level 3"
+        # the prefix before the fault holds
+        assert len(hall_certificate_for_prefix(bad, 1).assignment) == 6
 
     def test_failure_messages(self):
+        # three faults: the first law checked names its first fault, and
+        # each law is reached once those before it hold
         fam = gamma_generations(2, 2)
         first = fam.labels[2][0]
         # a label from deeper down: no earlier label is its predecessor
@@ -499,85 +574,79 @@ class TestLabeling:
         bad = self._corrupt(fam, 2, 1, atoms=fam.sets[2][1] | {deep}, label=deep)
         bad = self._corrupt(bad, 2, 3, label=first)
         bad = self._corrupt(bad, 2, 4, label=1)
-        report = verify_labeling(bad)
-        assert report.membership_failure == (
-            f"label {first} not in set at generation 2, member 3")
-        assert report.injective_failure == (
-            f"label {first} at generation 2, member 3 repeats generation 2, member 0")
-        assert report.level_failure == f"label {deep} at generation 2, member 1 has level 4"
+        assert self._fault(bad) == f"label {first} escaped its set {sorted(fam.sets[2][3])}"
+        bad = self._corrupt(bad, 2, 3, atoms=fam.sets[2][3] | {first})
+        bad = self._corrupt(bad, 2, 4, atoms=fam.sets[2][4] | {1})
+        assert self._fault(bad) == "generated labels are not pairwise distinct"
+        bad = self._corrupt(bad, 2, 3, label=fam.labels[2][3])
+        bad = self._corrupt(bad, 2, 4, label=fam.labels[2][4])
+        assert self._fault(bad) == f"label {deep} at generation 2, member 1 has level 4"
 
     @pytest.mark.parametrize("window,depth", [
         *((w, d) for w in range(1, 5) for d in range(4)), (2, 5)])
     def test_passes_agree_with_the_walk(self, window, depth, monkeypatch):
-        # the whole-generation passes return the walk's report without
-        # walking
+        # an untouched family never walks: the whole-generation passes
+        # clear its labels without the member walk, the one caller of level
         from eulerhall import dynamics
 
         fam = gamma_generations(window, depth)
-        walked = dynamics._labeling_walk(fam)
-        assert walked.ok
 
-        def no_walk(g):
+        def no_walk(a):
             raise AssertionError("walked a family whose labels hold")
 
-        monkeypatch.setattr(dynamics, "_labeling_walk", no_walk)
-        assert verify_labeling(fam) == walked
+        monkeypatch.setattr(dynamics, "level", no_walk)
+        cert = hall_certificate_for_prefix(fam, depth)
+        assert len(cert.assignment) == sum(fam.sizes())
 
     @pytest.mark.parametrize("kind", ["membership", "injective", "level"])
     def test_single_fault_in_last_generation(self, kind):
-        # one fault in the last member of the last generation fails only
-        # its own pass, and is named as the walk names it
-        from eulerhall import dynamics
-
+        # one fault in the last member of the last generation is named by
+        # its own law's message
         fam = gamma_generations(2, 3)
         atoms, label, first = fam.sets[3][-1], fam.labels[3][-1], fam.labels[3][0]
         if kind == "membership":
             bad = self._corrupt(fam, 3, 124, atoms=atoms - {label})
-            message = f"label {label} not in set at generation 3, member 124"
+            message = f"label {label} escaped its set {sorted(atoms - {label})}"
         elif kind == "injective":
             bad = self._corrupt(fam, 3, 124, atoms=atoms | {first}, label=first)
-            message = (f"label {first} at generation 3, member 124 "
-                       "repeats generation 3, member 0")
+            message = "generated labels are not pairwise distinct"
         else:
             deep = nu(1, label)
             bad = self._corrupt(fam, 3, 124, atoms=atoms | {deep}, label=deep)
             message = f"label {deep} at generation 3, member 124 has level 4"
-        report = verify_labeling(bad)
-        assert report == dynamics._labeling_walk(bad)
-        failures = {"membership": report.membership_failure,
-                    "injective": report.injective_failure, "level": report.level_failure}
-        assert failures == {name: message if name == kind else None for name in failures}
+        assert self._fault(bad) == message
 
     @pytest.mark.parametrize("label", [True, 1.0])
     def test_non_int_seed_label_reaches_level(self, label):
         # equal to the seed label 1, so only its type is at fault
         fam = gamma_generations(1, 1)
         bad = self._corrupt(fam, 0, 0, label=label)
-        with pytest.raises(InvalidInput, match="^atom ids must be integers >= 1, got "):
-            verify_labeling(bad)
+        assert self._fault(bad) == f"label {label!r} at generation 0, member 0 is not an int >= 1"
 
     def test_seed_label_fault(self):
         # a family of generation 0 alone: its label must be 1
         fam = gamma_generations(1, 0)
         bad = self._corrupt(fam, 0, 0, atoms=frozenset({1, 2}), label=2)
-        report = verify_labeling(bad)
-        assert report.level_failure == "label 2 at generation 0, member 0 has level 1"
-        assert report.membership_ok and report.injective_ok
+        assert self._fault(bad) == "label 2 at generation 0, member 0 has level 1"
 
     def test_float_label_reaches_level(self):
         # a float equal to the true label is in its set and repeats no
         # label, so only the level check refuses it
         fam = gamma_generations(2, 2)
-        bad = self._corrupt(fam, 2, 3, label=float(fam.labels[2][3]))
-        with pytest.raises(InvalidInput, match="^atom ids must be integers >= 1, got "):
-            verify_labeling(bad)
+        label = float(fam.labels[2][3])
+        bad = self._corrupt(fam, 2, 3, label=label)
+        assert self._fault(bad) == f"label {label!r} at generation 2, member 3 is not an int >= 1"
 
     @pytest.mark.parametrize("label", [0, -3, True, 2.0])
     def test_invalid_label_reaches_level(self, label):
+        # put in its set, 0 and -3 pass membership and distinctness and
+        # are named by the level check; True and 2.0 equal the labels 1
+        # and 2 of earlier generations, so distinctness names them first
         fam = gamma_generations(2, 2)
-        bad = self._corrupt(fam, 2, 3, label=label)
-        with pytest.raises(InvalidInput):
-            verify_labeling(bad)
+        bad = self._corrupt(fam, 2, 3, atoms=fam.sets[2][3] | {label}, label=label)
+        assert self._fault(bad) == (
+            f"label {label} at generation 2, member 3 is not an int >= 1" if label < 1
+            else "generated labels are not pairwise distinct")
 
 
 class TestPrefixCertificate:

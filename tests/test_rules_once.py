@@ -55,6 +55,11 @@ def is_membership_pass(call):
             and getattr(call.args[0], "id", getattr(call.args[0], "attr", None)) == "contains")
 
 
+def is_sdr_call(call):
+    # is_sdr(...) or certificates.is_sdr(...)
+    return getattr(call.func, "id", getattr(call.func, "attr", None)) == "is_sdr"
+
+
 def is_theorem_violation(call):
     return isinstance(call.func, ast.Name) and call.func.id == "TheoremViolation"
 
@@ -82,12 +87,14 @@ def test_checkers_find_each_pattern():
         "def h(sets, labels):\n"
         "    if all(map(operator.contains, sets, labels)) and map(contains, sets, labels):\n"
         "        raise TheoremViolation('x')\n"
+        "    return is_sdr(sets, labels) or certificates.is_sdr(sets, labels)\n"
         "isinstance(1, bool)\n"
     )
     assert calls(source, is_bool_check) == ["f", None]
     assert calls(source, is_descending_union) == ["g"]
     assert calls(source, is_membership_pass) == ["h", "h"]
     assert calls(source, is_theorem_violation) == ["h"]
+    assert calls(source, is_sdr_call) == ["h", "h"]
     assert imported_names(source) == {"operator", "a", "b", "_kernels", "errors",
                                       "TheoremViolation"}
 
@@ -122,11 +129,15 @@ def test_certificates_are_checked_in_one_module():
                       for scope in calls(source, rule))
 
     assert found(is_membership_pass) == [("certificates.py", "is_sdr")]
+    # the SDR predicate has one caller, so the labels of a dynamics run
+    # pass through it once
+    assert found(is_sdr_call) == [("certificates.py", "check_sdr")]
     # every TheoremViolation raised outside the checker is a disagreement
-    # between two routes
+    # between two routes or a law that the package's output breaks
     assert found(is_theorem_violation) == (
         [("certificates.py", "check_sdr")] * 3 + [("certificates.py", "check_violator")] * 2
-        + [("dynamics.py", "_check_labels"), ("obstruction.py", "analyze")])
+        + [("dynamics.py", "_check_labels"), ("dynamics.py", "_check_levels"),
+           ("obstruction.py", "analyze")])
 
 
 def test_images_are_generated_in_one_function():
