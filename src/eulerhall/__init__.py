@@ -45,8 +45,6 @@ _EXPORTS = {
         "TheoremViolation",
     ),
     "matching": (
-        "HallViolation",
-        "MatchingResult",
         "certify",
         "hall_exhaustive",
         "sdr_count",

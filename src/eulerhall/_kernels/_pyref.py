@@ -215,7 +215,7 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
     Checks every ordered family of m in 1..max_m nonempty subsets of
     {1..max_atom} whose smallest subset, read as a bitmask, lies in
     [lo, hi): its Euler product is nonzero, it satisfies Hall's condition
-    and a maximum matching saturates it, all three or none.  Returns
+    and a maximum matching matches every set, all three or none.  Returns
     (families checked, disagreements), both counted over ordered
     families; the sums over any partition of [1, 2**max_atom) equal the
     full range's.  A bound outside 1 <= lo, hi <= 2**max_atom raises
@@ -270,7 +270,7 @@ def sweep_equivalence_range(max_m, max_atom, lo, hi):
       columns than rows;
     * matching: a maximum matching, grown by one augmenting-path search
       from the new row (by Berge's lemma it stays maximum) while it
-      saturates the rows.
+      matches every row.
 
     A route whose answer is no stays no for every descendant (an empty
     product times a row is empty, a violating subset stays in the family,
@@ -544,7 +544,8 @@ def _child_summaries(cols_of, rows, masks, terms, tight, near, match, reach, mas
 def _match_row(rows, mask, row_of, col_of, used):
     # The matching state (row_of, col_of, used columns) of rows, whose last
     # row has mask `mask`, grown from the maximum matching of the rows
-    # before it, which saturates them; None if no matching saturates rows.
+    # before it, which matches each of them; None if no matching matches
+    # every row.
     # A free column of the new row is taken directly, the lowest one;
     # otherwise an augmenting path is searched from the new row.
     k = len(rows) - 1
@@ -630,9 +631,9 @@ def _submasks(u):
 
 def _alternating_reach(masks, col_of, free):
     # Bitmask of the columns from which an alternating path ends at a free
-    # column, for a matching col_of that saturates the rows with the given
-    # masks: the free columns, then every matched column whose row meets a
-    # column already reached.
+    # column, for a matching col_of that matches each row, the rows having
+    # the given masks: the free columns, then every matched column whose
+    # row meets a column already reached.
     reach = free
     pending = list(zip(col_of, masks))
     grew = True

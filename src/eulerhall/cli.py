@@ -259,10 +259,10 @@ def cmd_analyze(args) -> int:
     report["euler_nonzero"] = not e.is_zero
     report["euler_class_degree"] = e.homogeneous_degree()
     report["hall"] = verdict.matching is not None
-    report["matching"] = list(verdict.matching.assignment) if verdict.matching else None
+    report["matching"] = None if verdict.matching is None else list(verdict.matching)
     report["verdict"] = verdict.tag.value
     report["witness"] = verdict.witness
-    report["violation"] = list(verdict.violation.indices) if verdict.violation else None
+    report["violation"] = None if verdict.violation is None else list(verdict.violation)
     _emit(report, args.fmt)
     return 0
 
@@ -312,8 +312,8 @@ def cmd_dynamics(args) -> int:
     report["generation_sizes"] = fam.sizes()
     report["labels"] = [label for generation in fam.labels for label in generation]
     report["labeling"] = {"membership": True, "injective": True, "level": True}
-    report["prefix_sdr"] = list(certificate.assignment)
-    report["prefix_sdr_size"] = len(certificate.assignment)
+    report["prefix_sdr"] = list(certificate)
+    report["prefix_sdr_size"] = len(certificate)
     report["hall_confirmed"] = True
     _emit(report, args.fmt)
     return 0

@@ -71,7 +71,6 @@ from typing import Iterable
 from . import _kernels, certificates, matching, ring
 from .bundles import BundleFamily, index_set
 from .errors import CapExceeded, InvalidInput, TheoremViolation, is_integer
-from .matching import MatchingResult
 
 # The cost of a run bounds, from W, D and its seed, the atom slots its
 # generations hold (|set| summed over every member) plus the decimal
@@ -318,7 +317,7 @@ def _check_levels(labels) -> None:
                 raise TheoremViolation(f"label {label!r} at generation {k}, member {i} {fault}")
 
 
-def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
+def hall_certificate_for_prefix(g: GammaFamily, m: int) -> tuple[int, ...]:
     """The labels of generations 0..m as an explicit SDR of the indexed
     prefix family, checked by ``certificates``, confirmed by one maximum
     matching, and each at the level of its generation.  A label that
@@ -327,10 +326,10 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> MatchingResult:
     if not is_integer(m) or m < 0 or m > g.depth:
         raise InvalidInput(f"prefix depth must lie in 0..{g.depth}, got {m!r}")
     prefix = g.labels[:m + 1]
-    labels = list(chain.from_iterable(prefix))
+    labels = tuple(chain.from_iterable(prefix))
     _check_labels(list(chain.from_iterable(g.sets[:m + 1])), labels)
     _check_levels(prefix)
-    return MatchingResult(assignment=tuple(labels))
+    return labels
 
 
 def hall_persistence_check(f: BundleFamily, window: int) -> bool:
@@ -348,7 +347,7 @@ def hall_persistence_check(f: BundleFamily, window: int) -> bool:
     _check_size(window, 1)
     if f.trivial_lines > 0:
         raise InvalidInput("hall_persistence_check requires trivial_lines = 0")
-    sdr = matching.certify(f)[0].assignment
+    sdr = matching.certify(f)[0]
     if sdr is None:
         raise InvalidInput("input family must satisfy Hall's condition")
     _check_budget(window, 1, f.sets, f"Hall persistence at window {window}")

@@ -15,15 +15,17 @@ scan and every matching route read the family's one compression,
 order: the kernel scans them in that order, which decides the
 certificate it returns.  One maximum matching yields both certificates
 of the marriage theorem (``certify``): a system of distinct
-representatives when it saturates, else a Hall violator.  ``certify``
-checks whichever it returns with ``certificates``, which shares no code
-with these routes, so ``certify`` and the verdicts built on it hand out
-only checked certificates.
+representatives when it matches every set, else a Hall violator.  Each
+certificate is a plain tuple: the SDR lists one atom per set in family
+order, and the violator lists the sorted 0-based positions of a
+subfamily covering fewer atoms than it has members.  ``certify`` checks
+whichever it returns with ``certificates``, which shares no code with
+these routes, so ``certify`` and the verdicts built on it hand out only
+checked certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import _kernels, certificates
@@ -35,24 +37,6 @@ EXHAUSTIVE_CAP = 16  # 2^m subsets scanned
 PERMANENT_CAP = 20  # 2^m Ryser terms, exact big-int accumulation
 
 
-@dataclass(frozen=True)
-class MatchingResult:
-    """Optional system of distinct representatives, in family order."""
-
-    assignment: tuple[int, ...] | None
-
-    @property
-    def saturates(self) -> bool:
-        return self.assignment is not None
-
-
-@dataclass(frozen=True)
-class HallViolation:
-    """0-based positions of a subfamily covering fewer atoms than members."""
-
-    indices: tuple[int, ...]
-
-
 def hall_exhaustive(f: BundleFamily) -> bool:
     """Check Hall's condition by scanning every nonempty subfamily."""
     m = len(f.sets)
@@ -62,31 +46,33 @@ def hall_exhaustive(f: BundleFamily) -> bool:
     return _kernels.hall_violation(rows, len(atoms)) < 0
 
 
-def certify(f: BundleFamily) -> tuple[MatchingResult, HallViolation | None]:
+def certify(f: BundleFamily) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """One maximum matching, read as the certificate it proves.
 
-    Returns the matching and, when it leaves a set unmatched, a Hall
-    violator derived from that same matching (``None`` when it saturates).
-    The assignment is present exactly when every set is matched; it is
+    Returns ``(sdr, violator)``, exactly one of them ``None``.  When the
+    matching matches every set, ``sdr`` is a system of distinct
+    representatives, one atom per set in family order; it is
     deterministic for a given input order (greedy seeding plus
-    augmenting-path search, both scanning atoms in ascending order).  The
-    violator is every set reachable by alternating paths from the first
-    unmatched set; it covers one atom fewer than it has members and need
-    not be minimal.  Raises TheoremViolation unless ``certificates``
-    accepts the SDR or the violator returned.
+    augmenting-path search, both scanning atoms in ascending order).
+    Otherwise ``violator`` is the sorted positions of every set reachable
+    by alternating paths from the first unmatched set; it covers one atom
+    fewer than it has members and need not be minimal.  The empty
+    family's SDR is ``()``, so test it with ``is not None``.  Raises
+    TheoremViolation unless ``certificates`` accepts the SDR or the
+    violator returned.
     """
     rows, atoms = f.columns
     col_of = _kernels.max_matching(rows, len(atoms))
     if -1 not in col_of:
-        assignment = tuple(map(atoms.__getitem__, col_of))
-        certificates.check_sdr(f.sets, assignment)
-        return MatchingResult(assignment=assignment), None
-    violation = _violation(rows, len(atoms), col_of)
-    certificates.check_violator(f.sets, violation.indices)
-    return MatchingResult(assignment=None), violation
+        sdr = tuple(map(atoms.__getitem__, col_of))
+        certificates.check_sdr(f.sets, sdr)
+        return sdr, None
+    violator = _violation(rows, len(atoms), col_of)
+    certificates.check_violator(f.sets, violator)
+    return None, violator
 
 
-def _violation(rows, ncols: int, col_of) -> HallViolation:
+def _violation(rows, ncols: int, col_of) -> tuple[int, ...]:
     # col_of is a maximum matching with at least one unmatched row.
     row_of = [-1] * ncols
     for j, c in enumerate(col_of):
@@ -109,7 +95,7 @@ def _violation(rows, ncols: int, col_of) -> HallViolation:
                     seen_rows.add(r)
                     nxt.append(r)
         frontier = nxt
-    return HallViolation(indices=tuple(sorted(seen_rows)))
+    return tuple(sorted(seen_rows))
 
 
 def sdr_count(f: BundleFamily, atoms: Iterable[int]) -> int:

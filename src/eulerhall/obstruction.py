@@ -11,9 +11,12 @@ never an input error.  The pass checks the Euler route against the
 matching route.  ``hall`` is read from that matching and is backed by a
 checked certificate either way: the matching hands out its SDR, or its
 Hall violator, only after ``certificates`` has checked it against the
-sets, by code that shares none with the matching.  ``Analysis`` holds
-the two artifacts of the pass, the Euler class and the verdict, and the
-CLI's ``analyze`` reads its report off them.
+sets, by code that shares none with the matching.  ``Verdict.matching``
+holds the SDR as a tuple of atoms, ``Verdict.violation`` the violator as
+a sorted tuple of positions, and the one that does not apply is
+``None``.  ``Analysis`` holds the two artifacts of the pass, the Euler
+class and the verdict, and the CLI's ``analyze`` reads its report off
+them.
 
 The verdict engine answers whether one trivial line can split off the
 direct sum.  A nonzero Euler class (equivalently, Hall) obstructs the
@@ -32,7 +35,6 @@ from enum import Enum
 from . import matching
 from .bundles import BundleFamily, direct_sum, euler_class, has_duplicate_singleton
 from .errors import CapExceeded, InvalidInput, TheoremViolation
-from .matching import HallViolation, MatchingResult
 from .ring import RingElement
 
 
@@ -46,8 +48,8 @@ class VerdictTag(Enum):
 class Verdict:
     tag: VerdictTag
     witness: int | None = None
-    matching: MatchingResult | None = None
-    violation: HallViolation | None = None
+    matching: tuple[int, ...] | None = None
+    violation: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,13 @@ def analyze(f: BundleFamily) -> Analysis:
     _require_pure(f, "analyze")
     # looked up in this module's namespace, so a test can sabotage the route
     e = euler_class(f)
-    mm, violation = matching.certify(f)
-    if e.is_zero == mm.saturates:
+    sdr, violation = matching.certify(f)
+    if e.is_zero == (sdr is not None):
         raise TheoremViolation(
             f"equivalence broken on {f.to_json_dict()}: "
-            f"euler={not e.is_zero} matching={mm.saturates} (hall is read from the matching)"
+            f"euler={not e.is_zero} matching={sdr is not None} (hall is read from the matching)"
         )
-    return Analysis(euler_class=e, verdict=_verdict(f, mm, violation))
+    return Analysis(euler_class=e, verdict=_verdict(f, sdr, violation))
 
 
 def verify_coefficient_identity(f: BundleFamily) -> bool:
@@ -115,9 +117,9 @@ def subordination_verdict(f: BundleFamily) -> Verdict:
     return _verdict(f, *matching.certify(f))
 
 
-def _verdict(f: BundleFamily, mm: MatchingResult, violation: HallViolation | None) -> Verdict:
-    if mm.saturates:
-        return Verdict(tag=VerdictTag.NOT_SUBORDINATE, matching=mm)
+def _verdict(f: BundleFamily, sdr, violation) -> Verdict:
+    if sdr is not None:
+        return Verdict(tag=VerdictTag.NOT_SUBORDINATE, matching=sdr)
     witness = has_duplicate_singleton(f)
     if witness is not None:
         return Verdict(tag=VerdictTag.SUBORDINATE, witness=witness, violation=violation)

@@ -41,8 +41,6 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidInput, is_integer
 
-Monomial = frozenset  # frozenset[int]: the squarefree support of one term
-
 
 def check_atom(a) -> int:
     if not is_integer(a) or a < 1:
@@ -304,8 +302,11 @@ def product_of_generators(seq: Iterable[int], n: int) -> RingElement:
     By the squarefree rule this is the full monomial x1*...*xn exactly
     when the sequence is a permutation of {1..n}, and zero otherwise.
     Agreement with the fold of ``mul`` over ``generator`` is part of the
-    test suite, not assumed here.
+    test suite, not assumed here.  A bool, a non-integer or a negative
+    ``n`` raises ``InvalidInput``.
     """
+    if not is_integer(n) or n < 0:
+        raise InvalidInput(f"n must be a nonnegative integer, got {n!r}")
     ids = [check_atom(a) for a in seq]
     if len(ids) != n:
         raise InvalidInput(f"expected a sequence of length {n}, got {len(ids)}")

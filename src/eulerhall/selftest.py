@@ -92,8 +92,7 @@ def check_verdicts() -> bool:
         subordinate.tag is VerdictTag.SUBORDINATE
         and subordinate.witness == 1
         and obstructed.tag is VerdictTag.NOT_SUBORDINATE
-        and obstructed.matching is not None
-        and obstructed.matching.assignment == (1, 2)
+        and obstructed.matching == (1, 2)
         and open_case.tag is VerdictTag.UNDECIDED
         and euler_class(BundleFamily.of({1}, {1})).is_zero
     )
@@ -104,7 +103,7 @@ def check_dynamics(window: int = 2, depth: int = 2) -> bool:
     if fam.sizes() != [(2 * window + 1) ** k for k in range(depth + 1)]:
         return False
     sdr = dynamics.hall_certificate_for_prefix(fam, depth)
-    if len(sdr.assignment) != sum(fam.sizes()):
+    if len(sdr) != sum(fam.sizes()):
         return False
     first = list(fam.sets[1])
     expected = [frozenset({dynamics.nu(j, 1)}) for j in range(-window, 1)] + [

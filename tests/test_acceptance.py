@@ -160,10 +160,8 @@ def test_criterion_4_verdict_soundness():
     dup_ok = True
     for f in all_families(3, 4):
         v = subordination_verdict(f)
-        if certify(f)[0].saturates:
-            if v.tag is not VerdictTag.NOT_SUBORDINATE or not valid_sdr(
-                f, v.matching.assignment
-            ):
+        if certify(f)[0] is not None:
+            if v.tag is not VerdictTag.NOT_SUBORDINATE or not valid_sdr(f, v.matching):
                 hall_ok = False
         if has_duplicate_singleton(f) is not None:
             if v.tag is not VerdictTag.SUBORDINATE:
@@ -171,9 +169,7 @@ def test_criterion_4_verdict_soundness():
     for _ in range(200):
         f = random_hall_family(rng)
         v = subordination_verdict(f)
-        if v.tag is not VerdictTag.NOT_SUBORDINATE or not valid_sdr(
-            f, v.matching.assignment
-        ):
+        if v.tag is not VerdictTag.NOT_SUBORDINATE or not valid_sdr(f, v.matching):
             hall_ok = False
     doubled_ok = True
     for f in all_families(2, 4):
@@ -187,12 +183,10 @@ def test_criterion_4_verdict_soundness():
     # the open case, whose violator is re-checked here without `matching`.
     pair = BundleFamily.of({1, 2}, {1, 2})
     pair_v = subordination_verdict(pair)
-    pair_ok = pair_v.tag is VerdictTag.NOT_SUBORDINATE and valid_sdr(
-        pair, pair_v.matching.assignment
-    )
+    pair_ok = pair_v.tag is VerdictTag.NOT_SUBORDINATE and valid_sdr(pair, pair_v.matching)
     tripled = BundleFamily.of({1, 2}, {1, 2}, {1, 2})
     tripled_v = subordination_verdict(tripled)
-    idx = () if tripled_v.violation is None else tripled_v.violation.indices
+    idx = tripled_v.violation or ()
     violator_ok = (
         len(idx) > 0
         and len(set(idx)) == len(idx)
@@ -239,9 +233,9 @@ def test_criterion_5_dynamics():
         for m in range(0, 5):
             cert = hall_certificate_for_prefix(fam, m)
             family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:m + 1])))
-            if not valid_sdr(family, cert.assignment):
+            if not valid_sdr(family, cert):
                 prefix_ok = False
-            if not certify(family)[0].saturates:
+            if certify(family)[0] is None:
                 prefix_ok = False
     rng = random.Random(104)
     persistence_ok = True

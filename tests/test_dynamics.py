@@ -385,7 +385,7 @@ class TestBudget:
         for _ in range(60):
             f = random_hall_family(rng, max_m=5, max_atom=2**rng.randint(3, 40))
             window = rng.randint(1, 12)
-            sdr = certify(f)[0].assignment
+            sdr = certify(f)[0]
             indices = range(-window, window + 1)
             images = [alpha(j, atoms) for atoms in f.sets for j in indices]
             labels = [nu(j, t) for t in sdr for j in indices]
@@ -522,10 +522,10 @@ class TestLabeling:
     def test_verified_labeling(self, window, depth):
         fam = gamma_generations(window, depth)
         cert = hall_certificate_for_prefix(fam, depth)
-        assert cert.assignment == tuple(chain.from_iterable(fam.labels))
+        assert cert == tuple(chain.from_iterable(fam.labels))
 
     def test_depth_zero_passes(self):
-        assert hall_certificate_for_prefix(gamma_generations(1, 0), 0).assignment == (1,)
+        assert hall_certificate_for_prefix(gamma_generations(1, 0), 0) == (1,)
 
     @staticmethod
     def _corrupt(fam, gen, pos, atoms=None, label=None):
@@ -562,7 +562,7 @@ class TestLabeling:
         bad = self._corrupt(fam, 2, 0, atoms=fam.sets[2][0] | {deep}, label=deep)
         assert self._fault(bad) == f"label {deep} at generation 2, member 0 has level 3"
         # the prefix before the fault holds
-        assert len(hall_certificate_for_prefix(bad, 1).assignment) == 6
+        assert len(hall_certificate_for_prefix(bad, 1)) == 6
 
     def test_failure_messages(self):
         # three faults: the first law checked names its first fault, and
@@ -596,7 +596,7 @@ class TestLabeling:
 
         monkeypatch.setattr(dynamics, "level", no_walk)
         cert = hall_certificate_for_prefix(fam, depth)
-        assert len(cert.assignment) == sum(fam.sizes())
+        assert len(cert) == sum(fam.sizes())
 
     @pytest.mark.parametrize("kind", ["membership", "injective", "level"])
     def test_single_fault_in_last_generation(self, kind):
@@ -653,19 +653,19 @@ class TestPrefixCertificate:
     def test_window_two_prefix_two(self):
         fam = gamma_generations(2, 2)
         cert = hall_certificate_for_prefix(fam, 2)
-        assert len(cert.assignment) == 31
+        assert len(cert) == 31
         family = BundleFamily(sets=tuple(chain.from_iterable(fam.sets[:3])))
-        assert valid_sdr(family, cert.assignment)
-        assert certify(family)[0].saturates
+        assert valid_sdr(family, cert)
+        assert certify(family)[0] is not None
 
     def test_prefix_zero(self):
         fam = gamma_generations(3, 1)
-        assert hall_certificate_for_prefix(fam, 0).assignment == (1,)
+        assert hall_certificate_for_prefix(fam, 0) == (1,)
 
     def test_window_one_depth_three(self):
         fam = gamma_generations(1, 3)
         cert = hall_certificate_for_prefix(fam, 3)
-        assert len(cert.assignment) == 1 + 3 + 9 + 27
+        assert len(cert) == 1 + 3 + 9 + 27
 
     def test_prefix_bounds(self):
         fam = gamma_generations(1, 1)

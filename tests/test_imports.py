@@ -1,12 +1,16 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+name it defines at module level is read somewhere in the project."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eulerhall"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eulerhall"
 MODULES = sorted(PACKAGE.rglob("*.py"))
+# where else a name of the package may be read: its tests and the benchmark
+READERS = sorted(p for d in ("tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -44,3 +48,58 @@ def test_checker_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_definitions(modules, readers):
+    """(module, line, name) of each module-level def, class or assigned
+    name of ``modules`` (a name -> source mapping) that no source of
+    ``modules`` or ``readers`` loads, by name or as an attribute.
+
+    Dunder names are read by Python itself (``__getattr__`` by PEP 562)
+    and are not reported.
+    """
+    read = set()
+    for source in [*modules.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unused = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [(module, node.lineno, name) for name in names
+                       if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    return unused
+
+
+def test_definition_checker_finds_an_unused_name():
+    modules = {
+        "ring.py": (
+            "__version__ = '0'\n"
+            "Monomial = frozenset\n"
+            "def check_atom(a):\n"
+            "    return a\n"
+            "class RingElement:\n"
+            "    pass\n"
+            "_CACHE, LIMIT = {}, 3\n"
+        ),
+        "cli.py": "from .ring import check_atom\ncheck_atom(1)\n",
+    }
+    readers = ["from eulerhall import ring\nring.RingElement()\nprint(LIMIT)\n"]
+    assert unused_definitions(modules, readers) == [
+        ("ring.py", 2, "Monomial"), ("ring.py", 7, "_CACHE"),
+    ]
+
+
+def test_every_definition_is_read():
+    modules = {p.relative_to(PACKAGE).as_posix(): p.read_text(encoding="utf-8") for p in MODULES}
+    readers = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unused_definitions(modules, readers) == []

@@ -35,12 +35,12 @@ class TestEquivalenceReport:
     def test_all_true_case(self):
         a = analyze(BundleFamily.of({1, 2}, {2}))
         assert not a.euler_class.is_zero
-        assert a.verdict.matching.assignment == (1, 2)
+        assert a.verdict.matching == (1, 2)
         assert a.euler_class.homogeneous_degree() == 2
 
     def test_empty_family(self):
         a = analyze(BundleFamily())
-        assert not a.euler_class.is_zero and a.verdict.matching.assignment == ()
+        assert not a.euler_class.is_zero and a.verdict.matching == ()
         assert a.euler_class.homogeneous_degree() == 0
 
     def test_rejects_trivial_lines(self):
@@ -100,7 +100,7 @@ class TestSubordinationVerdict:
     def test_hall_true_is_not_subordinate(self):
         v = subordination_verdict(BundleFamily.of({1, 2}, {2}))
         assert v.tag is VerdictTag.NOT_SUBORDINATE
-        assert v.matching is not None and v.matching.assignment == (1, 2)
+        assert v.matching == (1, 2)
 
     def test_repeated_pair_is_obstructed(self):
         # The doubled two-atom set admits the SDR (1, 2), its Euler class
@@ -122,14 +122,22 @@ class TestSubordinationVerdict:
     def test_tags_exclusive_and_sound_exhaustive(self):
         for f in all_families(3, 3):
             v = subordination_verdict(f)
-            hall = certify(f)[0].saturates
+            hall = certify(f)[0] is not None
             dup = has_duplicate_singleton(f)
+            assert (v.violation is None) == (v.tag is VerdictTag.NOT_SUBORDINATE)
             if v.tag is VerdictTag.NOT_SUBORDINATE:
-                assert hall and valid_sdr(f, v.matching.assignment)
-            elif v.tag is VerdictTag.SUBORDINATE:
+                assert hall and valid_sdr(f, v.matching)
+                continue
+            if v.tag is VerdictTag.SUBORDINATE:
                 assert not hall and dup is not None and v.witness == dup
             else:
                 assert not hall and dup is None
+            # the violator, checked here without the certificates module
+            idx = v.violation
+            assert type(idx) is tuple and len(idx) > 0
+            assert len(set(idx)) == len(idx)
+            assert all(type(i) is int and 0 <= i < len(f.sets) for i in idx)
+            assert len(frozenset().union(*(f.sets[i] for i in idx))) < len(idx)
 
     def test_not_subordinate_invariant_under_reordering(self):
         rng = random.Random(31)

@@ -84,10 +84,10 @@ def test_analyze_report_with_verbatim_class_equals_stdlib(f):
         "euler_nonzero": not e.is_zero,
         "euler_class_degree": e.homogeneous_degree(),
         "hall": verdict.matching is not None,
-        "matching": list(verdict.matching.assignment) if verdict.matching else None,
+        "matching": None if verdict.matching is None else list(verdict.matching),
         "verdict": verdict.tag.value,
         "witness": verdict.witness,
-        "violation": list(verdict.violation.indices) if verdict.violation else None,
+        "violation": None if verdict.violation is None else list(verdict.violation),
     }
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -44,6 +44,9 @@ def alpha_index_message(x):
 # refused values, the first out-of-range int first, a valid value)
 VALIDATORS = {
     "ring.generator": (ring.generator, atom_message, (0, -3), 2),
+    "ring.product_of_generators.n": (
+        lambda x: ring.product_of_generators([1], x),
+        lambda x: f"n must be a nonnegative integer, got {x!r}", (-1,), 1),
     "ring.coefficient": (lambda x: ring.monomial((1,), x),
                          lambda x: f"coefficients must be ints, got {x!r}", (), 3),
     "dynamics.nu.index": (lambda x: dynamics.nu(x, 1),
