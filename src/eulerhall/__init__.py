@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bundles": (
         "BundleFamily",
-        "dimension",
         "direct_sum",
         "euler_class",
         "euler_line",
@@ -50,7 +49,6 @@ _EXPORTS = {
         "sdr_count",
     ),
     "obstruction": (
-        "Analysis",
         "Verdict",
         "VerdictTag",
         "analyze",
@@ -59,7 +57,7 @@ _EXPORTS = {
         "verify_coefficient_identity",
     ),
     "ring": ("RingElement", "generator", "monomial", "one", "product_of_generators", "zero"),
-    "sweep": ("SweepResult", "expected_family_count", "sweep_equivalence"),
+    "sweep": ("expected_family_count", "sweep_equivalence"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

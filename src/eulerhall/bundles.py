@@ -18,9 +18,8 @@ integers, inner arrays nonempty, deduplicated and ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from . import _kernels, ring
 from .errors import InvalidInput, is_integer
@@ -37,22 +36,41 @@ def index_set(atoms: Iterable[int]) -> frozenset:
     return s
 
 
-@dataclass(frozen=True)
 class BundleFamily:
-    """Ordered list of atom sets plus a count of trivial line summands."""
+    """Ordered list of atom sets plus a count of trivial line summands.
 
-    sets: tuple[frozenset, ...] = ()
-    trivial_lines: int = 0
+    A family is immutable: its two fields are read-only, and ``==``,
+    ``hash`` and ``repr`` read them in order, as on a frozen record.  A
+    family equals only a family.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(map(index_set, self.sets)))
-        trivial = self.trivial_lines
-        if not is_integer(trivial) or trivial < 0:
+    def __init__(self, sets: Iterable[Iterable[int]] = (), trivial_lines: int = 0):
+        sets = tuple(map(index_set, sets))
+        if not is_integer(trivial_lines) or trivial_lines < 0:
             raise InvalidInput("trivial_lines must be a nonnegative integer")
+        self.__dict__.update(sets=sets, trivial_lines=trivial_lines)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.sets, self.trivial_lines) == (other.sets, other.trivial_lines)
+
+    def __hash__(self):
+        return hash((self.sets, self.trivial_lines))
+
+    def __repr__(self):
+        name = type(self).__qualname__
+        return f"{name}(sets={self.sets!r}, trivial_lines={self.trivial_lines!r})"
 
     @classmethod
     def of(cls, *sets: Iterable[int], trivial_lines: int = 0) -> "BundleFamily":
-        return cls(sets=tuple(frozenset(s) for s in sets), trivial_lines=trivial_lines)
+        return cls(sets, trivial_lines)
 
     @property
     def dimension(self) -> int:
@@ -110,8 +128,7 @@ class BundleFamily:
             raise InvalidInput("field 'trivial_lines' must be a nonnegative integer")
         # every field is checked above, so the constructor's checks are skipped
         family = object.__new__(cls)
-        object.__setattr__(family, "sets", tuple(sets))
-        object.__setattr__(family, "trivial_lines", trivial)
+        family.__dict__.update(sets=tuple(sets), trivial_lines=trivial)
         return family
 
 
@@ -134,10 +151,6 @@ def euler_class(f: BundleFamily) -> RingElement:
         return ring.zero()
     rows, atoms = f.columns
     return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms, len(rows))
-
-
-def dimension(f: BundleFamily) -> int:
-    return f.dimension
 
 
 def direct_sum(f: BundleFamily, g: BundleFamily) -> BundleFamily:

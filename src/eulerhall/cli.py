@@ -253,8 +253,7 @@ def cmd_analyze(args) -> int:
     family = _load_family(args.family)
     report = _header("analyze")
     report["family"] = family.to_json_dict()
-    analysis = obstruction.analyze(family)
-    e, verdict = analysis.euler_class, analysis.verdict
+    e, verdict = obstruction.analyze(family)
     report["euler_class"] = _Verbatim(e.render())
     report["euler_nonzero"] = not e.is_zero
     report["euler_class_degree"] = e.homogeneous_degree()
@@ -286,15 +285,15 @@ def cmd_sweep(args) -> int:
 
     if args.jobs < 1:
         raise InvalidInput(f"jobs must be at least 1, got {args.jobs}")
-    result = sweep.sweep_equivalence(args.max_m, args.max_atom)
+    families, mismatches = sweep.sweep_equivalence(args.max_m, args.max_atom)
     report = _header("sweep")
-    report["max_m"] = result.max_m
-    report["max_atom"] = result.max_atom
-    report["families"] = result.families
-    report["mismatches"] = result.mismatches
-    report["ok"] = result.ok
+    report["max_m"] = args.max_m
+    report["max_atom"] = args.max_atom
+    report["families"] = families
+    report["mismatches"] = mismatches
+    report["ok"] = mismatches == 0
     _emit(report, args.fmt)
-    if not result.ok:
+    if mismatches:
         print("error: equivalence sweep found disagreeing families", file=sys.stderr)
         return 2
     return 0
@@ -309,7 +308,7 @@ def cmd_dynamics(args) -> int:
     report = _header("dynamics")
     report["window"] = args.window
     report["depth"] = args.depth
-    report["generation_sizes"] = fam.sizes()
+    report["generation_sizes"] = list(map(len, fam.sets))
     report["labels"] = [label for generation in fam.labels for label in generation]
     report["labeling"] = {"membership": True, "injective": True, "level": True}
     report["prefix_sdr"] = list(certificate)

@@ -63,10 +63,10 @@ is the one check of all three label laws, and a broken law raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import chain
 from math import isqrt
-from typing import Iterable
 
 from . import _kernels, certificates, matching, ring
 from .bundles import BundleFamily, index_set
@@ -169,21 +169,10 @@ def _check_size(window, depth) -> None:
         raise InvalidInput("depth must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class GammaFamily:
-    """Generations as parallel tuples: ``sets[k][i]`` has label
-    ``labels[k][i]``, and was made by the indices whose k digits in base
-    2W+1, most significant first, spell i (each digit minus W)."""
-
-    sets: tuple[tuple[frozenset, ...], ...]
-    labels: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.sets) - 1
-
-    def sizes(self) -> list[int]:
-        return [len(g) for g in self.sets]
+# Generations as parallel tuples: sets[k][i] has label labels[k][i], and
+# was made by the indices whose k digits in base 2W+1, most significant
+# first, spell i (each digit minus W)
+GammaFamily = namedtuple("GammaFamily", ("sets", "labels"))
 
 
 def _parent_major(per_index) -> tuple:
@@ -323,8 +312,9 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> tuple[int, ...]:
     matching, and each at the level of its generation.  A label that
     breaks one of these laws is a fault of the package: it raises
     ``TheoremViolation`` naming the first fault."""
-    if not is_integer(m) or m < 0 or m > g.depth:
-        raise InvalidInput(f"prefix depth must lie in 0..{g.depth}, got {m!r}")
+    depth = len(g.sets) - 1
+    if not is_integer(m) or m < 0 or m > depth:
+        raise InvalidInput(f"prefix depth must lie in 0..{depth}, got {m!r}")
     prefix = g.labels[:m + 1]
     labels = tuple(chain.from_iterable(prefix))
     _check_labels(list(chain.from_iterable(g.sets[:m + 1])), labels)

@@ -26,7 +26,7 @@ checked certificates.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import _kernels, certificates
 from .bundles import BundleFamily

@@ -14,7 +14,7 @@ Hall violator, only after ``certificates`` has checked it against the
 sets, by code that shares none with the matching.  ``Verdict.matching``
 holds the SDR as a tuple of atoms, ``Verdict.violation`` the violator as
 a sorted tuple of positions, and the one that does not apply is
-``None``.  ``Analysis`` holds the two artifacts of the pass, the Euler
+``None``.  ``analyze`` returns the two artifacts of the pass, the Euler
 class and the verdict, and the CLI's ``analyze`` reads its report off
 them.
 
@@ -29,7 +29,7 @@ without expanding the Euler class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import matching
@@ -44,20 +44,10 @@ class VerdictTag(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    tag: VerdictTag
-    witness: int | None = None
-    matching: tuple[int, ...] | None = None
-    violation: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """Every artifact of one analysis pass, each computed once."""
-
-    euler_class: RingElement
-    verdict: Verdict
+# The tag, the duplicated singleton of a subordinate family, the SDR as a
+# tuple of atoms and the Hall violator as a sorted tuple of positions
+Verdict = namedtuple("Verdict", ("tag", "witness", "matching", "violation"),
+                     defaults=(None, None, None))
 
 
 def _require_pure(f: BundleFamily, what: str) -> None:
@@ -65,8 +55,8 @@ def _require_pure(f: BundleFamily, what: str) -> None:
         raise InvalidInput(f"{what} requires trivial_lines = 0, got {f.trivial_lines}")
 
 
-def analyze(f: BundleFamily) -> Analysis:
-    """Euler class and verdict from one pass.
+def analyze(f: BundleFamily) -> tuple[RingElement, Verdict]:
+    """``(euler_class, verdict)`` from one pass.
 
     The Euler class is expanded once and the matching runs once; the
     verdict's SDR or Hall violator comes from that same matching, so Hall
@@ -83,7 +73,7 @@ def analyze(f: BundleFamily) -> Analysis:
             f"equivalence broken on {f.to_json_dict()}: "
             f"euler={not e.is_zero} matching={sdr is not None} (hall is read from the matching)"
         )
-    return Analysis(euler_class=e, verdict=_verdict(f, sdr, violation))
+    return e, _verdict(f, sdr, violation)
 
 
 def verify_coefficient_identity(f: BundleFamily) -> bool:

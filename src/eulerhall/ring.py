@@ -36,8 +36,8 @@ distinct coefficients than terms.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import InvalidInput, is_integer
 
@@ -286,14 +286,6 @@ def add(a: RingElement, b: RingElement) -> RingElement:
 
 def mul(a: RingElement, b: RingElement) -> RingElement:
     return a * b
-
-
-def coeff(e: RingElement, atoms: Iterable[int]) -> int:
-    return e.coeff(atoms)
-
-
-def is_zero(e: RingElement) -> bool:
-    return e.is_zero
 
 
 def product_of_generators(seq: Iterable[int], n: int) -> RingElement:

@@ -54,8 +54,8 @@ def check_equivalence_sweep(max_m: int = 3, max_atom: int = 3) -> bool:
     # order, so it would hide a kernel whose answer depends on the labels
     # of the atoms or on the order of the rows; the ordered loop over the
     # public kernels, one call each per family, would not.
-    result = sweep.sweep_equivalence(max_m, max_atom)
-    if not (result.ok and result.families == sweep.expected_family_count(max_m, max_atom)):
+    swept = sweep.sweep_equivalence(max_m, max_atom)
+    if swept != (sweep.expected_family_count(max_m, max_atom), 0):
         return False
     subsets = [
         tuple(c for c in range(max_atom) if mask >> c & 1) for mask in range(1, 1 << max_atom)
@@ -100,10 +100,11 @@ def check_verdicts() -> bool:
 
 def check_dynamics(window: int = 2, depth: int = 2) -> bool:
     fam = dynamics.gamma_generations(window, depth)
-    if fam.sizes() != [(2 * window + 1) ** k for k in range(depth + 1)]:
+    sizes = list(map(len, fam.sets))
+    if sizes != [(2 * window + 1) ** k for k in range(depth + 1)]:
         return False
     sdr = dynamics.hall_certificate_for_prefix(fam, depth)
-    if len(sdr) != sum(fam.sizes()):
+    if len(sdr) != sum(sizes):
         return False
     first = list(fam.sets[1])
     expected = [frozenset({dynamics.nu(j, 1)}) for j in range(-window, 1)] + [

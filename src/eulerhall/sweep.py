@@ -23,7 +23,6 @@ before any work starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
@@ -49,18 +48,6 @@ SWEEP_MULTISET_BUDGET = 10_000_000
 # takes 7 s on the same machine; the smallest size above it, 2x9 (131,327),
 # takes 20 s.
 SWEEP_COEFFICIENT_BUDGET = 100_000
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    max_m: int
-    max_atom: int
-    families: int
-    mismatches: int
-
-    @property
-    def ok(self) -> bool:
-        return self.mismatches == 0
 
 
 def expected_family_count(max_m: int, max_atom: int) -> int:
@@ -93,8 +80,9 @@ def _check_budget(max_m: int, max_atom: int, budget: int) -> None:
             f"above the budget of {budget}")
 
 
-def sweep_equivalence(max_m: int, max_atom: int) -> SweepResult:
-    """Run the three-way equivalence sweep; every family must agree.
+def sweep_equivalence(max_m: int, max_atom: int) -> tuple[int, int]:
+    """Run the three-way equivalence sweep and return
+    ``(families, mismatches)``; every family must agree.
 
     Requests above ``SWEEP_MULTISET_BUDGET`` multisets raise
     ``CapExceeded`` before any work starts.  The families are walked in
@@ -103,12 +91,12 @@ def sweep_equivalence(max_m: int, max_atom: int) -> SweepResult:
     """
     _check_caps(max_m, max_atom)
     _check_budget(max_m, max_atom, SWEEP_MULTISET_BUDGET)
-    checked, mismatches = _kernels.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom)
-    return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=mismatches)
+    return _kernels.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom)
 
 
-def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
-    """Check coefficient = SDR count on every swept family.
+def sweep_coefficient_identity(max_m: int, max_atom: int) -> tuple[int, int]:
+    """Check coefficient = SDR count on every swept family and return
+    ``(families, mismatches)``.
 
     Checks ``coefficient_law`` on each family's rows.  The law ignores the
     order of the sets, so each family is checked once up to order and
@@ -130,7 +118,7 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> SweepResult:
             checked += orderings
             if not coefficient_law([cols_of[mask] for mask in fam], max_atom):
                 failures += orderings
-    return SweepResult(max_m=max_m, max_atom=max_atom, families=checked, mismatches=failures)
+    return checked, failures
 
 
 def coefficient_law(rows, ncols: int) -> bool:

@@ -49,33 +49,33 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def _three_routes_agree(f) -> bool:
     # analyze returns only when the Euler class and the matching agree
-    a = analyze(f)
-    return hall_exhaustive(f) == (not a.euler_class.is_zero) == (a.verdict.matching is not None)
+    e, verdict = analyze(f)
+    return hall_exhaustive(f) == (not e.is_zero) == (verdict.matching is not None)
 
 
 def test_criterion_1_three_way_equivalence():
     t0 = time.perf_counter()
-    result = sweep_equivalence(4, 4)
+    families, mismatches = sweep_equivalence(4, 4)
     # object-level re-check of the three routes on the small slice
     spot_ok = all(_three_routes_agree(f) for f in all_families(2, 4))
     elapsed = time.perf_counter() - t0
     ok = (
-        result.families == 54240
-        and result.mismatches == 0
+        families == 54240
+        and mismatches == 0
         and spot_ok
         and elapsed < 60.0
     )
-    _report(1, ok, f"{result.families} families, {result.mismatches} mismatches, "
+    _report(1, ok, f"{families} families, {mismatches} mismatches, "
                    f"{elapsed:.2f}s")
-    assert result.families == 54240
-    assert result.mismatches == 0
+    assert families == 54240
+    assert mismatches == 0
     assert spot_ok
     assert elapsed < 60.0
 
 
 def test_criterion_2_coefficient_equals_permanent():
     t0 = time.perf_counter()
-    swept = sweep_coefficient_identity(4, 4)
+    families, failures = sweep_coefficient_identity(4, 4)
     rng = random.Random(101)
     random_ok = True
     for _ in range(1000):
@@ -100,15 +100,15 @@ def test_criterion_2_coefficient_equals_permanent():
                 break
     elapsed = time.perf_counter() - t0
     ok = (
-        swept.families == 54240
-        and swept.mismatches == 0
+        families == 54240
+        and failures == 0
         and random_ok
         and ryser_ok
         and elapsed < 30.0
     )
-    _report(2, ok, f"sweep {swept.families} families ({swept.mismatches} failures), "
+    _report(2, ok, f"sweep {families} families ({failures} failures), "
                    f"1000 random families, Ryser=naive to m=7, {elapsed:.2f}s")
-    assert swept.families == 54240 and swept.mismatches == 0
+    assert families == 54240 and failures == 0
     assert random_ok
     assert ryser_ok
     assert elapsed < 30.0

@@ -9,7 +9,6 @@ from conftest import random_family
 from eulerhall import (
     BundleFamily,
     InvalidInput,
-    dimension,
     direct_sum,
     euler_class,
     euler_line,
@@ -190,9 +189,9 @@ class TestFamilyBasics:
         assert g.columns is g.columns and g.columns == f.columns
 
     def test_dimension(self):
-        assert dimension(BundleFamily.of({1, 2}, {3})) == 2
-        assert dimension(BundleFamily(trivial_lines=3)) == 3
-        assert dimension(BundleFamily.of({1}, trivial_lines=1)) == 2
+        assert BundleFamily.of({1, 2}, {3}).dimension == 2
+        assert BundleFamily(trivial_lines=3).dimension == 3
+        assert BundleFamily.of({1}, trivial_lines=1).dimension == 2
 
     def test_direct_sum_concatenates(self):
         f = BundleFamily.of({1})
@@ -219,6 +218,42 @@ class TestFamilyBasics:
             BundleFamily(sets=(frozenset(),))
         with pytest.raises(InvalidInput):
             BundleFamily(trivial_lines=-1)
+
+    def test_sets_checked_before_trivial_lines(self):
+        with pytest.raises(InvalidInput, match="nonempty"):
+            BundleFamily(sets=(frozenset(),), trivial_lines=-1)
+
+
+class TestRecord:
+    # what a frozen record of the two fields gives: read-only fields, and
+    # ==, hash and repr over the fields in order
+    def test_fields_are_read_only(self):
+        f = BundleFamily.of({1, 2})
+        with pytest.raises(AttributeError):
+            f.sets = ()
+        with pytest.raises(AttributeError):
+            f.trivial_lines = 1
+        with pytest.raises(AttributeError):
+            del f.sets
+        assert f.sets == (frozenset({1, 2}),) and f.trivial_lines == 0
+
+    def test_equal_families_hash_equal(self):
+        f = BundleFamily.of({1, 2}, {3}, trivial_lines=1)
+        g = BundleFamily.from_json_dict({"sets": [[2, 1], [3]], "trivial_lines": 1})
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        assert f != BundleFamily.of({1, 2}, {3})
+        assert f != BundleFamily.of({3}, {1, 2}, trivial_lines=1)
+
+    def test_repr(self):
+        assert repr(BundleFamily.of({2, 1})) == (
+            "BundleFamily(sets=(frozenset({1, 2}),), trivial_lines=0)")
+
+    def test_never_equals_a_tuple(self):
+        f = BundleFamily.of({1})
+        assert f != (f.sets, f.trivial_lines)
+        assert (f.sets, f.trivial_lines) != f
+        assert f != ((frozenset({1}),), 0) and f != f.sets
 
 
 class TestJson:

@@ -531,7 +531,7 @@ class TestSelftest:
 
         assert real(((0, 1), (0,)), 3) == [1, 0]
         monkeypatch.setattr(_kernels, "max_matching", one_order_wrong)
-        assert sweep.sweep_equivalence(3, 3).ok
+        assert sweep.sweep_equivalence(3, 3)[1] == 0
         assert selftest.check_equivalence_sweep() is False
         code, out, _ = run_main(capsys, "selftest")
         assert code == 2 and json.loads(out)["checks"]["equivalence_sweep"] is False

@@ -3,7 +3,6 @@
 import random
 import sys
 import time
-from dataclasses import replace
 from itertools import chain, product
 
 import pytest
@@ -167,7 +166,7 @@ class TestGenerations:
         fam = gamma_generations(2, 3)
         # member i of generation k was made by the k indices in the
         # window that spell i, one member and one label for each
-        assert fam.sizes() == [1, 5, 25, 125]
+        assert list(map(len, fam.sets)) == [1, 5, 25, 125]
         for k, (sets, labels) in enumerate(zip(fam.sets, fam.labels, strict=True)):
             assert len(sets) == len(labels) == len(list(product(range(-2, 3), repeat=k)))
 
@@ -535,12 +534,12 @@ class TestLabeling:
             sets[gen][pos] = atoms
         if label is not None:
             labels[gen][pos] = label
-        return replace(fam, sets=tuple(map(tuple, sets)), labels=tuple(map(tuple, labels)))
+        return fam._replace(sets=tuple(map(tuple, sets)), labels=tuple(map(tuple, labels)))
 
     @staticmethod
     def _fault(fam, m=None):
         with pytest.raises(TheoremViolation) as raised:
-            hall_certificate_for_prefix(fam, fam.depth if m is None else m)
+            hall_certificate_for_prefix(fam, len(fam.sets) - 1 if m is None else m)
         return str(raised.value)
 
     def test_corrupted_label_breaks_injectivity(self):
@@ -596,7 +595,7 @@ class TestLabeling:
 
         monkeypatch.setattr(dynamics, "level", no_walk)
         cert = hall_certificate_for_prefix(fam, depth)
-        assert len(cert) == sum(fam.sizes())
+        assert len(cert) == sum(map(len, fam.sets))
 
     @pytest.mark.parametrize("kind", ["membership", "injective", "level"])
     def test_single_fault_in_last_generation(self, kind):

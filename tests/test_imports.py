@@ -50,6 +50,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source):
+    """The top-level names of the modules a source imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_import_checker_finds_every_module():
+    source = (
+        "import os.path, json as j\n"
+        "from collections.abc import Iterable\n"
+        "from . import ring\n"
+        "def f():\n"
+        "    from typing import Any\n"
+    )
+    assert imported_modules(source) == {"os", "json", "collections", "typing"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_no_dataclasses_or_typing(path):
+    # each costs every process that imports it: dataclasses loads inspect,
+    # ast, dis and tokenize, and typing is a large module of its own
+    imported = imported_modules(path.read_text(encoding="utf-8"))
+    assert sorted(imported & {"dataclasses", "typing"}) == []
+
+
 def unused_definitions(modules, readers):
     """(module, line, name) of each module-level def, class or assigned
     name of ``modules`` (a name -> source mapping) that no source of

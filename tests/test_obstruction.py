@@ -10,6 +10,7 @@ from eulerhall import (
     BundleFamily,
     CapExceeded,
     InvalidInput,
+    Verdict,
     VerdictTag,
     analyze,
     certify,
@@ -28,20 +29,20 @@ class TestEquivalenceReport:
     # the equivalence as analyze reports it: the Euler class is nonzero
     # exactly when the verdict holds an SDR
     def test_all_false_case(self):
-        a = analyze(BundleFamily.of({1}, {1}))
-        assert (a.euler_class.is_zero, a.verdict.matching) == (True, None)
-        assert a.euler_class.homogeneous_degree() is None
+        e, verdict = analyze(BundleFamily.of({1}, {1}))
+        assert (e.is_zero, verdict.matching) == (True, None)
+        assert e.homogeneous_degree() is None
 
     def test_all_true_case(self):
-        a = analyze(BundleFamily.of({1, 2}, {2}))
-        assert not a.euler_class.is_zero
-        assert a.verdict.matching == (1, 2)
-        assert a.euler_class.homogeneous_degree() == 2
+        e, verdict = analyze(BundleFamily.of({1, 2}, {2}))
+        assert not e.is_zero
+        assert verdict.matching == (1, 2)
+        assert e.homogeneous_degree() == 2
 
     def test_empty_family(self):
-        a = analyze(BundleFamily())
-        assert not a.euler_class.is_zero and a.verdict.matching == ()
-        assert a.euler_class.homogeneous_degree() == 0
+        e, verdict = analyze(BundleFamily())
+        assert not e.is_zero and verdict.matching == ()
+        assert e.homogeneous_degree() == 0
 
     def test_rejects_trivial_lines(self):
         with pytest.raises(InvalidInput):
@@ -49,8 +50,8 @@ class TestEquivalenceReport:
 
     def test_exhaustive_small(self):
         for f in all_families(3, 3):
-            a = analyze(f)
-            assert (not a.euler_class.is_zero) == (a.verdict.matching is not None)
+            e, verdict = analyze(f)
+            assert (not e.is_zero) == (verdict.matching is not None)
 
     def test_disagreement_raises_theorem_violation(self, monkeypatch):
         # sabotage one route: the analysis must refuse to return quietly
@@ -92,6 +93,11 @@ class TestCoefficientIdentity:
 
 
 class TestSubordinationVerdict:
+    def test_verdict_defaults(self):
+        v = Verdict(VerdictTag.UNDECIDED)
+        assert (v.tag, v.witness, v.matching, v.violation) == (
+            VerdictTag.UNDECIDED, None, None, None)
+
     def test_duplicated_singleton_is_subordinate(self):
         v = subordination_verdict(BundleFamily.of({1}, {1}))
         assert v.tag is VerdictTag.SUBORDINATE and v.witness == 1

@@ -74,8 +74,7 @@ def test_render_alphabet_of_wide_classes(f):
 def test_analyze_report_with_verbatim_class_equals_stdlib(f):
     # an analyze-shaped report, the rendered class held as cli._Verbatim,
     # which the writer copies between quotes without the escape
-    analysis = obstruction.analyze(f)
-    e, verdict = analysis.euler_class, analysis.verdict
+    e, verdict = obstruction.analyze(f)
     report = {
         "tool": "eulerhall",
         "command": "analyze",

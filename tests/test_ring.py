@@ -70,14 +70,14 @@ class TestAddMul:
 class TestCoeffIsZero:
     def test_coeff_lookup(self):
         e = monomial({1, 2}, 2)
-        assert ring.coeff(e, {1, 2}) == 2
-        assert ring.coeff(e, {1}) == 0
-        assert ring.coeff(zero(), ()) == 0
+        assert e.coeff({1, 2}) == 2
+        assert e.coeff({1}) == 0
+        assert zero().coeff(()) == 0
 
     def test_is_zero(self):
-        assert ring.is_zero(zero())
-        assert not ring.is_zero(generator(1))
-        assert ring.is_zero(ring.mul(generator(1), generator(1)))
+        assert zero().is_zero
+        assert not generator(1).is_zero
+        assert ring.mul(generator(1), generator(1)).is_zero
 
 
 class TestProductOfGenerators:

@@ -39,25 +39,25 @@ def loaded_modules(*argv):
             "eulerhall.sweep",
             ("concurrent.futures", "multiprocessing", "eulerhall.dynamics",
              "eulerhall.obstruction", "eulerhall.matching", "eulerhall.ring",
-             "eulerhall.bundles", "eulerhall.selftest"),
+             "eulerhall.bundles", "eulerhall.selftest", "dataclasses", "inspect"),
         ),
         (
             # --jobs 2 loads no worker pool, though two subsets could be split
             ("sweep", "--max-m", "1", "--max-atom", "2", "--jobs", "2"),
             "eulerhall.sweep",
-            ("concurrent.futures", "multiprocessing"),
+            ("concurrent.futures", "multiprocessing", "dataclasses", "inspect"),
         ),
         (
             ("analyze", FIXTURE),
             "eulerhall.obstruction",
             ("eulerhall.dynamics", "eulerhall.sweep", "eulerhall.selftest",
-             "concurrent.futures"),
+             "concurrent.futures", "dataclasses", "inspect"),
         ),
         (
             ("dynamics", "--window", "1", "--depth", "1"),
             "eulerhall.dynamics",
             ("eulerhall.sweep", "eulerhall.obstruction", "eulerhall.selftest",
-             "concurrent.futures"),
+             "concurrent.futures", "dataclasses", "inspect"),
         ),
     ],
     ids=["sweep", "sweep --jobs 2", "analyze", "dynamics"],

@@ -100,8 +100,8 @@ def has_sdr(rows):
 
 def test_coefficient_sweep_counts_every_ordering():
     # every ordered family agrees at 3x3, counted one by one
-    assert sweep.sweep_coefficient_identity(3, 3) == sweep.SweepResult(3, 3, 399, 0)
-    assert sweep.sweep_coefficient_identity(2, 4).families == 15 + 15**2
+    assert sweep.sweep_coefficient_identity(3, 3) == (399, 0)
+    assert sweep.sweep_coefficient_identity(2, 4)[0] == 15 + 15**2
 
 
 def test_coefficient_sweep_weights_failures(monkeypatch):
@@ -117,9 +117,9 @@ def test_coefficient_sweep_weights_failures(monkeypatch):
         for fam in product(range(1, 8), repeat=m):
             rows = [cols_of[mask] for mask in fam]
             expected += rows.count((0, 1)) >= 2 and has_sdr(rows)
-    result = sweep.sweep_coefficient_identity(4, 3)
-    assert result.families == 7 + 7**2 + 7**3 + 7**4
-    assert result.mismatches == expected > 0
+    families, mismatches = sweep.sweep_coefficient_identity(4, 3)
+    assert families == 7 + 7**2 + 7**3 + 7**4
+    assert mismatches == expected > 0
 
 
 @pytest.mark.parametrize("rows, ncols, extra", [
