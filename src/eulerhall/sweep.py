@@ -28,7 +28,6 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 from . import _kernels
-from ._kernels import _pyref
 from .errors import CapExceeded, InvalidInput, is_integer
 
 SWEEP_M_CAP = 8
@@ -107,7 +106,7 @@ def sweep_coefficient_identity(max_m: int, max_atom: int) -> tuple[int, int]:
     _check_caps(max_m, max_atom)
     _check_budget(max_m, max_atom, SWEEP_COEFFICIENT_BUDGET)
     full = (1 << max_atom) - 1
-    cols_of = _pyref.column_table(max_atom)
+    cols_of = _kernels.column_table(max_atom)
     checked = 0
     failures = 0
     for m in range(1, max_m + 1):

@@ -1,6 +1,6 @@
 """The sweep walk against a per-family oracle.
 
-``_pyref.sweep_equivalence_range`` is one walk with two rules for a
+``_kernels.sweep_equivalence_range`` is one walk with two rules for a
 node's children.  Over the full range it takes row sequences whose
 popcounts never decrease, up to atom relabeling, and switches to the
 multiset rule below a node whose rows tell every atom apart; a proper
@@ -22,9 +22,8 @@ from operator import and_
 
 import pytest
 
-from eulerhall import CapExceeded, InvalidInput, sweep
-from eulerhall._kernels import _pyref
-from eulerhall._kernels._pyref import euler_terms, hall_violation, max_matching
+from eulerhall import CapExceeded, InvalidInput, _kernels, sweep
+from eulerhall._kernels import euler_terms, hall_violation, max_matching
 
 CASES = [(m, a) for m in range(1, 4) for a in range(1, 5)] + [
     (4, 3), (2, 5), (5, 2), (6, 2), (4, 2), (5, 3)]
@@ -68,7 +67,7 @@ def test_full_range_matches_oracle(max_m, max_atom):
     end = 1 << max_atom
     expected = oracle_range(max_m, max_atom, 1, end)
     assert expected[0] == sum(((1 << max_atom) - 1) ** m for m in range(1, max_m + 1))
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
 
 
 @pytest.mark.parametrize("max_m,max_atom", CASES)
@@ -82,7 +81,7 @@ def test_every_split_matches_oracle(max_m, max_atom):
     for inner in splits:
         bounds = (1, *inner, end)
         parts = [
-            _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)
+            _kernels.sweep_equivalence_range(max_m, max_atom, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         assert parts == [over(table, lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds
@@ -90,8 +89,8 @@ def test_every_split_matches_oracle(max_m, max_atom):
 
 
 def test_empty_range():
-    assert _pyref.sweep_equivalence_range(3, 3, 5, 5) == (0, 0)
-    assert _pyref.sweep_equivalence_range(0, 3, 1, 8) == oracle_range(0, 3, 1, 8) == (0, 0)
+    assert _kernels.sweep_equivalence_range(3, 3, 5, 5) == (0, 0)
+    assert _kernels.sweep_equivalence_range(0, 3, 1, 8) == oracle_range(0, 3, 1, 8) == (0, 0)
 
 
 def has_sdr(rows):
@@ -185,12 +184,12 @@ def test_coefficient_sweep_sizes_must_be_integers():
 def test_range_must_lie_within_the_subsets():
     # mask 0 is the empty set, no subset; a range reaching it or past the
     # last subset is refused rather than swept
-    assert _pyref.sweep_equivalence_range(2, 3, 1, 8) == oracle_range(2, 3, 1, 8) == (56, 0)
+    assert _kernels.sweep_equivalence_range(2, 3, 1, 8) == oracle_range(2, 3, 1, 8) == (56, 0)
     for lo, hi in ((0, 8), (0, 1), (-1, 4), (1, 9), (5, 9)):
         with pytest.raises(ValueError, match="not within"):
-            _pyref.sweep_equivalence_range(2, 3, lo, hi)
-    assert _pyref.sweep_equivalence_range(2, 3, 6, 2) == (0, 0)
-    assert _pyref.sweep_equivalence_range(-1, 3, 1, 8) == (0, 0)
+            _kernels.sweep_equivalence_range(2, 3, lo, hi)
+    assert _kernels.sweep_equivalence_range(2, 3, 6, 2) == (0, 0)
+    assert _kernels.sweep_equivalence_range(-1, 3, 1, 8) == (0, 0)
 
 
 def oracle_by_smallest(max_m, max_atom):
@@ -214,7 +213,7 @@ def oracle_by_smallest(max_m, max_atom):
 def test_wide_full_range_matches_oracle(max_m, max_atom):
     # the last rows are decided as bitsets over 2**max_atom masks
     end = 1 << max_atom
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
         max_m, max_atom, 1, end)
 
 
@@ -224,18 +223,18 @@ def test_wide_subranges_match_oracle():
     for _ in range(20):
         lo, hi = sorted(rng.sample(range(1, 129), 2))
         expected = (sum(checked[lo:hi]), sum(mismatches[lo:hi]))
-        assert _pyref.sweep_equivalence_range(2, 7, lo, hi) == expected, (lo, hi)
+        assert _kernels.sweep_equivalence_range(2, 7, lo, hi) == expected, (lo, hi)
 
 
 @pytest.mark.parametrize("max_m,max_atom", [(2, 10), (7, 4), (3, 8)])
 def test_sizes_beyond_the_oracle_agree(max_m, max_atom):
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
         sweep.expected_family_count(max_m, max_atom), 0)
 
 
 def test_submask_bitsets():
     for u in range(64):
-        assert _pyref._submasks(u) == sum(1 << s for s in range(64) if s & ~u == 0), u
+        assert _kernels._submasks(u) == sum(1 << s for s in range(64) if s & ~u == 0), u
 
 
 def saturates(rows, ncols):
@@ -275,11 +274,11 @@ def test_last_row_routes_match_each_kernel():
     for _ in range(300):
         ncols = rng.randint(1, 5)
         full = (1 << ncols) - 1
-        cols_of = _pyref.column_table(ncols)
+        cols_of = _kernels.column_table(ncols)
         rows = [cols_of[rng.randint(1, full)] for _ in range(rng.randint(0, 4))]
         lo = rng.randint(1, full)
         hi = rng.randint(lo, full + 1)
-        routes = _pyref._last_row_routes(*summaries(rows, ncols), full, lo, hi)
+        routes = _kernels._last_row_routes(*summaries(rows, ncols), full, lo, hi)
         for route in routes:
             assert route >> lo << lo == route and route >> hi == 0
         for mask in range(lo, hi):
@@ -316,7 +315,7 @@ def test_orbits_are_exact():
                 perm.update(zip(cell, image))
             perms.append(perm)
         covered = set()
-        for mask, size, split in _pyref._orbits(cells):
+        for mask, size, split in _kernels._orbits(cells):
             orbit = {relabel(mask, perm) for perm in perms}
             assert len(orbit) == size, (cells, mask)
             assert not orbit & covered, (cells, mask)
@@ -344,7 +343,7 @@ def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
     # the _walk calls whose stabilizer has one cell per atom, each on a
     # prefix whose rows tell every atom apart
     depths = set()
-    walk = _pyref._walk
+    walk = _kernels._walk
 
     def spy(*args):
         rows, cells = args[2], args[8]
@@ -354,9 +353,9 @@ def test_every_branch_of_the_walk_choice(monkeypatch, max_m, max_atom):
             assert len(signatures) == max_atom, rows
         return walk(*args)
 
-    monkeypatch.setattr(_pyref, "_walk", spy)
+    monkeypatch.setattr(_kernels, "_walk", spy)
     end = 1 << max_atom
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, end) == oracle_range(
         max_m, max_atom, 1, end)
     assert depths == BRANCHES[max_m, max_atom]
 
@@ -368,17 +367,17 @@ def test_orbit_walk_keeps_popcounts_in_order(monkeypatch):
     # classes of 3-row multisets under relabeling.  No summary is derived
     # below a parent on which every route answers no, which at 4x5 skips 9
     built = []
-    own = _pyref._child_summaries
+    own = _kernels._child_summaries
 
     def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
         cells = sys._getframe(1).f_locals["cells"]
         built.append((cells is not None, tuple(masks) + (mask,)))
         return own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
 
-    monkeypatch.setattr(_pyref, "_child_summaries", recording)
+    monkeypatch.setattr(_kernels, "_child_summaries", recording)
     for max_m, max_atom in ((4, 5), (5, 3), (4, 4), (3, 6)):
         built.clear()
-        assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
+        assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
             sweep.expected_family_count(max_m, max_atom), 0)
         orbit = [masks for by_orbit, masks in built if by_orbit]
         assert orbit, (max_m, max_atom)
@@ -398,18 +397,18 @@ def test_no_summary_below_a_dead_parent(monkeypatch, max_m, max_atom, lo, hi):
     # fails Hall, so no summary is derived at all; the orbit rule derived
     # 5,014 there before it skipped dead parents
     built = []
-    own = _pyref._child_summaries
+    own = _kernels._child_summaries
 
     def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
         built.append(not terms and near is None and match is None)
         return own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
 
-    monkeypatch.setattr(_pyref, "_child_summaries", recording)
+    monkeypatch.setattr(_kernels, "_child_summaries", recording)
     if (lo, hi) == (1, 1 << max_atom):
         expected = (sweep.expected_family_count(max_m, max_atom), 0)
     else:
         expected = oracle_range(max_m, max_atom, lo, hi)
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi) == expected
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, lo, hi) == expected
     assert not any(built)
     if (max_m, max_atom) == (8, 4):
         assert built == []
@@ -419,7 +418,7 @@ def test_popcount_classes():
     # the two bitsets, and the counts of nonzero masks in each, which
     # _last_rows reads in place of the bitsets over the full range
     for ncols in range(7):
-        classes = _pyref._popcount_classes(ncols)
+        classes = _kernels._popcount_classes(ncols)
         assert len(classes) == ncols + 1
         for p, (at, above, n_at, n_above) in enumerate(classes):
             assert at == sum(1 << s for s in range(1 << ncols) if s.bit_count() == p), (ncols, p)
@@ -435,7 +434,7 @@ def test_child_summaries_match_each_kernel(monkeypatch):
     # their rows; an error shared by all three routes leaves the mismatch
     # count at 0
     seen = {"orbit": [], "multiset": []}
-    own = _pyref._child_summaries
+    own = _kernels._child_summaries
 
     def recording(cols_of, rows, masks, terms, tight, near, match, reach, mask):
         result = own(cols_of, rows, masks, terms, tight, near, match, reach, mask)
@@ -443,18 +442,18 @@ def test_child_summaries_match_each_kernel(monkeypatch):
         seen[rule].append((tuple(masks) + (mask,), len(cols_of).bit_length() - 1, result))
         return result
 
-    monkeypatch.setattr(_pyref, "_child_summaries", recording)
+    monkeypatch.setattr(_kernels, "_child_summaries", recording)
     for max_m, max_atom in ((3, 4), (4, 5), (3, 5), (2, 5)):
         end = 1 << max_atom
         # the full range walks orbits, each half multisets
         b = end // 2
         for lo, hi in ((1, end), (1, b), (b, end)):
-            assert _pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)[1] == 0
+            assert _kernels.sweep_equivalence_range(max_m, max_atom, lo, hi)[1] == 0
     rng = random.Random(13)
     sample = rng.sample(seen["orbit"], 150) + rng.sample(seen["multiset"], 150)
     routes = set()
     for masks, ncols, (common, tight, reach) in sample:
-        rows = [_pyref.column_table(ncols)[mask] for mask in masks]
+        rows = [_kernels.column_table(ncols)[mask] for mask in masks]
         want_common, want_tight, want_reach = summaries(rows, ncols)
         assert common == want_common, masks
         assert (tight is None and want_tight is None) or sorted(tight) == sorted(want_tight), masks
@@ -470,7 +469,7 @@ def test_orbit_walk_builds_no_state_one_row_short(monkeypatch, max_m, max_atom):
     # of j rows has j columns and the whole family has j rows, so each
     # spy reads the length of the family it is building off its parent
     built = set()
-    euler_step, hall_row = _pyref._euler_step, _pyref._hall_row
+    euler_step, hall_row = _kernels._euler_step, _kernels._hall_row
 
     def euler_spy(terms, cols):
         built.add(next(iter(terms)).bit_count() + 1)
@@ -480,9 +479,9 @@ def test_orbit_walk_builds_no_state_one_row_short(monkeypatch, max_m, max_atom):
         built.add(max(hall.values()) + 1)
         return hall_row(hall, mask)
 
-    monkeypatch.setattr(_pyref, "_euler_step", euler_spy)
-    monkeypatch.setattr(_pyref, "_hall_row", hall_spy)
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
+    monkeypatch.setattr(_kernels, "_euler_step", euler_spy)
+    monkeypatch.setattr(_kernels, "_hall_row", hall_spy)
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, 1 << max_atom) == (
         sweep.expected_family_count(max_m, max_atom), 0)
     assert built == set(range(1, max_m - 1))
 
@@ -495,8 +494,8 @@ def test_orbit_walk_beyond_the_oracle(max_m, max_atom):
     # atom apart, hand their rows to the multiset walk
     end = 1 << max_atom
     expected = (sweep.expected_family_count(max_m, max_atom), 0)
-    assert _pyref.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
+    assert _kernels.sweep_equivalence_range(max_m, max_atom, 1, end) == expected
     b = end // 2
-    parts = [_pyref.sweep_equivalence_range(max_m, max_atom, lo, hi)
+    parts = [_kernels.sweep_equivalence_range(max_m, max_atom, lo, hi)
              for lo, hi in ((1, b), (b, end))]
     assert (parts[0][0] + parts[1][0], parts[0][1] + parts[1][1]) == expected
