@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 internal
 theorem-invariant violation (a disagreement that mathematics forbids).
+The console script also exits 1, with nothing on stderr, when the reader
+closes stdout before the report is written (``| head``); ``main`` leaves
+that error to in-process callers.
 All reports go to stdout, diagnostics to stderr; repeated runs on the
 same input are byte-identical.  Each command imports the modules it runs
 when it starts, so a sweep never loads the matching or dynamics layers,
@@ -10,9 +13,14 @@ and an analysis never loads the sweep.
 JSON reports are written by ``_json``, whose text equals
 ``json.dumps(report, indent=2)`` byte for byte for the types reports
 hold (dicts with str keys, lists, str, int, bool and None); it raises
-TypeError on any other type and leaves no cyclic garbage behind.  One
-private str subclass, ``_Verbatim``, marks text that needs no escape:
-``_json`` writes it between quotes as it is.  ``analyze`` and ``euler``
+TypeError on any other type and leaves no cyclic garbage behind.  A
+value that a dict holds under two keys is written once, and each
+container's text is built in one copy of its body; the dynamics report
+holds its labels under ``labels`` and ``prefix_sdr`` as one list, about
+17,000 big integers at the benchmark's largest sizes, so they are
+converted to decimal once.  One private str subclass, ``_Verbatim``,
+marks text that needs no escape: ``_json`` writes it between quotes as
+it is.  ``analyze`` and ``euler``
 hand it the rendered Euler class, tens of kilobytes of digits, ``x``,
 ``*``, ``+``, ``-`` and spaces, which the escape would only copy.  Any
 other str subclass is still refused.
@@ -45,8 +53,11 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
 import json
+import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -215,13 +226,21 @@ def _json(value, indent: str) -> str:
             body = sep.join(map(_int_repr, value))
         else:
             body = sep.join([_json(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
+        return f"[\n{inner}{body}\n{indent}]"
     if type(value) is dict:
         if not value:
             return "{}"
-        # _encode_str raises TypeError on a key that is not a str
-        body = sep.join([_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()])
-        return "{\n" + inner + body + "\n" + indent + "}"
+        # a value the dict holds under two keys is written once: the same
+        # object at the same indent has the same text
+        texts = {}
+        items = []
+        for k, v in value.items():
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _json(v, inner)
+            # _encode_str raises TypeError on a key that is not a str
+            items.append(f"{_encode_str(k)}: {text}")
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     raise TypeError(f"a report cannot hold {type(value).__name__}")
 
 
@@ -309,9 +328,12 @@ def cmd_dynamics(args) -> int:
     report["window"] = args.window
     report["depth"] = args.depth
     report["generation_sizes"] = list(map(len, fam.sets))
-    report["labels"] = [label for generation in fam.labels for label in generation]
+    labels = list(chain.from_iterable(fam.labels))
+    prefix_sdr = list(certificate)
+    report["labels"] = labels
     report["labeling"] = {"membership": True, "injective": True, "level": True}
-    report["prefix_sdr"] = list(certificate)
+    # the certificate is the labels, so one list under both keys is written once
+    report["prefix_sdr"] = labels if prefix_sdr == labels else prefix_sdr
     report["prefix_sdr_size"] = len(certificate)
     report["hall_confirmed"] = True
     _emit(report, args.fmt)
@@ -358,4 +380,21 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # The console script and ``python -m eulerhall``.  A reader that
+    # closes stdout early (``| head``) ends the run with status 1 and
+    # nothing on stderr: stdout is pointed at devnull, so the
+    # interpreter's final flush cannot raise again.  Unbuffered, under
+    # ``python -u`` or PYTHONUNBUFFERED, the text layer writes to the file
+    # itself and drops what a short write to a closing pipe leaves over,
+    # so the report would end early with status 0; a buffered stdout
+    # writes the rest or raises
+    if isinstance(getattr(sys.stdout, "buffer", None), io.FileIO):
+        sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                          errors=sys.stdout.errors, closefd=False)
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -18,12 +18,13 @@ j <= 0; for j >= 1 it first discards the atoms 1..j (raw ids), maps the
 survivors, and adjoins the block ``i_set(j) = {nu(j, 1), ..., nu(j, j)}``.
 The block is the image of the atoms 1..j, so for j >= 1 this is
 alpha(j, I) = i_set(j) | nu(j, I), and each child is made so, by one
-union.  Iterating all alpha_j from the seed {1} produces generations of
-labeled sets; labels follow the recursion label(alpha_j(I)) =
-nu(j, label(I)), stay members of their sets, remain globally distinct,
-and sit at level equal to the generation index.  The labels therefore
-form an explicit system of distinct representatives for any prefix of
-generations, which is the certificate the verdict machinery consumes.
+union of the block with its parent's images.  Iterating all alpha_j
+from the seed {1} produces generations of labeled sets; labels follow
+the recursion label(alpha_j(I)) = nu(j, label(I)), stay members of
+their sets, remain globally distinct, and sit at level equal to the
+generation index.  The labels therefore form an explicit system of
+distinct representatives for any prefix of generations, which is the
+certificate the verdict machinery consumes.
 
 Generations quantify over all integers j; we window to j in [-W..W].
 Every verified property (injectivity, membership, Hall) is monotone under
@@ -41,16 +42,18 @@ image nu(j, t) once: it keeps one plain dict of images per index j,
 which for j >= 1 starts holding the images of the atoms 1..j, the block,
 computed in one batch.  Each generation is built one index at a time:
 the index's dict first gains, in one arithmetic pass, the images of the
-atoms that the generation's parents hold and the dict lacks, then all
-the parents' children and labels are made by lookups, and the per-index
-lists are interleaved back into parent order.  Each generation is held
-as two parallel tuples, its sets and their labels.  Validation stays at
-the boundary: a run checks its window and depth before its budget, so
-the generator's indices are integers and its atoms generated or already
-checked, and ``nu``, ``i_set`` and ``alpha`` check their arguments
-before their one batch of images, so no image of a non-integer index is
-ever made; a block, one atom slot per atom, is refused above the budget.
-A labeled family, a prefix of generations or a generation of images, is
+atoms that the generation's parents hold and the dict lacks, then the
+parents' children and labels are mapped from it by lookups, with no
+Python loop per child: a child is ``block.union(map(image, parent))``
+for j >= 1 and ``frozenset(map(image, parent))`` otherwise.  The
+per-index maps are interleaved back into parent order as they are
+consumed.  Each generation is held as two parallel tuples, its sets and
+their labels.  Validation stays at the boundary: a run checks its
+window and depth before its budget, so the generator's indices are
+integers and its atoms generated or already checked, and ``nu``,
+``i_set`` and ``alpha`` check their arguments before their one batch
+of images, so no image of a non-integer index is ever made; a block,
+one atom slot per atom, is refused above the budget.  A labeled family, a prefix of generations or a generation of images, is
 checked by ``certificates`` for membership and distinctness, then hands
 its sets to the matching kernel as they are, the atoms themselves being
 the columns, without numbering them or revalidating them as a
@@ -59,17 +62,21 @@ law by one pass per generation, decoding its labels at once, and only a
 failure walks the members one by one to name it.  The prefix certificate
 is the one check of all three label laws, and a broken law raises
 ``TheoremViolation``, as every certificate of the package does.
+
+A run loads only what it runs: ``matching``, ``bundles`` and ``ring``
+are imported by the three functions that use them,
+``hall_persistence_check``, ``alpha`` and ``level``, none of which a
+``dynamics`` command calls.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, repeat
 from math import isqrt
 
-from . import _kernels, certificates, matching, ring
-from .bundles import BundleFamily, index_set
+from . import _kernels, certificates
 from .errors import CapExceeded, InvalidInput, TheoremViolation, is_integer
 
 # The cost of a run bounds, from W, D and its seed, the atom slots its
@@ -119,7 +126,9 @@ def _predecessors(atoms) -> list:
 def level(a: int) -> int:
     """Derivation depth of an atom: 0 for the seed 1, else 1 + level of
     the decoded second component.  Total and well-founded."""
-    ring.check_atom(a)
+    from .ring import check_atom
+
+    check_atom(a)
     depth = 0
     while a != 1:
         (a,) = _predecessors((a,))
@@ -153,6 +162,8 @@ def alpha(j: int, atoms: Iterable[int]) -> frozenset:
     another type is not compared with 1.  An index above
     ``DYNAMICS_BUDGET`` is refused by the block's size rule.
     """
+    from .bundles import index_set
+
     atoms = index_set(atoms)
     if isinstance(j, (int, float)) and j >= 1:
         return i_set(j).union(_images(j, atoms))
@@ -176,8 +187,8 @@ GammaFamily = namedtuple("GammaFamily", ("sets", "labels"))
 
 
 def _parent_major(per_index) -> tuple:
-    # One list per index, each over the same parents, as one tuple listing
-    # each parent's images together, in index order
+    # One iterator per index, each over the same parents, as one tuple
+    # listing each parent's images together, in index order
     return tuple(chain.from_iterable(zip(*per_index)))
 
 
@@ -220,22 +231,24 @@ def _generate(window: int, depth: int, seed_sets, seed_labels) -> tuple[list, li
     # dict of the images nu(j, t) computed so far, holding the block's
     # atoms 1..j from the start; depth 0 is the seed alone, and a seed of
     # no sets has no children, so neither computes an image
-    tables = []  # (j, its images, its block, empty for j <= 0)
+    tables = []  # (j, its images, the child of a parent's images)
     for j in range(-window, window + 1) if depth and seed_sets else ():
         atoms = range(1, j + 1)
         images = dict(zip(atoms, _images(j, atoms)))
-        tables.append((j, images, frozenset(images.values())))
+        # the block joined to the images, or the images alone for j <= 0
+        child = frozenset(images.values()).union if images else frozenset
+        tables.append((j, images, child))
     sets, labels = [tuple(seed_sets)], [tuple(seed_labels)]
     for _ in range(depth):
         parents, parent_labels = sets[-1], labels[-1]
         # each label is an atom of its set, so its image is computed too
         held = set().union(*parents)
         children, child_labels = [], []
-        for j, images, block in tables:
+        for j, images, child in tables:
             missing = held - images.keys()
             images.update(zip(missing, _images(j, missing)))
             image = images.__getitem__
-            children.append([block.union(map(image, parent)) for parent in parents])
+            children.append(map(child, map(map, repeat(image), parents)))
             child_labels.append(map(image, parent_labels))
         sets.append(_parent_major(children))
         labels.append(_parent_major(child_labels))
@@ -249,12 +262,12 @@ def gamma_generations(window: int, depth: int) -> GammaFamily:
     (in order) and every j from -window to window, with the label
     recursion label(alpha_j(I)) = nu(j, label(I)).  It is built one index
     at a time: the index's dict of images first gains the images of
-    every atom the parents hold, then gives all the parents' children
-    and labels, and the per-index lists are interleaved back into that
-    order.  A window that is not an integer >= 1 or a depth that is not
-    a nonnegative integer raises ``InvalidInput``, and a size whose cost
-    is above ``DYNAMICS_BUDGET`` raises ``CapExceeded``, before any image
-    is computed.
+    every atom the parents hold, then all the parents' children and
+    labels are mapped from it, and the per-index maps are interleaved
+    back into that order.  A window that is not an integer >= 1 or a
+    depth that is not a nonnegative integer raises ``InvalidInput``, and
+    a size whose cost is above ``DYNAMICS_BUDGET`` raises
+    ``CapExceeded``, before any image is computed.
     """
     _check_size(window, depth)
     _check_budget(window, depth)
@@ -322,7 +335,7 @@ def hall_certificate_for_prefix(g: GammaFamily, m: int) -> tuple[int, ...]:
     return labels
 
 
-def hall_persistence_check(f: BundleFamily, window: int) -> bool:
+def hall_persistence_check(f: "BundleFamily", window: int) -> bool:
     """Whether the image family {alpha(j, I)} keeps Hall's condition.
 
     The input must itself satisfy Hall's condition; its checked SDR,
@@ -334,10 +347,12 @@ def hall_persistence_check(f: BundleFamily, window: int) -> bool:
     images costs more than ``DYNAMICS_BUDGET`` raises ``CapExceeded``
     before any image is computed.
     """
+    from .matching import certify
+
     _check_size(window, 1)
     if f.trivial_lines > 0:
         raise InvalidInput("hall_persistence_check requires trivial_lines = 0")
-    sdr = matching.certify(f)[0]
+    sdr = certify(f)[0]
     if sdr is None:
         raise InvalidInput("input family must satisfy Hall's condition")
     _check_budget(window, 1, f.sets, f"Hall persistence at window {window}")

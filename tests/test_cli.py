@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -495,6 +496,17 @@ class TestDynamics:
         assert code == 0 and calls == [156]
         assert stdout_digest(out) == DYNAMICS_STDOUT[2, 3]
 
+    def test_each_label_written_once(self, capsys, monkeypatch):
+        # labels and prefix_sdr are one list, converted to decimal once
+        calls = []
+        monkeypatch.setattr(cli, "_int_repr", lambda n: calls.append(n) or int.__repr__(n))
+        code, out, _ = run_main(capsys, "dynamics", "--window", "2", "--depth", "3")
+        assert code == 0 and stdout_digest(out) == DYNAMICS_STDOUT[2, 3]
+        report = json.loads(out)
+        # window, depth, the four generation sizes and prefix_sdr_size
+        others = [2, 3, 1, 5, 25, 125, 156]
+        assert sorted(calls) == sorted(report["labels"] + others)
+
 
 class TestSelftest:
     def test_passes(self, capsys):
@@ -658,6 +670,26 @@ class TestUsageAndDeterminism:
             _emit(value, "json")
         assert out.getvalue() == ""
 
+    def test_writer_writes_shared_values_once(self, monkeypatch):
+        # a value held under two keys is written once, with the text the
+        # stdlib writes at each place it appears
+        shared_list = [7, [8, 9]]
+        shared_dict = {"k": 10, "l": [11, 12]}
+        report = {"a": shared_list, "b": shared_dict, "c": shared_list,
+                  "d": {"e": shared_dict, "f": shared_dict}, "g": shared_dict}
+        calls = []
+        monkeypatch.setattr(cli, "_int_repr", lambda n: calls.append(n) or int.__repr__(n))
+        gc.collect()
+        gc.disable()
+        try:
+            text = cli._json(report, "")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert text == json.dumps(report, indent=2)
+        # once each for a, b with d and g, and d's own e and f
+        assert sorted(calls) == sorted([7, 8, 9] + [10, 11, 12] * 2)
+
     @pytest.mark.parametrize("command", ["analyze", "euler"])
     def test_class_reaches_writer_verbatim(self, monkeypatch, capsys, command):
         # analyze and euler hand the rendered class to the writer as
@@ -743,6 +775,25 @@ class TestSubprocessContract:
     def test_usage_error_exit_code(self):
         proc = run_proc("sweep", "--max-m", "not-a-number")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["--json", "--text"])
+    def test_closed_stdout_exits_one(self, fmt, unbuffered):
+        # a reader that stops early (| head -c 100) ends the run with
+        # status 1 and nothing on stderr; the report is larger than a pipe
+        # buffer (64 KB), so the writer meets the closed pipe.  Unbuffered,
+        # a short write must not end the report early with status 0
+        assert DYNAMICS_STDOUT[4, 4][0] > 65536
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eulerhall", "dynamics", "--window", "4", "--depth", "4", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
     def test_console_output_identical_across_processes(self):
         a = run_proc("dynamics", "--window", "1", "--depth", "2")

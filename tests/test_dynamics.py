@@ -198,8 +198,10 @@ def oracle_generations(window, depth):
 
 
 class TestGenerationsOracle:
-    @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    # depth 4 at W1 and W2 takes a fourth generation through the children
+    # built from the third
+    @pytest.mark.parametrize("depth, window", [
+        (d, w) for d in (0, 1, 2, 3) for w in (1, 2, 3, 4)] + [(4, 1), (4, 2)])
     def test_members_match_oracle(self, window, depth):
         fam = gamma_generations(window, depth)
         indices = range(-window, window + 1)

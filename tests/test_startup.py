@@ -57,6 +57,7 @@ def loaded_modules(*argv):
             ("dynamics", "--window", "1", "--depth", "1"),
             "eulerhall.dynamics",
             ("eulerhall.sweep", "eulerhall.obstruction", "eulerhall.selftest",
+             "eulerhall.matching", "eulerhall.bundles", "eulerhall.ring",
              "concurrent.futures", "dataclasses", "inspect"),
         ),
     ],
