@@ -56,7 +56,7 @@ _EXPORTS = {
         "subordination_verdict",
         "verify_coefficient_identity",
     ),
-    "ring": ("RingElement", "generator", "monomial", "one", "product_of_generators", "zero"),
+    "ring": ("RingElement", "zero"),
     "sweep": ("expected_family_count", "sweep_equivalence"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -133,9 +133,9 @@ class BundleFamily:
 
 
 def euler_line(atoms: Iterable[int]) -> RingElement:
-    """Euler class of one tensor-product line: the sum of its generators."""
-    s = index_set(atoms)
-    return ring.RingElement._raw({frozenset((a,)): 1 for a in s})
+    """Euler class of one tensor-product line: the sum of its generators,
+    the class of the family of that one set."""
+    return euler_class(BundleFamily((atoms,)))
 
 
 def euler_class(f: BundleFamily) -> RingElement:
@@ -150,7 +150,7 @@ def euler_class(f: BundleFamily) -> RingElement:
     if f.trivial_lines > 0:
         return ring.zero()
     rows, atoms = f.columns
-    return RingElement._from_columns(_kernels.euler_terms(rows, len(atoms)), atoms, len(rows))
+    return RingElement(_kernels.euler_terms(rows, len(atoms)), atoms, len(rows))
 
 
 def direct_sum(f: BundleFamily, g: BundleFamily) -> BundleFamily:

@@ -1,8 +1,8 @@
 """Embedded self-test: a fast, deterministic subset of the full suite.
 
 Each check returns True/False instead of raising so the CLI can report
-all outcomes; the checks deliberately route through the public API so a
-sabotaged primitive (mutated ring product, broken matching) is caught.
+all outcomes; the checks deliberately run the code the commands run, so a
+sabotaged primitive (a broken Euler kernel or matching) is caught.
 """
 
 from __future__ import annotations
@@ -10,41 +10,41 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from . import _kernels, dynamics, obstruction, ring, sweep
+from . import _kernels, dynamics, obstruction, sweep
 from .bundles import BundleFamily, euler_class
 from .obstruction import VerdictTag
 
 
-def _random_element(rng: random.Random, max_atom: int = 6) -> ring.RingElement:
-    e = ring.zero()
-    for _ in range(rng.randint(0, 4)):
-        atoms = rng.sample(range(1, max_atom + 1), rng.randint(0, 3))
-        e = ring.add(e, ring.monomial(atoms, rng.randint(-9, 9)))
-    return e
-
-
 def check_ring_axioms(trials: int = 2000, seed: int = 7) -> bool:
+    # The laws of the product that the Euler kernel expands: it commutes
+    # (the terms do not depend on row order), squares vanish, and it is
+    # linear in each row (a row A | B with A & B empty gives the terms of
+    # A plus those of B).
     rng = random.Random(seed)
     for _ in range(trials):
-        a, b, c = (_random_element(rng) for _ in range(3))
-        if ring.mul(a, b) != ring.mul(b, a):
+        rows = [tuple(rng.sample(range(6), rng.randint(1, 3))) for _ in range(rng.randint(0, 4))]
+        terms = _kernels.euler_terms(rows, 6)
+        if _kernels.euler_terms(rng.sample(rows, len(rows)), 6) != terms:
             return False
-        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
+        split = rng.sample(range(6), rng.randint(2, 6))
+        cut = rng.randint(1, len(split) - 1)
+        a, b = split[:cut], split[cut:]
+        summed = dict(_kernels.euler_terms([*rows, a], 6))
+        for mask, coeff in _kernels.euler_terms([*rows, b], 6).items():
+            summed[mask] = summed.get(mask, 0) + coeff
+        if _kernels.euler_terms([*rows, split], 6) != summed:
             return False
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-            return False
-    return all(
-        ring.mul(ring.generator(a), ring.generator(a)).is_zero for a in range(1, 7)
-    )
+    return all(_kernels.euler_terms([(c,), (c,)], 6) == {} for c in range(6))
 
 
 def check_product_rule(max_n: int = 4) -> bool:
+    # singleton rows: the product of x_{i1} ... x_{in} over {1..n} is the
+    # full monomial exactly when the sequence is a permutation, else zero
     for n in range(1, max_n + 1):
-        for seq in product(range(1, n + 1), repeat=n):
-            folded = ring.one()
-            for a in seq:
-                folded = ring.mul(folded, ring.generator(a))
-            if ring.product_of_generators(seq, n) != folded:
+        full = {(1 << n) - 1: 1}
+        for seq in product(range(n), repeat=n):
+            expected = full if len(set(seq)) == n else {}
+            if _kernels.euler_terms([(c,) for c in seq], n) != expected:
                 return False
     return True
 

@@ -13,9 +13,20 @@ import time
 from itertools import chain, product
 from pathlib import Path
 
-from conftest import random_element, random_hall_family, sdr_count_naive, valid_sdr
+from conftest import (
+    generator,
+    monomial,
+    one,
+    product_of_generators,
+    random_element,
+    random_hall_family,
+    sdr_count_naive,
+    valid_sdr,
+    zero,
+)
 from eulerhall import (
     BundleFamily,
+    _kernels,
     TheoremViolation,
     VerdictTag,
     analyze,
@@ -30,13 +41,11 @@ from eulerhall import (
     i_set,
     level,
     nu,
-    ring,
     sdr_count,
     subordination_verdict,
     sweep_equivalence,
     verify_coefficient_identity,
 )
-from eulerhall.ring import generator, monomial, one, product_of_generators
 from eulerhall.sweep import sweep_coefficient_identity
 from test_matching import all_families
 
@@ -114,7 +123,16 @@ def test_criterion_2_coefficient_equals_permanent():
     assert elapsed < 30.0
 
 
+def _kernel_rows(rng, ncols):
+    return [tuple(rng.sample(range(ncols), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 4))]
+
+
 def test_criterion_3_ring_soundness():
+    # the laws of the frozenset ring (the tests' oracle), then the same laws
+    # of the Euler kernel's product: row order for commutativity, one row
+    # A | B against rows A and B for distributivity, and [a], [a] for
+    # nilpotency; the product rule on both
     t0 = time.perf_counter()
     rng = random.Random(102)
     checks = 0
@@ -122,15 +140,34 @@ def test_criterion_3_ring_soundness():
     for _ in range(2500):
         a, b, c = (random_element(rng, max_atom=6, max_coeff=9) for _ in range(3))
         g = generator(rng.randint(1, 6))
-        if ring.mul(a, b) != ring.mul(b, a):
+        if a * b != b * a:
             laws_ok = False
-        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
+        if (a * b) * c != a * (b * c):
             laws_ok = False
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
+        if a * (b + c) != a * b + a * c:
             laws_ok = False
-        if not ring.mul(g, g).is_zero:
+        if not (g * g).is_zero:
             laws_ok = False
         checks += 4
+        if not laws_ok:
+            break
+    kernel_checks = 0
+    for _ in range(2500):
+        rows = _kernel_rows(rng, 6)
+        terms = _kernels.euler_terms(rows, 6)
+        if _kernels.euler_terms(rng.sample(rows, len(rows)), 6) != terms:
+            laws_ok = False
+        split = rng.sample(range(6), rng.randint(2, 6))
+        cut = rng.randint(1, len(split) - 1)
+        summed = dict(_kernels.euler_terms([*rows, split[:cut]], 6))
+        for mask, coeff in _kernels.euler_terms([*rows, split[cut:]], 6).items():
+            summed[mask] = summed.get(mask, 0) + coeff
+        if _kernels.euler_terms([*rows, split], 6) != summed:
+            laws_ok = False
+        column = rng.randrange(6)
+        if _kernels.euler_terms([*rows, (column,), (column,)], 6):
+            laws_ok = False
+        kernel_checks += 3
         if not laws_ok:
             break
     rule_ok = True
@@ -138,18 +175,21 @@ def test_criterion_3_ring_soundness():
         top = monomial(range(1, n + 1))
         for seq in product(range(1, n + 1), repeat=n):
             direct = product_of_generators(seq, n)
-            expected = top if len(set(seq)) == n else ring.zero()
+            expected = top if len(set(seq)) == n else zero()
             folded = one()
             for a in seq:
-                folded = ring.mul(folded, generator(a))
-            if direct != expected or direct != folded:
+                folded = folded * generator(a)
+            kernel = _kernels.euler_terms([(a - 1,) for a in seq], n)
+            if direct != expected or direct != folded or kernel != {
+                    sum(1 << (a - 1) for a in mono): c for mono, c in expected.terms.items()}:
                 rule_ok = False
                 break
     elapsed = time.perf_counter() - t0
-    ok = laws_ok and rule_ok and checks == 10000 and elapsed < 5.0
-    _report(3, ok, f"{checks} randomized law checks, product rule exhaustive to N=5, "
-                   f"{elapsed:.2f}s")
-    assert laws_ok and checks == 10000
+    ok = (laws_ok and rule_ok and checks == 10000 and kernel_checks == 7500
+          and elapsed < 5.0)
+    _report(3, ok, f"{checks} randomized law checks and {kernel_checks} on the Euler kernel, "
+                   f"product rule exhaustive to N=5, {elapsed:.2f}s")
+    assert laws_ok and checks == 10000 and kernel_checks == 7500
     assert rule_ok
     assert elapsed < 5.0
 

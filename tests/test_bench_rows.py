@@ -75,11 +75,15 @@ def test_unreadable_output_is_refused(stdout):
         bench_rows.parse(stdout)
 
 
-def run_main(monkeypatch, tmp_path, stdout, returncode=0):
+def run_main(monkeypatch, tmp_path, stdout, returncode=0, status="", status_code=0):
+    # `status` is what `git status --porcelain` prints for src/ and
+    # perfbench/; every other call is the harness
     calls = []
 
     def fake_run(argv, **kwargs):
         calls.append(argv)
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, status_code, status, "not a git repository")
         return subprocess.CompletedProcess(argv, returncode, stdout, "")
 
     monkeypatch.setattr(bench_rows.subprocess, "run", fake_run)
@@ -94,7 +98,9 @@ def test_main_appends_one_row_per_run(monkeypatch, tmp_path):
         assert rc == 0
         rows = json.loads((tmp_path / "BENCH_analyze_obstructed.json").read_text())
         assert len(rows) == n and rows[-1]["metrics"] == METRICS
-    argv = calls[0]
+    git, argv = calls
+    assert git == ["git", "status", "--porcelain", "--untracked-files=all", "--",
+                   "src", "perfbench"]
     assert argv[-6:] == ["--workload", "analyze_obstructed", "--seed", "1", "--seconds", "15"]
     assert argv[-7].endswith("run.py")
 
@@ -108,6 +114,27 @@ def test_main_writes_no_row_for_a_refused_run(monkeypatch, tmp_path, stdout, ret
     rc, _ = run_main(monkeypatch, tmp_path, stdout, returncode)
     assert rc == 1
     assert not (tmp_path / "BENCH_analyze_obstructed.json").exists()
+
+
+@pytest.mark.parametrize("status,named", [
+    (" M src/eulerhall/ring.py\n", "src/eulerhall/ring.py"),
+    ("M  perfbench/run.py\n", "perfbench/run.py"),
+    ("?? src/eulerhall/new.py\n?? perfbench/extra.py\n",
+     "src/eulerhall/new.py, perfbench/extra.py"),
+    ("", "git status failed: not a git repository"),
+], ids=["edited", "staged", "untracked", "no_git"])
+def test_main_refuses_sources_that_differ_from_head(monkeypatch, tmp_path, capsys, status,
+                                                     named):
+    # the harness never runs, and the rows already written stay byte for byte
+    path = tmp_path / "BENCH_analyze_obstructed.json"
+    path.write_text(json.dumps([{"git_sha": "c2082ad"}], indent=2) + "\n")
+    before = path.read_bytes()
+    rc, calls = run_main(monkeypatch, tmp_path, harness_output(), status=status,
+                         status_code=0 if status else 128)
+    assert rc == 1
+    assert [argv[0] for argv in calls] == ["git"]
+    assert path.read_bytes() == before
+    assert named in capsys.readouterr().err
 
 
 def test_tool_does_not_import_the_package():

@@ -291,11 +291,11 @@ class TestAnalyze:
 
     def test_class_stays_over_columns(self, monkeypatch, capsys):
         # analyze and euler read the class's bitmasks only; the frozenset
-        # form is built for callers of terms, coeff and arithmetic
+        # view is built for callers of terms alone
         def no_frozensets(self):
             raise AssertionError("frozenset terms built")
 
-        monkeypatch.setattr(ring.RingElement, "_terms", property(no_frozensets))
+        monkeypatch.setattr(ring.RingElement, "terms", property(no_frozensets))
         for path in sorted(FIXTURES.glob("*.json")):
             for command in ("analyze", "euler"):
                 assert run_main(capsys, command, str(path))[0] == 0, (command, path.name)
@@ -516,17 +516,44 @@ class TestSelftest:
         checks = report["checks"]
         assert checks and all(ok is True for ok in checks.values())
 
-    def test_sabotaged_ring_fails(self, monkeypatch):
-        # mutation control: a broken product must be caught
-        def bad_mul(a, b):
-            return ring.add(a, b)
+    def test_sabotaged_ring_fails(self, monkeypatch, capsys):
+        # mutation control: an Euler kernel that keeps a term with a
+        # repeated column, or one whose terms depend on the row order,
+        # must be caught
+        from eulerhall import _kernels
 
-        monkeypatch.setattr(ring, "mul", bad_mul)
-        assert selftest.check_ring_axioms(trials=50) is False
+        real = _kernels.euler_terms
 
-    def test_sabotaged_product_rule_fails(self, monkeypatch):
-        monkeypatch.setattr(ring, "product_of_generators", lambda seq, n: ring.one())
+        def no_squarefree_law(rows, ncols):
+            terms = {0: 1}
+            for cols in rows:
+                step = {}
+                for mask, coeff in terms.items():
+                    for c in cols:
+                        step[mask | 1 << c] = step.get(mask | 1 << c, 0) + coeff
+                terms = step
+            return terms
+
+        def first_row_dropped(rows, ncols):
+            return real(list(rows)[1:], ncols) if len(rows) > 2 else real(rows, ncols)
+
+        for sabotaged in (no_squarefree_law, first_row_dropped):
+            monkeypatch.setattr(_kernels, "euler_terms", sabotaged)
+            assert selftest.check_ring_axioms(trials=50) is False
+            code, out, _ = run_main(capsys, "selftest")
+            assert code == 2 and json.loads(out)["checks"]["ring_axioms"] is False
+
+    def test_sabotaged_product_rule_fails(self, monkeypatch, capsys):
+        # an Euler kernel whose singleton rows break the permutation rule:
+        # a repeated column gives the unit instead of zero
+        from eulerhall import _kernels
+
+        real = _kernels.euler_terms
+        monkeypatch.setattr(_kernels, "euler_terms",
+                            lambda rows, ncols: real(rows, ncols) or {0: 1})
         assert selftest.check_product_rule(max_n=2) is False
+        code, out, _ = run_main(capsys, "selftest")
+        assert code == 2 and json.loads(out)["checks"]["product_rule"] is False
 
     def test_order_dependent_matching_fails(self, monkeypatch, capsys):
         # a matching that fails on one ordering of a family it saturates in

@@ -1,10 +1,10 @@
-"""Kernels against brute-force oracles and the ring product."""
+"""Kernels against brute-force oracles and the frozenset ring's product."""
 
 import inspect
 import random
-from functools import reduce
 
-from eulerhall import BundleFamily, _kernels, euler_line, ring
+from conftest import fold
+from eulerhall import BundleFamily, _kernels
 
 
 def random_rows(rng, max_m=7, max_ncols=10):
@@ -172,8 +172,8 @@ class TestHarnessContract:
 
 class TestKernelAgainstRing:
     def test_euler_terms_matches_ring_fold(self):
-        # kernel DP against the independent ring-product route: a fold of
-        # ring.mul over the members' classes, never through euler_class
+        # kernel DP against the independent ring-product route: the
+        # oracle's fold of the members' lines, never through euler_class
         rng = random.Random(54)
         for _ in range(300):
             m = rng.randint(0, 5)
@@ -185,12 +185,11 @@ class TestKernelAgainstRing:
             index = {a: i for i, a in enumerate(atoms)}
             rows = tuple(tuple(index[a] for a in sorted(s)) for s in sets)
             terms = _kernels.euler_terms(rows, len(atoms))
-            e = reduce(ring.mul, map(euler_line, sets), ring.one())
             rebuilt = {
                 frozenset(atoms[c] for c in range(len(atoms)) if mask >> c & 1): coeff
                 for mask, coeff in terms.items()
             }
-            assert rebuilt == dict(e.terms)
+            assert rebuilt == fold(sets).terms
 
 
 def brute_max_matching_size(rows, ncols):

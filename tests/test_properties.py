@@ -1,11 +1,10 @@
-"""Property tests: the Euler kernel route against the ring-product fold,
-the alphabet of rendered elements, and the CLI's JSON writer against the
-stdlib's encoder."""
+"""Property tests: the Euler kernel route against the oracle's fold, the
+column form's lookups against the oracle's, the alphabet of rendered
+elements, and the CLI's JSON writer against the stdlib's encoder."""
 
 import contextlib
 import io
 import json
-from functools import reduce
 
 import pytest
 
@@ -13,8 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerhall import BundleFamily, euler_class, euler_line, obstruction, ring
+from conftest import Poly, fold
+from eulerhall import BundleFamily, euler_class, obstruction, ring
 from eulerhall.cli import _emit, _Verbatim
+from eulerhall.ring import RingElement, descending_columns
 
 # Up to 7 sets over atoms 1..40: sparse, large atom ids exercise the
 # column compression in front of the bitmask kernel.
@@ -27,19 +28,26 @@ families = st.lists(
 @settings(deadline=None, database=None)
 @given(families)
 def test_euler_class_equals_ring_fold(f):
-    fold = reduce(ring.mul, map(euler_line, f.sets), ring.one())
+    oracle = fold(f.sets)
     e = euler_class(f)
-    assert e == fold
-    assert e.render() == fold.render()
+    assert Poly(e.terms) == oracle
+    assert e.render() == oracle.render()
 
 
-# Signed coefficients past 64 bits, mixed degrees and the constant term,
-# over atoms up to 200.
-elements = st.dictionaries(
-    st.frozensets(st.integers(min_value=1, max_value=200), max_size=5),
-    st.integers(min_value=-(2**70), max_value=2**70).filter(bool),
+# Homogeneous elements with coefficients past 64 bits, the constant term
+# among them, over atoms up to 200, in the column form of the kernel.
+def over_columns(terms):
+    atoms, column = descending_columns(terms)
+    degree = len(next(iter(terms), ()))
+    masks = {sum(1 << column[a] for a in mono): c for mono, c in terms.items()}
+    return RingElement(masks, atoms, degree)
+
+
+elements = st.integers(min_value=0, max_value=5).flatmap(lambda degree: st.dictionaries(
+    st.frozensets(st.integers(min_value=1, max_value=200), min_size=degree, max_size=degree),
+    st.integers(min_value=1, max_value=2**70),
     max_size=8,
-).map(ring.RingElement)
+)).map(over_columns)
 
 # Families over 17 to 24 sparse columns, so a class's text runs through
 # three byte tables: one set holds every atom, the others overlap it.
@@ -58,6 +66,47 @@ RENDER_ALPHABET = set("0123456789x*+- ")
 @given(elements)
 def test_render_alphabet(e):
     assert set(e.render()) <= RENDER_ALPHABET
+    assert e.render() == Poly(e.terms).render()
+
+
+@settings(deadline=None, database=None)
+@given(st.one_of(families, wide_families), st.randoms(use_true_random=False))
+def test_columns_agree_with_oracle(f, rng):
+    # coeff, ==, hash and render read the columns; the oracle reads its
+    # frozenset map
+    e = euler_class(f)
+    oracle = fold(f.sets)
+    assert e.render() == oracle.render()
+    atoms = sorted(f.atoms())
+    outside = max(atoms, default=0) + 1
+    for mono, c in oracle.terms.items():
+        assert e.coeff(mono) == c
+        assert e.coeff(sorted(mono, reverse=True)) == c
+        assert e.coeff(mono | {outside}) == 0
+    m = len(f.sets)
+    if m <= len(atoms):
+        for _ in range(10):
+            support = rng.sample(atoms, m)
+            assert e.coeff(support) == oracle.coeff(support)
+            if support:
+                support[rng.randrange(m)] = outside
+                assert e.coeff(support) == 0
+    reordered = euler_class(BundleFamily(sets=f.sets[::-1]))
+    assert e == reordered and hash(e) == hash(reordered)
+    # one more line, on an atom of its own, keeps only zero as it is
+    extended = euler_class(BundleFamily(sets=(*f.sets, frozenset({outside}))))
+    assert (e == extended) == e.is_zero
+    assert e != e.terms  # an element equals only an element
+    assert (e == ring.zero()) == e.is_zero == oracle.is_zero
+    if e.is_zero:
+        assert hash(e) == hash(ring.zero())
+
+
+def test_zero_equals_zero_over_any_columns():
+    e = euler_class(BundleFamily.of({1}, {1}))
+    assert e.is_zero and e.terms == {}
+    assert e == ring.zero() and hash(e) == hash(ring.zero())
+    assert e.coeff({1}) == e.coeff(()) == 0
 
 
 @settings(deadline=None, database=None)

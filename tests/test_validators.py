@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from eulerhall import InvalidInput, bundles, dynamics, matching, ring, sweep
+from eulerhall import InvalidInput, bundles, dynamics, matching, sweep
 from eulerhall.bundles import BundleFamily
 
 # generations 0..1, so a prefix depth lies in 0..1
@@ -43,12 +43,6 @@ def alpha_index_message(x):
 # name: (call with the checked value, message for a value, further
 # refused values, the first out-of-range int first, a valid value)
 VALIDATORS = {
-    "ring.generator": (ring.generator, atom_message, (0, -3), 2),
-    "ring.product_of_generators.n": (
-        lambda x: ring.product_of_generators([1], x),
-        lambda x: f"n must be a nonnegative integer, got {x!r}", (-1,), 1),
-    "ring.coefficient": (lambda x: ring.monomial((1,), x),
-                         lambda x: f"coefficients must be ints, got {x!r}", (), 3),
     "dynamics.nu.index": (lambda x: dynamics.nu(x, 1),
                           lambda x: f"index must be an integer, got {x!r}", (), -1),
     "dynamics.nu.second": (lambda x: dynamics.nu(1, x),

@@ -13,8 +13,10 @@ to ``BENCH_<workload>.json`` at the root of the checkout: the git sha,
 Python version, core count and source digest that the harness recorded,
 the seed and seconds, the metrics in reference seconds and as measured,
 and the bytecode state of the run.  The harness reads the sha from
-``.git``, so a row measures the commit checked out, plus any edits that
-only the source digest shows.
+``.git``, so the tool refuses to start it (exit 1, no row written) while
+``src/`` or ``perfbench/`` differ from ``HEAD``, naming the files that
+``git status`` lists there, untracked ones included: a row's sha always
+names the code it measured.
 
 This script never imports eulerhall: the harness does, in its own process.
 """
@@ -30,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HARNESS = ROOT / "perfbench" / "run.py"
 SECONDS = "15"  # BENCHMARK.json's run_seconds
+SOURCES = ("src", "perfbench")  # what the harness measures
 
 
 class Refused(Exception):
@@ -46,6 +49,18 @@ def parse(stdout):
         return json.loads(records[0]), json.loads(lines[-1])
     except ValueError as exc:
         raise Refused(f"unreadable harness output: {exc}") from None
+
+
+def changed_sources():
+    """The files under SOURCES that differ from HEAD: edited, staged or
+    untracked.  Refused if git cannot tell."""
+    proc = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=all", "--", *SOURCES],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    if proc.returncode != 0:
+        raise Refused(f"git status failed: {proc.stderr.strip()}")
+    return [line[3:] for line in proc.stdout.splitlines()]
 
 
 def row(record, result, bytecode):
@@ -84,17 +99,21 @@ def main(argv=None):
         "dont_write_bytecode": dont_write,
         "pycache": (ROOT / "src" / "eulerhall" / "__pycache__").is_dir(),
     }
-    proc = subprocess.run(
-        [sys.executable, *(["-B"] if dont_write else []), str(HARNESS),
-         "--workload", args.workload, "--seed", str(args.seed), "--seconds", SECONDS],
-        capture_output=True, text=True, cwd=ROOT,
-    )
     try:
+        changed = changed_sources()
+        if changed:
+            raise Refused("src/ or perfbench/ differ from HEAD: " + ", ".join(changed))
+        proc = subprocess.run(
+            [sys.executable, *(["-B"] if dont_write else []), str(HARNESS),
+             "--workload", args.workload, "--seed", str(args.seed), "--seconds", SECONDS],
+            capture_output=True, text=True, cwd=ROOT,
+        )
         if proc.returncode != 0:
-            raise Refused(proc.stderr.strip()[-300:] or "the harness failed")
+            raise Refused(f"the harness exited {proc.returncode}: "
+                          + (proc.stderr.strip()[-300:] or "no message"))
         new_row = row(*parse(proc.stdout), bytecode)
     except Refused as exc:
-        print(f"refused (exit {proc.returncode}): {exc}", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return 1
     path = ROOT / f"BENCH_{args.workload}.json"
     append(path, new_row)
