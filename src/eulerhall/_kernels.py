@@ -4,6 +4,8 @@ and the exhaustive family sweep.
 
 Each kernel is a function defined here, so that callers can count and
 time calls into ``eulerhall._kernels`` by wrapping its own functions.
+The one alternating-path search, ``_augment``, also serves
+``matching.certify``, which reads a Hall violator off a failed search.
 
 The sweep is one recursive walk with two rules for a node's children.
 Over the full range it starts up to atom relabeling: the row prefixes
@@ -137,7 +139,7 @@ def max_matching(rows, ncols):
                 break
     for j, c in enumerate(col_of):
         if c == -1:
-            _augment(j, rows, row_of, col_of)
+            _augment(j, rows, row_of, col_of, set())
     return col_of
 
 
@@ -147,13 +149,14 @@ class _RowOf(dict):
         return -1
 
 
-def _augment(start, rows, row_of, col_of):
+def _augment(start, rows, row_of, col_of, seen):
     # Iterative alternating DFS, so long paths hit no recursion limit.
     # frames[i] = (row, iterator over its remaining columns); path_cols[i]
-    # = column taken out of frames[i] towards frames[i+1]; `seen` holds
-    # the columns this search has visited.  row_of maps a column to its
-    # row, -1 when unmatched: a list over 0..ncols-1 or a _RowOf.
-    seen = set()
+    # = column taken out of frames[i] towards frames[i+1].  The caller's
+    # `seen` collects the columns visited: max_matching and _match_row
+    # pass a fresh set, and matching.certify reads what a failed search
+    # leaves, its alternating reach.  row_of maps a column to its row, -1
+    # when unmatched: a list over 0..ncols-1 or a _RowOf.
     frames = [(start, iter(rows[start]))]
     path_cols = []
     while frames:
@@ -563,7 +566,7 @@ def _match_row(rows, mask, row_of, col_of, used):
         row_of[c] = k
         return row_of, col_of + [c], used | low
     col_of = col_of + [-1]
-    if not _augment(k, rows, row_of, col_of):
+    if not _augment(k, rows, row_of, col_of, set()):
         return None
     # the path ends at the one column that was free before
     for c in col_of:

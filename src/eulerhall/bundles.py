@@ -72,10 +72,6 @@ class BundleFamily:
     def of(cls, *sets: Iterable[int], trivial_lines: int = 0) -> "BundleFamily":
         return cls(sets, trivial_lines)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.sets) + self.trivial_lines
-
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         """The family's atoms as 0-based columns, computed once per family.

@@ -57,7 +57,6 @@ import io
 import json
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
@@ -328,12 +327,12 @@ def cmd_dynamics(args) -> int:
     report["window"] = args.window
     report["depth"] = args.depth
     report["generation_sizes"] = list(map(len, fam.sets))
-    labels = list(chain.from_iterable(fam.labels))
-    prefix_sdr = list(certificate)
+    # the certificate at the full depth is the labels of every generation:
+    # one list under both keys, written once
+    labels = list(certificate)
     report["labels"] = labels
     report["labeling"] = {"membership": True, "injective": True, "level": True}
-    # the certificate is the labels, so one list under both keys is written once
-    report["prefix_sdr"] = labels if prefix_sdr == labels else prefix_sdr
+    report["prefix_sdr"] = labels
     report["prefix_sdr_size"] = len(certificate)
     report["hall_confirmed"] = True
     _emit(report, args.fmt)

@@ -15,13 +15,15 @@ scan and every matching route read the family's one compression,
 order: the kernel scans them in that order, which decides the
 certificate it returns.  One maximum matching yields both certificates
 of the marriage theorem (``certify``): a system of distinct
-representatives when it matches every set, else a Hall violator.  Each
-certificate is a plain tuple: the SDR lists one atom per set in family
-order, and the violator lists the sorted 0-based positions of a
-subfamily covering fewer atoms than it has members.  ``certify`` checks
-whichever it returns with ``certificates``, which shares no code with
-these routes, so ``certify`` and the verdicts built on it hand out only
-checked certificates.
+representatives when it matches every set, else a Hall violator: the
+sets that the kernel's own augmenting-path search reaches when it runs
+once more from the first unmatched set and fails.  Each certificate is
+a plain tuple: the SDR lists one atom per set in family order, and the
+violator lists the sorted 0-based positions of a subfamily covering
+fewer atoms than it has members.  ``certify`` checks whichever it
+returns with ``certificates``, which shares no code with these routes,
+so ``certify`` and the verdicts built on it hand out only checked
+certificates.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ def certify(f: BundleFamily) -> tuple[tuple[int, ...] | None, tuple[int, ...] | 
     deterministic for a given input order (greedy seeding plus
     augmenting-path search, both scanning atoms in ascending order).
     Otherwise ``violator`` is the sorted positions of every set reachable
-    by alternating paths from the first unmatched set; it covers one atom
-    fewer than it has members and need not be minimal.  The empty
-    family's SDR is ``()``, so test it with ``is not None``.  Raises
-    TheoremViolation unless ``certificates`` accepts the SDR or the
-    violator returned.
+    by alternating paths from the first unmatched set, read off one more
+    augmenting search from that set, which fails and so visits exactly
+    the atoms of those sets; it covers one atom fewer than it has members
+    and need not be minimal.  The empty family's SDR is ``()``, so test
+    it with ``is not None``.  Raises TheoremViolation unless
+    ``certificates`` accepts the SDR or the violator returned.
     """
     rows, atoms = f.columns
     col_of = _kernels.max_matching(rows, len(atoms))
@@ -67,35 +70,18 @@ def certify(f: BundleFamily) -> tuple[tuple[int, ...] | None, tuple[int, ...] | 
         sdr = tuple(map(atoms.__getitem__, col_of))
         certificates.check_sdr(f.sets, sdr)
         return sdr, None
-    violator = _violation(rows, len(atoms), col_of)
-    certificates.check_violator(f.sets, violator)
-    return None, violator
-
-
-def _violation(rows, ncols: int, col_of) -> tuple[int, ...]:
-    # col_of is a maximum matching with at least one unmatched row.
-    row_of = [-1] * ncols
+    # the matching is maximum, so this search fails and `seen` is its
+    # alternating reach; were a path found, check_violator would refuse
+    row_of = [-1] * len(atoms)
     for j, c in enumerate(col_of):
         if c >= 0:
             row_of[c] = j
-    # BFS over alternating paths: any edge out of a set, matched edge back.
     start = col_of.index(-1)
-    seen_rows = {start}
-    seen_cols: set = set()
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for c in rows[j]:
-                if c in seen_cols:
-                    continue
-                seen_cols.add(c)
-                r = row_of[c]
-                if r >= 0 and r not in seen_rows:
-                    seen_rows.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return tuple(sorted(seen_rows))
+    seen = set()
+    _kernels._augment(start, rows, row_of, col_of, seen)
+    violator = tuple(sorted({start, *map(row_of.__getitem__, seen)}))
+    certificates.check_violator(f.sets, violator)
+    return None, violator
 
 
 def sdr_count(f: BundleFamily, atoms: Iterable[int]) -> int:

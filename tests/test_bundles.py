@@ -185,11 +185,6 @@ class TestFamilyBasics:
         g = BundleFamily.from_json_dict({"sets": [[5, 2], [5]]})
         assert g.columns is g.columns and g.columns == f.columns
 
-    def test_dimension(self):
-        assert BundleFamily.of({1, 2}, {3}).dimension == 2
-        assert BundleFamily(trivial_lines=3).dimension == 3
-        assert BundleFamily.of({1}, trivial_lines=1).dimension == 2
-
     def test_direct_sum_concatenates(self):
         f = BundleFamily.of({1})
         assert direct_sum(f, f).sets == (frozenset({1}), frozenset({1}))

@@ -182,6 +182,15 @@ class TestFindViolation:
                 union = set().union(*(f.sets[j] for j in v))
                 assert len(union) < len(v)
 
+    def test_long_violator(self):
+        # {1}, {1,2}, ..., {n-1,n}, {n}: the last set is left unmatched and
+        # the failed search from it walks back through all n sets before it,
+        # so the violator is every position; no recursion limit may stop it
+        n = 5000
+        f = BundleFamily(sets=(frozenset({1}), *(frozenset({a, a + 1}) for a in range(1, n)),
+                               frozenset({n})))
+        assert certify(f) == (None, tuple(range(n + 1)))
+
     def test_non_maximum_matching_raises_theorem_violation(self, monkeypatch):
         # sabotage the kernel: row 1 is left unmatched although its column
         # is free, so the alternating reach covers as many atoms as rows
@@ -193,6 +202,17 @@ class TestFindViolation:
         monkeypatch.setattr(_kernels, "max_matching", lambda rows, ncols: [1, -1])
         with pytest.raises(TheoremViolation,
                            match=r"^Hall violator \(1,\) covers 1 atoms with 1 sets$"):
+            matching.certify(f)
+
+    def test_invalid_sdr_raises_theorem_violation(self, monkeypatch):
+        # sabotage the kernel: every row matched, each to the other's column
+        from eulerhall import matching
+        from eulerhall.errors import TheoremViolation
+
+        f = BundleFamily.of({1}, {2})
+        assert f.columns == (((1,), (0,)), [2, 1])
+        monkeypatch.setattr(_kernels, "max_matching", lambda rows, ncols: [0, 1])
+        with pytest.raises(TheoremViolation, match=r"^label 2 escaped its set \[1\]$"):
             matching.certify(f)
 
 

@@ -1,5 +1,6 @@
 """The tests' frozenset ring (``conftest.Poly``), the oracle of the Euler
-kernel: examples, axioms, the product rule and its text form."""
+kernel: examples, axioms, the product rule and its text form; and the
+truth value of the package's ``RingElement``."""
 
 import random
 from itertools import product
@@ -15,7 +16,8 @@ from conftest import (
     random_element,
     zero,
 )
-from eulerhall import InvalidInput
+from eulerhall import BundleFamily, InvalidInput, ring
+from eulerhall.bundles import euler_class
 
 
 def fold_generators(seq):
@@ -201,3 +203,10 @@ class TestElementBehaviour:
     def test_support(self):
         e = monomial({1, 2}) + monomial({4})
         assert e.support() == frozenset({1, 2, 4})
+
+
+def test_package_element_is_true_iff_nonzero():
+    # every caller tests is_zero, so only this pins __bool__: without it
+    # an object is always true, zero included
+    assert bool(ring.zero()) is False
+    assert bool(euler_class(BundleFamily.of({1, 2}, {2}))) is True
