@@ -16,8 +16,7 @@ from conftest import (
     random_element,
     zero,
 )
-from eulerhall import BundleFamily, InvalidInput, ring
-from eulerhall.bundles import euler_class
+from eulerhall import BundleFamily, InvalidInput, euler_class, ring
 
 
 def fold_generators(seq):
